@@ -6,6 +6,13 @@ rational, two-prime certified, or single-prime estimate).  Since modular
 ranks can only undercount, dimensions can only overcount; agreement of two
 independent 31-bit primes is the standard certification level.
 
+Only the dominant weights are built and ranked, in descending lex order.
+The blocks at the permutations of a weight are isomorphic to it over the
+integers (see koszul), so each dominant block counts distinct-permutations
+times: in dim, in block_count, and once in max_block_dim.  Its ranks, and
+with them the level and the agreement flag, are those of every block of its
+orbit.
+
 Two global consistency checks are provided.  The Euler check compares the
 alternating column sums of a complete table against the coefficients of
 H_R(t) * (1-t)^v, where H_R(t) = sum_m binom(md+b+n, n) t^m is the Hilbert
@@ -18,6 +25,7 @@ valid once d >= b + n + 1.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import threading
 import time
@@ -34,7 +42,10 @@ from .koszul import (
     Parameters,
     full_complex,
 )
-from .linalg import certified_rank, rank_exact, rank_mod_p
+from .linalg import InvariantError, certified_rank, rank_exact, rank_mod_p
+from .monomials import distinct_permutations_count
+
+logger = logging.getLogger(__name__)
 
 LEVEL_EXACT = "exact"
 LEVEL_TWO_PRIME = "two-prime"
@@ -159,6 +170,17 @@ def _block_ranks(block, config: EngineConfig):
     return cert_in.rank, cert_out.rank, exact, agreement
 
 
+def _block_dim(block, config: EngineConfig):
+    """(mid_dim - rank_in - rank_out, exact, agreement) for one block."""
+    r_in, r_out, exact, agree = _block_ranks(block, config)
+    if r_in + r_out > block.mid_dim:
+        raise InvariantError(
+            f"ranks {r_in} + {r_out} exceed the middle dimension "
+            f"{block.mid_dim} at weight {block.weight}"
+        )
+    return block.mid_dim - r_in - r_out, exact, agree
+
+
 def _compute_cell(n: int, b: int, d: int, p: int, q: int, config: EngineConfig) -> CellResult:
     t0 = time.monotonic()
     reason = _analytic_zero_reason(n, b, d, p, q)
@@ -176,10 +198,10 @@ def _compute_cell(n: int, b: int, d: int, p: int, q: int, config: EngineConfig) 
     all_exact = True
     all_agree = True
     for block in cell.iter_blocks():
-        r_in, r_out, exact, agree = _block_ranks(block, config)
-        assert r_in + r_out <= block.mid_dim, (block.weight, r_in, r_out, block.mid_dim)
-        dim += block.mid_dim - r_in - r_out
-        block_count += 1
+        block_dim, exact, agree = _block_dim(block, config)
+        orbit = distinct_permutations_count(block.weight)
+        dim += orbit * block_dim
+        block_count += orbit
         max_block = max(max_block, block.mid_dim)
         all_exact = all_exact and exact
         all_agree = all_agree and agree
@@ -209,6 +231,12 @@ class ResultStore:
     Keys are write-once: re-putting an identical result is a no-op, a
     conflicting result is an error (timing metadata is allowed to differ).
     Each line carries a CRC of its payload, checked on read.
+
+    Every append writes one whole line, newline last, so a crash mid-append
+    leaves a torn last line: unterminated or unreadable.  Loading skips it
+    with a warning on stderr, and the next append cuts it off first.  An
+    unreadable line anywhere else is damage, not a crash, and raises
+    CorruptRecordError.
     """
 
     FILENAME = "results.jsonl"
@@ -219,14 +247,33 @@ class ResultStore:
         self.path = os.path.join(directory, self.FILENAME)
         self._lock = threading.Lock()
         self._index = {}
+        self._torn_at = None     # byte offset of a torn last line
         if os.path.exists(self.path):
-            with open(self.path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    row = json.loads(line)
-                    self._index[row["key"]] = (row["crc"], row["record"])
+            self._load()
+
+    def _load(self) -> None:
+        unreadable = None    # (line number, offset, error): torn if nothing follows
+        start = 0
+        with open(self.path, "rb") as fh:
+            for number, raw in enumerate(fh, 1):
+                if raw.strip():
+                    if unreadable is not None:
+                        raise CorruptRecordError(
+                            f"line {unreadable[0]} of {self.path} is not a store "
+                            f"record: {unreadable[2]}"
+                        )
+                    try:
+                        if not raw.endswith(b"\n"):
+                            raise ValueError("no newline at the end")
+                        row = json.loads(raw)
+                        self._index[row["key"]] = (row["crc"], row["record"])
+                    except (ValueError, KeyError, TypeError) as exc:
+                        unreadable = (number, start, exc)
+                start += len(raw)
+        if unreadable is not None:
+            logger.warning("skipping torn last line %d of %s (%s)",
+                           unreadable[0], self.path, unreadable[2])
+            self._torn_at = unreadable[1]
 
     @staticmethod
     def key_of(n, b, d, p, q, primes, engine_version=ENGINE_VERSION) -> str:
@@ -271,6 +318,9 @@ class ResultStore:
                 return
             crc = self._crc(record)
             with open(self.path, "a", encoding="utf-8") as fh:
+                if self._torn_at is not None:
+                    fh.truncate(self._torn_at)
+                    self._torn_at = None
                 fh.write(json.dumps({"key": key, "crc": crc, "record": record},
                                     sort_keys=True, separators=(",", ":")) + "\n")
             self._index[key] = (crc, record)
@@ -398,17 +448,20 @@ class IncompleteTableError(ValueError):
 
 
 def hilbert_numerator_coeffs(n, b, d, jmax) -> list:
-    """Coefficients c_j of H_R(t)(1-t)^v up to degree jmax.
+    """Coefficients c_j of H_R(t)(1-t)^v for j = default_q_lo(b, d), ..., jmax.
 
-    If the table is correct, sum_{p+q=j} (-1)^p dim K_{p,q} = c_j in every
-    degree: this is the alternating-sum identity of a minimal free resolution,
-    valid for any b >= 0.
+    H_R(t) = sum_m binom(md+b+n, n) t^m runs over every m with md + b >= 0,
+    so for b >= d it starts at the negative degree -(b // d), and so does
+    the list.  If the table is correct, sum_{p+q=j} (-1)^p dim K_{p,q} = c_j
+    in every degree: this is the alternating-sum identity of a minimal free
+    resolution, valid for any b >= 0.
     """
     v = binom_safe(d + n, n)
+    lo = default_q_lo(b, d)
     out = []
-    for j in range(jmax + 1):
+    for j in range(lo, jmax + 1):
         c = 0
-        for m in range(j + 1):
+        for m in range(lo, j + 1):
             h = binom_safe(m * d + b + n, n)
             if h:
                 c += h * (-1) ** (j - m) * binom_safe(v, j - m)
@@ -453,17 +506,16 @@ def euler_check(table: BettiTable) -> EulerReport:
             f"nonzero cells (need p=[0, {table.r_d}], q=[{need_q_lo}, {table.n + 1}])"
         )
     jmax = p_hi + table.n + 2
-    coeffs = hilbert_numerator_coeffs(table.n, table.b, table.d, jmax)
+    coeffs = dict(enumerate(hilbert_numerator_coeffs(table.n, table.b, table.d, jmax),
+                            start=need_q_lo))
     residuals = {}
-    for j in range(jmax + 1):
+    for j, c in coeffs.items():
         total = 0
         for (p, q), cell in table.cells.items():
             if p + q == j:
                 total += (-1) ** p * cell.dim
-        residuals[j] = total - coeffs[j]
-    return EulerReport(
-        coefficients={j: c for j, c in enumerate(coeffs)}, residuals=residuals
-    )
+        residuals[j] = total - c
+    return EulerReport(coefficients=coeffs, residuals=residuals)
 
 
 def dual_b(n, b, d) -> int:

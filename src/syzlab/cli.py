@@ -38,6 +38,7 @@ from .betti import (
 from .bounds import all_ranges, compare_report
 from .cycles import build_kp0_cycle, verify_nonzero_class
 from .koszul import InfeasibleBlockError
+from .linalg import InvariantError
 from .render import render_normalized_diagram
 from .schur import CertificationError, SchurSolveError, schur_multiplicities
 
@@ -415,7 +416,7 @@ def main(argv=None) -> int:
         print(f"syzlab: infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (SchurSolveError, IncompleteTableError, StoreConflictError,
-            CorruptRecordError) as exc:
+            CorruptRecordError, InvariantError) as exc:
         print(f"syzlab: verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except (ValueError, CertificationError) as exc:

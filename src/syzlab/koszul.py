@@ -18,16 +18,31 @@ to (p+q)d + b), and dim K_{p,q} is the sum over weights of
 mid_dim - rank(d_in) - rank(d_out).  Blocks are built as integer matrices
 with entries +-1 and the composite d_out . d_in is checked to vanish over
 the integers at build time.
+
+Permuting the variables permutes the degree-d monomials and commutes with
+the differential, so it maps the block at weight w onto the block at the
+permuted weight by a signed permutation of both bases: the two integer
+complexes are isomorphic and have the same ranks over Q and over every F_p.
+A cell therefore stores only its dominant weights (non-increasing tuples,
+i.e. partitions padded to n+1 parts), one per orbit; each stands for
+distinct_permutations_count(w) blocks.  A block at any other weight is
+built by permuting the basis of its dominant rearrangement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add
 
 from .arith import binom_safe
-from .linalg import SparseMatrix
-from .monomials import GradedPieceBasis, enumerate_basis, exponent_vectors
+from .linalg import InvariantError, SparseMatrix
+from .monomials import (
+    GradedPieceBasis,
+    distinct_permutations_count,
+    enumerate_basis,
+    exponent_vectors,
+)
 
 DEFAULT_MEMORY_CAP = 2 << 30
 
@@ -148,12 +163,13 @@ class KoszulBlock:
 
 
 class KoszulCell:
-    """All weight blocks of the complex at one (n, b, d, p, q).
+    """The weight blocks of the complex at one (n, b, d, p, q).
 
     The middle and source spaces are enumerated once (wedges of basis indices
-    times tensor monomials) and grouped by weight; blocks are then built
-    lazily per weight.  Target rows are allocated on demand while applying
-    the differential, so the target space is never enumerated.
+    times tensor monomials) and only the elements of dominant weight are
+    kept, grouped by weight; blocks are then built lazily per weight.  Target
+    rows are allocated on demand while applying the differential, so the
+    target space is never enumerated.
     """
 
     def __init__(self, params: Parameters, memory_cap: int = DEFAULT_MEMORY_CAP):
@@ -196,10 +212,11 @@ class KoszulCell:
         for wedge in combinations(range(par.v), wedge_size):
             s = zero
             for i in wedge:
-                s = tuple(a + c for a, c in zip(s, exps[i]))
+                s = tuple(map(add, s, exps[i]))
             for t in tensors:
-                w = tuple(a + c for a, c in zip(s, t))
-                groups.setdefault(w, []).append((wedge, t))
+                w = tuple(map(add, s, t))
+                if w == tuple(sorted(w, reverse=True)):  # dominant
+                    groups.setdefault(w, []).append((wedge, t))
         return groups
 
     def _ensure_groups(self):
@@ -207,11 +224,15 @@ class KoszulCell:
             par = self.params
             self._middle = self._grouped(par.p, par.middle_degree)
             self._source = self._grouped(par.p + 1, par.source_degree)
-            assert sum(len(g) for g in self._middle.values()) == self.expected_middle_dim()
-            assert sum(len(g) for g in self._source.values()) == self.expected_source_dim()
+            assert _orbit_total(self._middle) == self.expected_middle_dim()
+            assert _orbit_total(self._source) == self.expected_source_dim()
 
     def weights(self) -> list:
-        """Weights with nonzero middle space, duplicate-free, descending lex."""
+        """Dominant weights with nonzero middle space, descending lex.
+
+        Descending lex puts each orbit's dominant weight first, so this is
+        the order in which a loop over every weight would meet the orbits.
+        """
         self._ensure_groups()
         ws = sorted(self._middle, reverse=True)
         total = self.params.weight_total
@@ -219,18 +240,47 @@ class KoszulCell:
         return ws
 
     def middle_dim(self, weight) -> int:
+        """Dimension of the middle space at any weight."""
         self._ensure_groups()
-        return len(self._middle.get(weight, ()))
+        return len(self._middle.get(tuple(sorted(weight, reverse=True)), ()))
 
     def total_middle_dim(self) -> int:
         self._ensure_groups()
-        return sum(len(g) for g in self._middle.values())
+        return _orbit_total(self._middle)
 
     def block(self, weight) -> KoszulBlock:
+        """The block at any weight; a non-dominant one is built on the
+        permuted basis of its dominant rearrangement."""
         self._ensure_groups()
+        weight = tuple(weight)
+        dominant = tuple(sorted(weight, reverse=True))
+        middle = self._middle.get(dominant, [])
+        source = self._source.get(dominant, [])
+        if weight != dominant:
+            middle = self._permuted(middle, weight)
+            source = self._permuted(source, weight)
+        return self._build(weight, middle, source)
+
+    def _permuted(self, group, weight) -> list:
+        """The elements of `group` with their variables permuted so that
+        their dominant weight becomes `weight`."""
+        if not group:
+            return []
+        order = sorted(range(len(weight)), key=lambda j: -weight[j])
+        src = [0] * len(weight)
+        for k, j in enumerate(order):
+            src[j] = k
+
+        def perm(e):
+            return tuple(e[k] for k in src)
+
+        image = [self.basis_d.index_of(perm(m)) for m in self.basis_d.monomials]
+        return [(tuple(sorted(image[i] for i in wedge)), perm(t)) for wedge, t in group]
+
+    def _build(self, weight, middle, source) -> KoszulBlock:
+        """Matrices of the block at `weight` on the given bases, with the
+        memory-cap estimate before and the d_out . d_in = 0 check after."""
         par = self.params
-        middle = self._middle.get(weight, [])
-        source = self._source.get(weight, [])
         est = _BYTES_PER_ELEMENT * (len(middle) + len(source)) + _BYTES_PER_ENTRY * (
             len(source) * (par.p + 1) + len(middle) * par.p
         )
@@ -278,13 +328,18 @@ class KoszulCell:
             for mid_row, sign_in in column:
                 for tgt_row, sign_out in out_cols.get(mid_row, ()):
                     acc[tgt_row] = acc.get(tgt_row, 0) + sign_in * sign_out
-            assert all(val == 0 for val in acc.values()), (
-                f"d_out . d_in != 0 at weight {weight}"
-            )
+            if any(acc.values()):
+                raise InvariantError(f"d_out . d_in != 0 at weight {weight}")
 
     def iter_blocks(self):
+        """The blocks at the dominant weights, in the order of weights()."""
         for w in self.weights():
             yield self.block(w)
+
+
+def _orbit_total(groups: dict) -> int:
+    """Size of the whole space the dominant groups stand for."""
+    return sum(distinct_permutations_count(w) * len(g) for w, g in groups.items())
 
 
 def enumerate_weights(params: Parameters, memory_cap: int = DEFAULT_MEMORY_CAP) -> list:

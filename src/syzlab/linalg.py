@@ -26,6 +26,14 @@ from .arith import PrimeField
 logger = logging.getLogger(__name__)
 
 
+class InvariantError(Exception):
+    """A proved identity failed, so some computed value is wrong.
+
+    Raised instead of asserted: the checks that guard results must still
+    run under `python -O`.
+    """
+
+
 @dataclass(frozen=True)
 class SparseMatrix:
     """Immutable coordinate-format matrix over the integers.
@@ -335,7 +343,11 @@ def certified_rank(
         exact = rank_exact(m)
         for p in primes:
             modular = rank_fn(m, PrimeField(p))
-            assert modular <= exact, (modular, exact, p)
+            if modular > exact:
+                raise InvariantError(
+                    f"rank mod {p} is {modular}, above the exact rank {exact} "
+                    f"of a {m.rows}x{m.cols} block"
+                )
             if modular < exact:
                 logger.warning(
                     "prime %d undercounts rank (%d < %d) on a %dx%d block",

@@ -10,6 +10,7 @@ and torus weights are just exponent tuples again (of larger total degree).
 
 from __future__ import annotations
 
+from math import factorial
 from typing import Iterator
 
 from .arith import binom_safe
@@ -31,6 +32,18 @@ def exponent_vectors(n: int, e: int) -> list:
             rec(prefix + (first,), remaining - first, slots - 1)
 
     rec((), e, n + 1)
+    return out
+
+
+def distinct_permutations_count(weight: tuple) -> int:
+    """Number of distinct rearrangements of an exponent tuple: the size of
+    its orbit under permutations of the variables."""
+    counts = {}
+    for x in weight:
+        counts[x] = counts.get(x, 0) + 1
+    out = factorial(len(weight))
+    for c in counts.values():
+        out //= factorial(c)
     return out
 
 

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
 
-from .betti import LEVEL_ONE_PRIME, EngineConfig, _block_ranks, make_config
+from .betti import LEVEL_ONE_PRIME, EngineConfig, _block_dim, make_config
 from .koszul import KoszulCell, Parameters
+from .monomials import distinct_permutations_count
 
 
 class CertificationError(Exception):
@@ -129,26 +129,13 @@ def weyl_dim(lam, m: int) -> int:
     return num // den
 
 
-def distinct_permutations_count(weight: tuple) -> int:
-    """Number of distinct rearrangements of an exponent tuple."""
-    counts = {}
-    for x in weight:
-        counts[x] = counts.get(x, 0) + 1
-    out = factorial(len(weight))
-    for c in counts.values():
-        out //= factorial(c)
-    return out
-
-
 def _certified_block_dim(block, config: EngineConfig) -> int:
-    r_in, r_out, exact, agree = _block_ranks(block, config)
+    dim, exact, agree = _block_dim(block, config)
     if not (exact or agree):
         raise CertificationError(
             f"rank disagreement across primes at weight {block.weight}; "
             f"equivariant decomposition needs certified dimensions"
         )
-    dim = block.mid_dim - r_in - r_out
-    assert dim >= 0
     return dim
 
 
@@ -156,8 +143,9 @@ def weight_space_dims(n, b, d, p, q, config: EngineConfig = None) -> dict:
     """Dimensions c_mu of the dominant torus-weight spaces of K_{p,q}.
 
     Keys are all partitions of (p+q)d + b into at most n+1 parts, padded
-    with zeros to n+1 entries; values can be 0.  Refuses single-prime
-    configurations outright.
+    with zeros to n+1 entries; values can be 0.  The blocks are those of the
+    cell's own dominant grouping, so the ranks are the ones `kpq` takes.
+    Refuses single-prime configurations outright.
     """
     config = config or make_config()
     if config.mode == LEVEL_ONE_PRIME:
@@ -167,20 +155,19 @@ def weight_space_dims(n, b, d, p, q, config: EngineConfig = None) -> dict:
         )
     params = Parameters(n=n, b=b, d=d, p=p, q=q)
     cell = KoszulCell(params, config.memory_cap)
-    out = {}
-    for lam in partitions_of(params.weight_total, n + 1):
-        padded = lam + (0,) * (n + 1 - len(lam))
-        if cell.middle_dim(padded) == 0:
-            out[padded] = 0
-        else:
-            out[padded] = _certified_block_dim(cell.block(padded), config)
+    out = {lam + (0,) * (n + 1 - len(lam)): 0
+           for lam in partitions_of(params.weight_total, n + 1)}
+    for w in cell.weights():
+        out[w] = _certified_block_dim(cell.block(w), config)
     return out
 
 
 def verify_weight_symmetry(n, b, d, p, q, samples: int = 3, seed: int = 0,
                            config: EngineConfig = None) -> bool:
     """Spot-check that permuting a weight leaves the block cohomology
-    dimension unchanged (the symmetric group acts on the complex)."""
+    dimension unchanged (the symmetric group acts on the complex), the
+    premise of counting each dominant block for its whole orbit.  The block
+    at the permuted weight is built and ranked on its own."""
     import random
 
     config = config or make_config()
@@ -193,11 +180,7 @@ def verify_weight_symmetry(n, b, d, p, q, samples: int = 3, seed: int = 0,
         while tuple(perm) == w:
             rng.shuffle(perm)
         base = _certified_block_dim(cell.block(w), config)
-        other_w = tuple(perm)
-        other = (
-            _certified_block_dim(cell.block(other_w), config)
-            if cell.middle_dim(other_w) else 0
-        )
+        other = _certified_block_dim(cell.block(tuple(perm)), config)
         if base != other:
             return False
     return True
@@ -251,7 +234,11 @@ def schur_multiplicities(n, b, d, p, q, config: EngineConfig = None) -> SchurMul
             mult[lam_s] = val
     total = sum(c[mu] * distinct_permutations_count(mu) for mu in c)
     recomposed = sum(m * weyl_dim(lam, n + 1) for lam, m in mult.items())
-    assert recomposed == total, (recomposed, total)
+    if recomposed != total:
+        raise SchurSolveError(
+            f"irreducibles recompose to dimension {recomposed}, weight spaces "
+            f"sum to {total} at (n={n}, b={b}, d={d}, p={p}, q={q})"
+        )
     return SchurMultiplicities(n=n, b=b, d=d, p=p, q=q, entries=mult, total_dim=total)
 
 

@@ -1,16 +1,22 @@
 """Independent oracles used to pin expected values.
 
-Everything here is deliberately written from scratch against the defining
-formulas, sharing no enumeration order, no matrix layout and no rank code
-with the package: monomials come from combinations_with_replacement in
-ascending order, matrices are dense, ranks are Fraction-exact Gaussian
-elimination.  Slow but unarguable at tiny sizes.
+Everything here except the all-weights cell loop at the end is deliberately
+written from scratch against the defining formulas, sharing no enumeration
+order, no matrix layout and no rank code with the package: monomials come
+from combinations_with_replacement in ascending order, matrices are dense,
+ranks are Fraction-exact Gaussian elimination.  Slow but unarguable at tiny
+sizes.  The all-weights loop is the cell computation as it was before the
+orbit reduction; it shares the package's block builder and rank code on
+purpose, so that comparing against it tests the reduction and nothing else.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+from syzlab import betti
+from syzlab.koszul import KoszulCell, Parameters
 
 
 def fraction_rank(dense) -> int:
@@ -87,7 +93,9 @@ def brute_kpq(n, b, d, p, q) -> int:
 
 def brute_hilbert_numerator(n, b, d, jmax):
     """Coefficients of (sum_m binom(md+b+n, n) t^m) * (1-t)^v via explicit
-    polynomial convolution with a locally built Pascal triangle."""
+    polynomial convolution with a locally built Pascal triangle.  The series
+    runs over every m with md + b >= 0, found by stepping down from m = 0,
+    and so does the output: entry i is the coefficient of t^(m_lo + i)."""
     # Pascal triangle rows up to v.
     import math
 
@@ -97,12 +105,15 @@ def brute_hilbert_numerator(n, b, d, jmax):
         prev = pascal[-1]
         pascal.append([1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1])
     sign_binoms = [(-1) ** k * pascal[v][k] for k in range(v + 1)]
-    series = [math.comb(m * d + b + n, n) for m in range(jmax + 1)]
+    m_lo = 0
+    while (m_lo - 1) * d + b >= 0:
+        m_lo -= 1
+    series = [math.comb(m * d + b + n, n) for m in range(m_lo, jmax + 1)]
     out = []
-    for j in range(jmax + 1):
+    for i in range(len(series)):
         acc = 0
-        for k in range(min(j, v) + 1):
-            acc += sign_binoms[k] * series[j - k]
+        for k in range(min(i, v) + 1):
+            acc += sign_binoms[k] * series[i - k]
         out.append(acc)
     return out
 
@@ -140,3 +151,60 @@ def brute_ssyt_count(shape, content) -> int:
         return total
 
     return rec(0)
+
+
+class AllWeightsCell(KoszulCell):
+    """A KoszulCell that groups and builds every weight, not only the
+    dominant ones."""
+
+    def _grouped(self, wedge_size, tensor_degree):
+        par = self.params
+        groups = {}
+        if wedge_size < 0 or wedge_size > par.v:
+            return groups
+        exps = self.basis_d.monomials
+        for wedge in itertools.combinations(range(par.v), wedge_size):
+            s = (0,) * (par.n + 1)
+            for i in wedge:
+                s = tuple(a + c for a, c in zip(s, exps[i]))
+            for t in brute_monomials(par.n, tensor_degree):
+                w = tuple(a + c for a, c in zip(s, t))
+                groups.setdefault(w, []).append((wedge, t))
+        return groups
+
+    def _ensure_groups(self):
+        if self._middle is None:
+            par = self.params
+            self._middle = self._grouped(par.p, par.middle_degree)
+            self._source = self._grouped(par.p + 1, par.source_degree)
+
+    def block(self, weight):
+        self._ensure_groups()
+        return self._build(weight, self._middle.get(weight, []),
+                           self._source.get(weight, []))
+
+
+def all_weights_cell(n, b, d, p, q, config, cell_class=AllWeightsCell) -> dict:
+    """(dim, level, agreement, block_count, max_block_dim) of a cell from
+    every weight block in turn, descending lex, as a dict."""
+    if betti._analytic_zero_reason(n, b, d, p, q) is not None:
+        return {"dim": 0, "level": betti.LEVEL_EXACT, "agreement": True,
+                "block_count": 0, "max_block_dim": 0}
+    cell = cell_class(Parameters(n=n, b=b, d=d, p=p, q=q), config.memory_cap)
+    dim = block_count = max_block = 0
+    all_exact = all_agree = True
+    for block in cell.iter_blocks():
+        r_in, r_out, exact, agree = betti._block_ranks(block, config)
+        assert r_in + r_out <= block.mid_dim
+        dim += block.mid_dim - r_in - r_out
+        block_count += 1
+        max_block = max(max_block, block.mid_dim)
+        all_exact = all_exact and exact
+        all_agree = all_agree and agree
+    if all_exact:
+        level = betti.LEVEL_EXACT
+    else:
+        level = (betti.LEVEL_TWO_PRIME if config.mode == betti.LEVEL_TWO_PRIME
+                 else betti.LEVEL_ONE_PRIME)
+    return {"dim": dim, "level": level, "agreement": all_agree,
+            "block_count": block_count, "max_block_dim": max_block}

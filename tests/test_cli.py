@@ -233,3 +233,57 @@ def test_one_prime_schur_is_usage_error(capsys):
                        "--p", "1", "--q", "1", "--mode", "one-prime",
                        "--no-cache")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("n,b,d", [(1, 2, 2), (1, 3, 2), (2, 3, 2), (1, 4, 3)])
+def test_verify_passes_when_b_at_least_d(capsys, n, b, d):
+    # the Euler series starts at the q = -(b // d) strand, not at q = 0
+    code, out, _ = run(capsys, "verify", "--n", str(n), "--b", str(b),
+                       "--d", str(d), "--no-cache")
+    rep = json.loads(out)["verify"]
+    assert rep["euler"] == {"ok": True, "nonzero_residuals": {}}
+    assert rep["bounds"]["ok"] is True
+    assert code == EXIT_OK
+
+
+def _store_after_two_kpq(capsys, cache):
+    for p in (1, 2):
+        code, _, _ = run(capsys, "kpq", "--n", "1", "--b", "0", "--d", "3",
+                         "--p", str(p), "--q", "1", "--cache-dir", cache)
+        assert code == EXIT_OK
+    return os.path.join(cache, "results.jsonl")
+
+
+def test_torn_last_store_line_is_skipped(capsys, tmp_path, caplog):
+    cache = str(tmp_path / "cache")
+    path = _store_after_two_kpq(capsys, cache)
+    with open(path, encoding="utf-8") as fh:
+        good, second = fh.readlines()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(good + second[: len(second) // 2])    # crash mid-append
+    args = ("kpq", "--n", "1", "--b", "0", "--d", "3", "--p", "2", "--q", "1",
+            "--cache-dir", cache)
+    code, out, _ = run(capsys, *args)
+    assert code == EXIT_OK
+    assert json.loads(out)["result"]["dim"] == 2
+    assert "torn last line 2" in caplog.text
+    # the recomputed record replaced the torn line, and the store reads clean
+    with open(path, encoding="utf-8") as fh:
+        assert fh.readlines() == [good, second]
+    caplog.clear()
+    assert run(capsys, *args)[0] == EXIT_OK
+    assert "torn" not in caplog.text
+
+
+def test_malformed_middle_store_line_is_corruption(capsys, tmp_path):
+    cache = str(tmp_path / "cache")
+    path = _store_after_two_kpq(capsys, cache)
+    with open(path, encoding="utf-8") as fh:
+        first, second = fh.readlines()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(first[: len(first) // 2] + "\n" + second)
+    code, out, err = run(capsys, "kpq", "--n", "1", "--b", "0", "--d", "3",
+                         "--p", "2", "--q", "1", "--cache-dir", cache)
+    assert code == EXIT_VERIFY
+    assert out == ""
+    assert "line 1" in err and "not a store record" in err

@@ -1,0 +1,75 @@
+"""The checks that guard results raise, so they still run under python -O.
+
+Each check is broken on purpose in a child interpreter started with -O,
+which strips every assert: a check that were still an assert would let the
+wrong value through and the child would print "passed" instead.
+"""
+
+import os
+import subprocess
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+SCRIPT = r'''
+import sys
+if __debug__:
+    sys.exit("asserts are on: run with -O")
+from syzlab import betti, koszul, linalg, schur
+from syzlab.koszul import Parameters, build_block
+
+
+def flat_signs(wedge, tensor, monomials):
+    # the Koszul differential with every sign +1: d_out . d_in no longer vanishes
+    return [((wedge[:j] + wedge[j + 1:], tuple(map(sum, zip(tensor, monomials[i])))), 1)
+            for j, i in enumerate(wedge)]
+
+
+def too_large_ranks(block, config):
+    return block.mid_dim, 1, True, True
+
+
+def one_above(m, field):
+    return linalg.rank_exact(m) + 1
+
+
+def weyl_plus_one(lam, m):
+    return WEYL(lam, m) + 1
+
+
+WEYL = schur.weyl_dim
+PRIMES = betti.make_config().primes
+block = build_block(Parameters(1, 0, 2, 1, 1), (2, 2))
+cases = {
+    "composition": (koszul, "_delta_terms", flat_signs,
+                    lambda: build_block(Parameters(1, 0, 2, 1, 1), (2, 2))),
+    "rank_sum": (betti, "_block_ranks", too_large_ranks,
+                 lambda: betti._compute_cell(1, 0, 2, 1, 1, betti.make_config())),
+    "modular_le_exact": (linalg, "rank_mod_p", one_above,
+                         lambda: linalg.certified_rank(block.d_out, PRIMES, 10 ** 6)),
+    "schur_recomposition": (schur, "weyl_dim", weyl_plus_one,
+                            lambda: schur.schur_multiplicities(2, 0, 2, 1, 1)),
+}
+for name, (module, attr, broken, run) in cases.items():
+    good = getattr(module, attr)
+    setattr(module, attr, broken)
+    try:
+        run()
+        print(name, "passed")
+    except Exception as exc:
+        print(name, type(exc).__name__, exc)
+    finally:
+        setattr(module, attr, good)
+'''
+
+
+def test_result_guards_hold_under_python_O():
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = dict(line.split(" ", 1) for line in proc.stdout.splitlines())
+    assert lines["composition"].startswith("InvariantError d_out . d_in != 0 at weight (2, 2)")
+    assert lines["rank_sum"].startswith("InvariantError ranks")
+    assert lines["modular_le_exact"].startswith("InvariantError rank mod ")
+    assert lines["schur_recomposition"].startswith("SchurSolveError irreducibles recompose")

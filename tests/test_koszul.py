@@ -13,9 +13,16 @@ from syzlab.koszul import (
     enumerate_weights,
     full_complex,
 )
-from syzlab.monomials import enumerate_basis
+from syzlab.monomials import distinct_permutations_count, enumerate_basis
 
 from helpers import fraction_rank
+
+
+def all_weights(cell):
+    """Every weight with a nonzero middle space: the orbits of the cell's
+    dominant weights, descending lex."""
+    return sorted({perm for w in cell.weights() for perm in permutations(w)},
+                  reverse=True)
 
 
 def test_parameters_derived_sizes():
@@ -71,7 +78,9 @@ def test_differential_rejects_bad_input():
 
 def test_enumerate_weights_example():
     ws = enumerate_weights(Parameters(1, 0, 2, 1, 1))
-    assert ws == [(4, 0), (3, 1), (2, 2), (1, 3), (0, 4)]
+    assert ws == [(4, 0), (3, 1), (2, 2)]
+    assert all_weights(KoszulCell(Parameters(1, 0, 2, 1, 1))) == \
+        [(4, 0), (3, 1), (2, 2), (1, 3), (0, 4)]
 
 
 def test_weights_sum_and_order():
@@ -99,8 +108,10 @@ def test_block_2_2_of_twisted_cubic_cell():
 def test_block_contributions_sum_to_one():
     # dim K_{1,1}(P^1, 0; 2) = 1, concentrated in the balanced weight
     par = Parameters(1, 0, 2, 1, 1)
+    cell = KoszulCell(par)
     contributions = {}
-    for block in KoszulCell(par).iter_blocks():
+    for w in all_weights(cell):
+        block = cell.block(w)
         r_in = fraction_rank(block.d_in.to_dense())
         r_out = fraction_rank(block.d_out.to_dense())
         contributions[block.weight] = block.mid_dim - r_in - r_out
@@ -125,7 +136,9 @@ def test_total_middle_dim_formula():
         cell = KoszulCell(par)
         expect = binom_safe(par.v, p) * binom_safe(par.middle_degree + n, n)
         assert cell.total_middle_dim() == expect
-        assert sum(cell.middle_dim(w) for w in cell.weights()) == expect
+        assert sum(cell.middle_dim(w) for w in all_weights(cell)) == expect
+        assert sum(distinct_permutations_count(w) * cell.middle_dim(w)
+                   for w in cell.weights()) == expect
 
 
 def test_composition_is_zero_unblocked():
@@ -150,10 +163,15 @@ def test_block_ranks_match_unblocked_ranks():
         d_in, d_out, mid = full_complex(par)
         whole_in = fraction_rank(d_in.to_dense())
         whole_out = fraction_rank(d_out.to_dense())
-        blocks = list(KoszulCell(par).iter_blocks())
+        cell = KoszulCell(par)
+        blocks = [cell.block(w) for w in all_weights(cell)]
         assert sum(b.mid_dim for b in blocks) == mid
         assert sum(fraction_rank(b.d_in.to_dense()) for b in blocks) == whole_in
         assert sum(fraction_rank(b.d_out.to_dense()) for b in blocks) == whole_out
+        # the engine's count: dominant blocks only, each times its orbit
+        dominant = [(distinct_permutations_count(b.weight), b) for b in cell.iter_blocks()]
+        assert sum(o * fraction_rank(b.d_in.to_dense()) for o, b in dominant) == whole_in
+        assert sum(o * fraction_rank(b.d_out.to_dense()) for o, b in dominant) == whole_out
 
 
 def test_weight_permutation_symmetry():
@@ -161,7 +179,8 @@ def test_weight_permutation_symmetry():
     par = Parameters(2, 0, 2, 1, 1)
     cell = KoszulCell(par)
     dims = {}
-    for block in cell.iter_blocks():
+    for w in all_weights(cell):
+        block = cell.block(w)
         r_in = fraction_rank(block.d_in.to_dense())
         r_out = fraction_rank(block.d_out.to_dense())
         dims[block.weight] = (block.mid_dim, block.src_dim,
