@@ -24,6 +24,7 @@ valid once d >= b + n + 1.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import logging
 import os
@@ -112,6 +113,8 @@ class CellResult:
     level: str
     agreement: bool
     primes: tuple
+    backend: str
+    exact_threshold: int
     block_count: int
     max_block_dim: int
     wall_time_ms: int
@@ -121,7 +124,8 @@ class CellResult:
         return {
             "n": self.n, "b": self.b, "d": self.d, "p": self.p, "q": self.q,
             "dim": self.dim, "level": self.level, "agreement": self.agreement,
-            "primes": list(self.primes), "engine_version": ENGINE_VERSION,
+            "primes": list(self.primes), "backend": self.backend,
+            "exact_threshold": self.exact_threshold, "engine_version": ENGINE_VERSION,
             "wall_time_ms": self.wall_time_ms, "block_count": self.block_count,
             "max_block_dim": self.max_block_dim, "analytic": self.analytic,
         }
@@ -131,7 +135,8 @@ class CellResult:
         return CellResult(
             n=rec["n"], b=rec["b"], d=rec["d"], p=rec["p"], q=rec["q"],
             dim=rec["dim"], level=rec["level"], agreement=rec["agreement"],
-            primes=tuple(rec["primes"]), block_count=rec["block_count"],
+            primes=tuple(rec["primes"]), backend=rec["backend"],
+            exact_threshold=rec["exact_threshold"], block_count=rec["block_count"],
             max_block_dim=rec["max_block_dim"], wall_time_ms=rec["wall_time_ms"],
             analytic=rec.get("analytic", False),
         )
@@ -187,7 +192,8 @@ def _compute_cell(n: int, b: int, d: int, p: int, q: int, config: EngineConfig) 
     if reason is not None:
         return CellResult(
             n=n, b=b, d=d, p=p, q=q, dim=0, level=LEVEL_EXACT, agreement=True,
-            primes=config.primes, block_count=0, max_block_dim=0,
+            primes=config.primes, backend=config.backend,
+            exact_threshold=config.exact_threshold, block_count=0, max_block_dim=0,
             wall_time_ms=int((time.monotonic() - t0) * 1000), analytic=True,
         )
     params = Parameters(n=n, b=b, d=d, p=p, q=q)
@@ -211,7 +217,8 @@ def _compute_cell(n: int, b: int, d: int, p: int, q: int, config: EngineConfig) 
         level = LEVEL_TWO_PRIME if config.mode == LEVEL_TWO_PRIME else LEVEL_ONE_PRIME
     return CellResult(
         n=n, b=b, d=d, p=p, q=q, dim=dim, level=level,
-        agreement=all_agree, primes=config.primes, block_count=block_count,
+        agreement=all_agree, primes=config.primes, backend=config.backend,
+        exact_threshold=config.exact_threshold, block_count=block_count,
         max_block_dim=max_block, wall_time_ms=int((time.monotonic() - t0) * 1000),
     )
 
@@ -225,8 +232,9 @@ class StoreConflictError(Exception):
 
 
 class ResultStore:
-    """Append-only JSONL store of cell results, keyed by parameters + primes
-    + engine version.
+    """Append-only JSONL store of cell results, keyed by parameters, primes,
+    backend, exact threshold and engine version: every engine setting that
+    can change an answer or how it is known.
 
     Keys are write-once: re-putting an identical result is a no-op, a
     conflicting result is an error (timing metadata is allowed to differ).
@@ -234,9 +242,10 @@ class ResultStore:
 
     Every append writes one whole line, newline last, so a crash mid-append
     leaves a torn last line: unterminated or unreadable.  Loading skips it
-    with a warning on stderr, and the next append cuts it off first.  An
-    unreadable line anywhere else is damage, not a crash, and raises
-    CorruptRecordError.
+    with a warning on stderr, and the next append cuts it off first, unless
+    another process has appended since.  An unreadable line anywhere else is
+    damage, not a crash, and raises CorruptRecordError.  Processes may share
+    a store: each append holds an exclusive flock on the file.
     """
 
     FILENAME = "results.jsonl"
@@ -247,7 +256,7 @@ class ResultStore:
         self.path = os.path.join(directory, self.FILENAME)
         self._lock = threading.Lock()
         self._index = {}
-        self._torn_at = None     # byte offset of a torn last line
+        self._torn_at = None     # (byte offset, file size) of a torn last line
         if os.path.exists(self.path):
             self._load()
 
@@ -273,13 +282,16 @@ class ResultStore:
         if unreadable is not None:
             logger.warning("skipping torn last line %d of %s (%s)",
                            unreadable[0], self.path, unreadable[2])
-            self._torn_at = unreadable[1]
+            self._torn_at = (unreadable[1], start)
 
     @staticmethod
-    def key_of(n, b, d, p, q, primes, engine_version=ENGINE_VERSION) -> str:
+    def key_of(n, b, d, p, q, primes, backend=EngineConfig.backend,
+               exact_threshold=EngineConfig.exact_threshold,
+               engine_version=ENGINE_VERSION) -> str:
         return json.dumps(
-            {"n": n, "b": b, "d": d, "p": p, "q": q,
-             "primes": sorted(primes), "engine": engine_version},
+            {"n": n, "b": b, "d": d, "p": p, "q": q, "primes": sorted(primes),
+             "backend": backend, "exact_threshold": exact_threshold,
+             "engine": engine_version},
             sort_keys=True, separators=(",", ":"),
         )
 
@@ -305,7 +317,8 @@ class ResultStore:
     def put(self, record: dict) -> None:
         key = self.key_of(
             record["n"], record["b"], record["d"], record["p"], record["q"],
-            record["primes"], record["engine_version"],
+            record["primes"], record["backend"], record["exact_threshold"],
+            record["engine_version"],
         )
         with self._lock:
             hit = self._index.get(key)
@@ -318,8 +331,11 @@ class ResultStore:
                 return
             crc = self._crc(record)
             with open(self.path, "a", encoding="utf-8") as fh:
+                fcntl.flock(fh, fcntl.LOCK_EX)   # released when fh closes
                 if self._torn_at is not None:
-                    fh.truncate(self._torn_at)
+                    offset, size = self._torn_at
+                    if os.fstat(fh.fileno()).st_size == size:
+                        fh.truncate(offset)
                     self._torn_at = None
                 fh.write(json.dumps({"key": key, "crc": crc, "record": record},
                                     sort_keys=True, separators=(",", ":")) + "\n")
@@ -331,7 +347,8 @@ def cell_result(n, b, d, p, q, config: EngineConfig = None,
     """Compute (or fetch from the store) one cell."""
     config = config or make_config()
     if store is not None:
-        key = ResultStore.key_of(n, b, d, p, q, config.primes)
+        key = ResultStore.key_of(n, b, d, p, q, config.primes, config.backend,
+                                 config.exact_threshold)
         rec = store.get(key)
         if rec is not None:
             return CellResult.from_record(rec)

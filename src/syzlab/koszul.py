@@ -19,6 +19,12 @@ mid_dim - rank(d_in) - rank(d_out).  Blocks are built as integer matrices
 with entries +-1 and the composite d_out . d_in is checked to vanish over
 the integers at build time.
 
+Inside the block at weight w every basis element is m_F (x) x^(w - sum F),
+so its wedge F alone identifies it, in each of the three spaces.  A block's
+matrices are therefore built on wedges only: the j-th term of delta on F
+is the face F minus its j-th factor with sign (-1)^(j-1), and its tensor
+factor is never formed.
+
 Permuting the variables permutes the degree-d monomials and commutes with
 the differential, so it maps the block at weight w onto the block at the
 permuted weight by a signed permutation of both bases: the two integer
@@ -114,17 +120,17 @@ class Parameters:
         return (self.p + self.q) * self.d + self.b
 
 
+def _faces(wedge):
+    """[(index dropped, face, sign), ...]: the j-th term of delta drops the
+    j-th wedge factor, with sign (-1)^j counting j from 0."""
+    return [(wedge[j], wedge[:j] + wedge[j + 1:], -1 if j & 1 else 1)
+            for j in range(len(wedge))]
+
+
 def _delta_terms(wedge, tensor, monomials):
     """Terms of delta on one wedge-tensor element; signs alternate from +1."""
-    out = []
-    sign = 1
-    for j in range(len(wedge)):
-        e = monomials[wedge[j]]
-        nw = wedge[:j] + wedge[j + 1:]
-        nt = tuple(a + c for a, c in zip(tensor, e))
-        out.append(((nw, nt), sign))
-        sign = -sign
-    return out
+    return [((face, tuple(map(add, tensor, monomials[i]))), sign)
+            for i, face, sign in _faces(wedge)]
 
 
 def differential(wedge, tensor, basis: GradedPieceBasis):
@@ -290,23 +296,22 @@ class KoszulCell:
                 weight=weight, middle_dim=len(middle), source_dim=len(source),
                 estimated_bytes=est, cap=self.memory_cap,
             )
-        exps = self.basis_d.monomials
-        mid_index = {elem: i for i, elem in enumerate(middle)}
+        mid_index = {wedge: i for i, (wedge, _) in enumerate(middle)}
 
         target_index = {}
         out_entries = []
-        for col, (wedge, tensor) in enumerate(middle):
-            for key, sign in _delta_terms(wedge, tensor, exps):
-                row = target_index.setdefault(key, len(target_index))
+        for col, (wedge, _) in enumerate(middle):
+            for _, face, sign in _faces(wedge):
+                row = target_index.setdefault(face, len(target_index))
                 out_entries.append((row, col, sign))
         d_out = SparseMatrix(len(target_index), len(middle), tuple(out_entries))
 
         in_entries = []
         in_columns = []
-        for col, (wedge, tensor) in enumerate(source):
+        for col, (wedge, _) in enumerate(source):
             column = []
-            for key, sign in _delta_terms(wedge, tensor, exps):
-                row = mid_index[key]  # weight preservation: must land in this block
+            for _, face, sign in _faces(wedge):
+                row = mid_index[face]  # weight preservation: must land in this block
                 column.append((row, sign))
             in_columns.append(column)
             in_entries.extend((row, col, sign) for row, sign in column)

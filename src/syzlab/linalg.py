@@ -12,6 +12,16 @@ minor), never overcount.  Rank certification therefore computes ranks at
 several independent primes and takes the maximum; agreement across primes is
 recorded and disagreement is logged, since cohomology dimensions built from
 undercounted ranks can only overcount.
+
+The elimination kernel runs over Z/N for any modulus N, and certification
+runs it once with N the product of the distinct primes.  By the Chinese
+remainder theorem Z/N is the product of the fields F_p, and a unit of Z/N is
+nonzero in every one of them.  While every chosen pivot is a unit, each step
+is therefore a valid elimination step in each field at once, and at the end
+every remaining entry is zero in all of them: each field's rank is exactly
+the pivot count, as separate runs per prime would find.  A pivot that is not
+a unit (nonzero mod some primes, zero mod another) ends the joint run, and
+the ranks are then taken one prime at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +30,8 @@ import heapq
 import logging
 import random
 from dataclasses import dataclass
+from functools import lru_cache
+from math import prod
 
 from .arith import PrimeField
 
@@ -32,6 +44,10 @@ class InvariantError(Exception):
     Raised instead of asserted: the checks that guard results must still
     run under `python -O`.
     """
+
+
+class NonUnitPivot(ArithmeticError):
+    """A pivot chosen mod a composite modulus has no inverse."""
 
 
 @dataclass(frozen=True)
@@ -77,19 +93,25 @@ class SparseMatrix:
 
 
 def rank_mod_p(m: SparseMatrix, field: PrimeField) -> int:
-    """Rank of m over F_p by sparse elimination with Markowitz pivoting.
+    """Rank of m over F_p by sparse elimination with Markowitz pivoting."""
+    return _rank_mod(m, field.modulus)
+
+
+def _rank_mod(m: SparseMatrix, modulus: int) -> int:
+    """Pivot count of sparse elimination of m over Z/modulus.
 
     The pivot row is the sparsest remaining row (ties by row id, kept in a
     heap); within it the entry minimizing the Markowitz fill estimate
     (row_nnz - 1) * (col_nnz - 1) is chosen, ties by column id.  Restricting
     the candidate search to one minimal row keeps pivoting near-linear while
     retaining the fill behaviour of the full search on these +-1 incidence
-    matrices.  Fully deterministic for a given matrix and prime.
+    matrices.  Fully deterministic for a given matrix and modulus.  For a
+    prime modulus this is the rank; for a composite one it raises
+    NonUnitPivot when a chosen pivot is not a unit (see the module notes).
     """
-    p = field.modulus
     rows = {}
     for r, c, v in m.entries:
-        v %= p
+        v %= modulus
         if v:
             rows.setdefault(r, {})[c] = v
     col_rows = {}
@@ -103,35 +125,35 @@ def rank_mod_p(m: SparseMatrix, field: PrimeField) -> int:
     while heap:
         ln, r = heapq.heappop(heap)
         cols = rows.get(r)
-        if cols is None:
-            continue
-        if len(cols) != ln:  # stale heap entry
-            heapq.heappush(heap, (len(cols), r))
-            continue
+        if cols is None or len(cols) != ln:
+            continue  # stale: every row update pushes a current entry
         best = None
         for c in cols:
             score = (ln - 1) * (len(col_rows[c]) - 1)
             if best is None or (score, c) < best:
                 best = (score, c)
         pc = best[1]
-        piv_inv = pow(cols[pc], -1, p)
+        try:
+            piv_inv = pow(cols[pc], -1, modulus)
+        except ValueError:
+            raise NonUnitPivot(f"pivot {cols[pc]} is not a unit mod {modulus}") from None
         pivot_items = [(c, v) for c, v in cols.items() if c != pc]
         del rows[r]
         for c, _ in pivot_items:
             col_rows[c].discard(r)
         col_rows[pc].discard(r)
-        for r2 in sorted(col_rows.pop(pc)):
+        for r2 in col_rows.pop(pc):
             target = rows[r2]
-            factor = target.pop(pc) * piv_inv % p
+            factor = target.pop(pc) * piv_inv % modulus
             for c, v in pivot_items:
                 old = target.get(c)
                 if old is None:
-                    nv = -factor * v % p
+                    nv = -factor * v % modulus
                     if nv:
                         target[c] = nv
                         col_rows[c].add(r2)
                 else:
-                    nv = (old - factor * v) % p
+                    nv = (old - factor * v) % modulus
                     if nv:
                         target[c] = nv
                     else:
@@ -320,6 +342,29 @@ class RankCertificate:
     exact: bool
 
 
+@lru_cache
+def _field(p: int) -> PrimeField:
+    """The field of p, checked prime once per process rather than per call."""
+    return PrimeField(p)
+
+
+def _modular_ranks(m: SparseMatrix, primes: tuple, backend: str) -> list:
+    """The rank of m mod each prime, in order.
+
+    Elimination runs once modulo the product of the distinct primes and
+    falls back to one run per prime on a non-unit pivot (see the module
+    notes); Wiedemann runs per prime.
+    """
+    fields = [_field(p) for p in primes]
+    if backend == "wiedemann":
+        return [rank_mod_p_wiedemann(m, f) for f in fields]
+    try:
+        rank = _rank_mod(m, prod(set(primes)))
+    except NonUnitPivot:
+        return [rank_mod_p(m, f) for f in fields]
+    return [rank] * len(primes)
+
+
 def certified_rank(
     m: SparseMatrix,
     primes,
@@ -336,13 +381,11 @@ def certified_rank(
     primes = tuple(primes)
     if len(primes) < 2:
         raise ValueError("certified_rank needs at least two primes")
-    rank_fn = rank_mod_p_wiedemann if backend == "wiedemann" else rank_mod_p
     if m.nnz == 0:
         return RankCertificate(0, primes, True, True)
     if m.rows * m.cols <= exact_threshold:
         exact = rank_exact(m)
-        for p in primes:
-            modular = rank_fn(m, PrimeField(p))
+        for p, modular in zip(primes, _modular_ranks(m, primes, backend)):
             if modular > exact:
                 raise InvariantError(
                     f"rank mod {p} is {modular}, above the exact rank {exact} "
@@ -354,7 +397,7 @@ def certified_rank(
                     p, modular, exact, m.rows, m.cols,
                 )
         return RankCertificate(exact, primes, True, True)
-    ranks = [rank_fn(m, PrimeField(p)) for p in primes]
+    ranks = _modular_ranks(m, primes, backend)
     agreement = len(set(ranks)) == 1
     if not agreement:
         logger.warning(

@@ -8,6 +8,8 @@ ranks are Fraction-exact Gaussian elimination.  Slow but unarguable at tiny
 sizes.  The all-weights loop is the cell computation as it was before the
 orbit reduction; it shares the package's block builder and rank code on
 purpose, so that comparing against it tests the reduction and nothing else.
+Likewise the block build on full (wedge, tensor) keys is the build as it
+was before blocks were keyed by wedge alone.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from syzlab import betti
-from syzlab.koszul import KoszulCell, Parameters
+from syzlab import ENGINE_VERSION, betti
+from syzlab.koszul import KoszulCell, Parameters, _delta_terms
+from syzlab.linalg import SparseMatrix
 
 
 def fraction_rank(dense) -> int:
@@ -208,3 +211,40 @@ def all_weights_cell(n, b, d, p, q, config, cell_class=AllWeightsCell) -> dict:
                  else betti.LEVEL_ONE_PRIME)
     return {"dim": dim, "level": level, "agreement": all_agree,
             "block_count": block_count, "max_block_dim": max_block}
+
+
+def delta_terms_block(cell: KoszulCell, weight) -> tuple:
+    """(d_in, d_out) of the block at a weight, with every basis element keyed
+    by its full (wedge, tensor) pair and every term taken from _delta_terms.
+    The bases are the cell's own, in its order."""
+    cell._ensure_groups()
+    dominant = tuple(sorted(weight, reverse=True))
+    middle = cell._middle.get(dominant, [])
+    source = cell._source.get(dominant, [])
+    if tuple(weight) != dominant:
+        middle = cell._permuted(middle, weight)
+        source = cell._permuted(source, weight)
+    exps = cell.basis_d.monomials
+    mid_index = {elem: i for i, elem in enumerate(middle)}
+    target_index = {}
+    out_entries = []
+    for col, (wedge, tensor) in enumerate(middle):
+        for key, sign in _delta_terms(wedge, tensor, exps):
+            out_entries.append((target_index.setdefault(key, len(target_index)), col, sign))
+    in_entries = [(mid_index[key], col, sign)
+                  for col, (wedge, tensor) in enumerate(source)
+                  for key, sign in _delta_terms(wedge, tensor, exps)]
+    return (SparseMatrix(len(middle), len(source), tuple(in_entries)),
+            SparseMatrix(len(target_index), len(middle), tuple(out_entries)))
+
+
+def append_records(directory, q, count):
+    """Put `count` made-up records with distinct keys (p = 0..count-1 at
+    strand q) into the store at `directory`; a child-process target."""
+    store = betti.ResultStore(directory)
+    for p in range(count):
+        store.put({"n": 1, "b": 0, "d": 2, "p": p, "q": q, "dim": p, "level": "exact",
+                   "agreement": True, "primes": [], "backend": "elimination",
+                   "exact_threshold": 256, "engine_version": ENGINE_VERSION,
+                   "wall_time_ms": 0, "block_count": 1, "max_block_dim": 1,
+                   "analytic": False})

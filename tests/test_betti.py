@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import multiprocessing
 import random
 
 import pytest
 
+from syzlab import betti
 from syzlab.betti import (
     BettiTable,
     CellResult,
@@ -29,7 +31,7 @@ from syzlab.betti import (
     make_config,
 )
 
-from helpers import brute_hilbert_numerator, brute_kpq
+from helpers import append_records, brute_hilbert_numerator, brute_kpq
 
 TWO_PRIME = make_config()
 EXACT = make_config("exact")
@@ -328,6 +330,75 @@ def test_store_key_depends_on_primes(tmp_path):
     b = ResultStore.key_of(1, 0, 2, 1, 1, (7, 13))
     assert a != b
     assert a == ResultStore.key_of(1, 0, 2, 1, 1, (11, 7))  # order-free
+
+
+def test_store_key_covers_backend_and_exact_threshold():
+    primes = (7, 11)
+    base = ResultStore.key_of(1, 0, 2, 1, 1, primes, "elimination", 256)
+    assert base == ResultStore.key_of(1, 0, 2, 1, 1, primes)
+    assert base != ResultStore.key_of(1, 0, 2, 1, 1, primes, "wiedemann", 256)
+    assert base != ResultStore.key_of(1, 0, 2, 1, 1, primes, "elimination", 0)
+
+
+@pytest.mark.parametrize("other", [make_config(backend="wiedemann"),
+                                   make_config(exact_threshold=0)])
+def test_store_never_serves_another_configs_result(tmp_path, monkeypatch, other):
+    store = ResultStore(str(tmp_path))
+    computed = []
+    compute = betti._compute_cell
+
+    def counting(*args):
+        computed.append(args)
+        return compute(*args)
+
+    monkeypatch.setattr(betti, "_compute_cell", counting)
+    first = cell_result(1, 0, 3, 1, 1, TWO_PRIME, store)
+    second = cell_result(1, 0, 3, 1, 1, other, store)
+    assert len(computed) == 2                    # the second config ran afresh
+    assert (second.backend, second.exact_threshold) == (other.backend, other.exact_threshold)
+    assert second.dim == first.dim
+    assert cell_result(1, 0, 3, 1, 1, other, store) == second   # and is now stored
+    assert cell_result(1, 0, 3, 1, 1, TWO_PRIME, ResultStore(str(tmp_path))) == first
+    assert len(computed) == 2
+
+
+def test_processes_appending_to_one_store_leave_every_line_whole(tmp_path):
+    ctx = multiprocessing.get_context("spawn")
+    procs = [ctx.Process(target=append_records, args=(str(tmp_path), q, 100))
+             for q in range(4)]
+    for proc in procs:
+        proc.start()
+    for proc in procs:
+        proc.join(timeout=60)
+    for proc in procs:
+        if proc.is_alive():
+            proc.kill()
+    assert [proc.exitcode for proc in procs] == [0] * 4
+    with open(tmp_path / ResultStore.FILENAME, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert len(lines) == 400
+    store = ResultStore(str(tmp_path))
+    assert store._torn_at is None
+    records = [store.get(ResultStore.key_of(1, 0, 2, p, q, ()))
+               for p in range(100) for q in range(4)]
+    assert None not in records
+
+
+def test_torn_line_is_cut_only_if_no_other_process_appended(tmp_path):
+    first, second, third = (cell_result(1, 0, 3, p, 1, TWO_PRIME).to_record()
+                            for p in (0, 1, 2))
+    ResultStore(str(tmp_path)).put(first)
+    path = tmp_path / ResultStore.FILENAME
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"key": "torn')                      # crash mid-append
+    late, early = ResultStore(str(tmp_path)), ResultStore(str(tmp_path))
+    early.put(second)      # cuts the torn line off, then appends
+    late.put(third)        # must not cut again: that would drop `second`
+    reloaded = ResultStore(str(tmp_path))
+    assert reloaded._torn_at is None
+    for rec in (first, second, third):
+        key = ResultStore.key_of(1, 0, 3, rec["p"], 1, TWO_PRIME.primes)
+        assert reloaded.get(key) == rec
 
 
 # ------------------------------------------------------------------- plumbing

@@ -19,17 +19,16 @@ from syzlab import betti, koszul, linalg, schur
 from syzlab.koszul import Parameters, build_block
 
 
-def flat_signs(wedge, tensor, monomials):
+def flat_faces(wedge):
     # the Koszul differential with every sign +1: d_out . d_in no longer vanishes
-    return [((wedge[:j] + wedge[j + 1:], tuple(map(sum, zip(tensor, monomials[i])))), 1)
-            for j, i in enumerate(wedge)]
+    return [(i, wedge[:j] + wedge[j + 1:], 1) for j, i in enumerate(wedge)]
 
 
 def too_large_ranks(block, config):
     return block.mid_dim, 1, True, True
 
 
-def one_above(m, field):
+def one_above(m, modulus):
     return linalg.rank_exact(m) + 1
 
 
@@ -41,11 +40,11 @@ WEYL = schur.weyl_dim
 PRIMES = betti.make_config().primes
 block = build_block(Parameters(1, 0, 2, 1, 1), (2, 2))
 cases = {
-    "composition": (koszul, "_delta_terms", flat_signs,
+    "composition": (koszul, "_faces", flat_faces,
                     lambda: build_block(Parameters(1, 0, 2, 1, 1), (2, 2))),
     "rank_sum": (betti, "_block_ranks", too_large_ranks,
                  lambda: betti._compute_cell(1, 0, 2, 1, 1, betti.make_config())),
-    "modular_le_exact": (linalg, "rank_mod_p", one_above,
+    "modular_le_exact": (linalg, "_rank_mod", one_above,
                          lambda: linalg.certified_rank(block.d_out, PRIMES, 10 ** 6)),
     "schur_recomposition": (schur, "weyl_dim", weyl_plus_one,
                             lambda: schur.schur_multiplicities(2, 0, 2, 1, 1)),

@@ -15,7 +15,7 @@ from syzlab.koszul import (
 )
 from syzlab.monomials import distinct_permutations_count, enumerate_basis
 
-from helpers import fraction_rank
+from helpers import delta_terms_block, fraction_rank
 
 
 def all_weights(cell):
@@ -188,6 +188,18 @@ def test_weight_permutation_symmetry():
     for w in dims:
         for perm in permutations(w):
             assert dims[perm] == dims[w]
+
+
+@pytest.mark.parametrize("params", [(1, 1, 4, 2, 1), (2, 0, 3, 3, 1), (2, 1, 3, 4, 1),
+                                    (3, 0, 2, 3, 1), (2, 0, 2, 2, 1), (2, 3, 2, 1, -1)])
+def test_wedge_keyed_build_matches_delta_terms_build(params):
+    # every dominant block and one permuted block, entry for entry
+    cell = KoszulCell(Parameters(*params))
+    weights = cell.weights()
+    assert weights
+    for w in weights + [tuple(reversed(weights[len(weights) // 2]))]:
+        block = cell.block(w)
+        assert (block.d_in, block.d_out) == delta_terms_block(cell, w), w
 
 
 def test_memory_cap_raises_infeasible():

@@ -3,10 +3,15 @@ import random
 
 import pytest
 
-from syzlab.arith import PrimeField, default_primes, random_prime
+from syzlab.arith import PrimeField, binom_safe, default_primes, random_prime
+from syzlab.betti import default_q_lo
+from syzlab.koszul import KoszulCell, Parameters
 from syzlab.linalg import (
+    NonUnitPivot,
     RankCertificate,
     SparseMatrix,
+    _modular_ranks,
+    _rank_mod,
     certified_rank,
     rank_exact,
     rank_mod_p,
@@ -151,6 +156,72 @@ def test_bad_prime_vs_exact_route(caplog):
     # the rational path wins and flags the lying prime
     assert cert.rank == 1 and cert.exact is True
     assert any("undercount" in r.message for r in caplog.records)
+
+
+def per_prime_ranks(m, primes):
+    return [rank_mod_p(m, PrimeField(p)) for p in primes]
+
+
+def test_fused_kernel_matches_per_prime_ranks_on_random_pm1_matrices():
+    p1, p2 = default_primes(2)
+    rng = random.Random(108)
+    for trial in range(80):
+        rows, cols = rng.randrange(1, 25), rng.randrange(1, 25)
+        m = random_sparse(rng, rows, cols, fill=rng.uniform(0.05, 0.5), lo=-1, hi=1)
+        assert per_prime_ranks(m, (p1, p2)) == [_rank_mod(m, p1 * p2)] * 2, trial
+
+
+@pytest.mark.parametrize("nbd", [(2, 0, 3), (2, 1, 3), (3, 0, 2)])
+def test_fused_kernel_matches_per_prime_ranks_on_table_blocks(nbd):
+    n, b, d = nbd
+    p1, p2 = default_primes(2)
+    ranked = 0
+    for q in range(default_q_lo(b, d), n + 2):
+        for p in range(binom_safe(d + n, n)):
+            for block in KoszulCell(Parameters(n, b, d, p, q)).iter_blocks():
+                for m in (block.d_in, block.d_out):
+                    if m.nnz:
+                        assert [_rank_mod(m, p1 * p2)] * 2 == per_prime_ranks(m, (p1, p2))
+                        ranked += 1
+    assert ranked > 100
+
+
+def test_non_unit_pivot_after_fill_in_falls_back_per_prime(caplog):
+    # the first pivot is 1; eliminating it leaves p1 in the corner, which is
+    # nonzero mod p1 * p2 but no unit: rank 1 mod p1, rank 2 mod p2
+    p1, p2 = default_primes(2)
+    m = SparseMatrix.from_dense([[1, 1], [1, 1 + p1]])
+    with pytest.raises(NonUnitPivot):
+        _rank_mod(m, p1 * p2)
+    assert _modular_ranks(m, (p1, p2), "elimination") == [1, 2]
+    with caplog.at_level(logging.WARNING, logger="syzlab.linalg"):
+        cert = certified_rank(m, (p1, p2), exact_threshold=0)
+    assert cert == RankCertificate(2, (p1, p2), False, False)
+    assert any("disagree" in r.message for r in caplog.records)
+    with caplog.at_level(logging.WARNING, logger="syzlab.linalg"):
+        cert = certified_rank(m, (p1, p2), exact_threshold=10)
+    assert cert == RankCertificate(2, (p1, p2), True, True)
+    assert any("undercount" in r.message for r in caplog.records)
+
+
+def test_duplicate_primes_give_the_per_prime_ranks():
+    p1, p2 = default_primes(2)
+    m = SparseMatrix.from_dense([[1, 1], [1, 1 + p1]])
+    assert _modular_ranks(m, (p1, p1), "elimination") == [1, 1]
+    assert _modular_ranks(m, (p1, p2, p1), "elimination") == [1, 2, 1]
+    assert certified_rank(m, (p1, p1)) == RankCertificate(1, (p1, p1), True, False)
+    rng = random.Random(109)
+    for trial in range(20):
+        m = random_sparse(rng, 10, 12, fill=0.3, lo=-1, hi=1)
+        for primes in ((p1, p1), (p2, p1, p2)):
+            assert _modular_ranks(m, primes, "elimination") == per_prime_ranks(m, primes)
+
+
+def test_certified_rank_checks_its_primes():
+    m = SparseMatrix.from_dense([[1, 1], [1, 2]])
+    p1 = default_primes(1)[0]
+    with pytest.raises(ValueError, match="not prime"):
+        certified_rank(m, (p1, p1 + 2))
 
 
 def test_certified_rank_wiedemann_backend():
