@@ -1,4 +1,4 @@
-"""Integer and prime-field arithmetic helpers.
+"""Integer helpers, primality and reproducible primes.
 
 Binomials follow the convention binom(m, k) = 0 outside 0 <= k <= m, which
 lets dimension formulas for graded pieces be written without case splits.
@@ -67,11 +67,7 @@ def random_prime(bits: int, seed: int) -> int:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """Arithmetic mod a prime of 31 to 62 bits.
-
-    Elements are plain ints in [0, modulus); operations normalize.  Inverses
-    use Python's builtin modular inverse (extended Euclid under the hood).
-    """
+    """A prime modulus of 31 to 62 bits, checked on construction."""
 
     modulus: int
 
@@ -80,27 +76,6 @@ class PrimeField:
             raise ValueError(f"modulus must have 31-62 bits, got {self.modulus}")
         if not is_prime(self.modulus):
             raise ValueError(f"modulus {self.modulus} is not prime")
-
-    def normalize(self, x: int) -> int:
-        return x % self.modulus
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.modulus
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.modulus
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.modulus
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.modulus
-
-    def inv(self, a: int) -> int:
-        a %= self.modulus
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in prime field")
-        return pow(a, -1, self.modulus)
 
 
 def default_primes(count: int = 2, bits: int = 31) -> tuple[int, ...]:

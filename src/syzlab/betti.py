@@ -31,19 +31,17 @@ import os
 import threading
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 from . import ENGINE_VERSION
-from .arith import PrimeField, binom_safe, random_prime
+from .arith import binom_safe, random_prime
 from .koszul import (
     DEFAULT_MEMORY_CAP,
     InfeasibleBlockError,
     KoszulCell,
     Parameters,
-    full_complex,
 )
-from .linalg import InvariantError, certified_rank, rank_exact, rank_mod_p
+from .linalg import InvariantError, _field, certified_rank, rank_exact, rank_mod_p
 from .monomials import distinct_permutations_count
 
 logger = logging.getLogger(__name__)
@@ -57,26 +55,20 @@ _MODES = (LEVEL_EXACT, LEVEL_TWO_PRIME, LEVEL_ONE_PRIME)
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """How ranks are taken: mode, primes, thresholds, parallelism."""
+    """How ranks are taken: mode, primes, exact threshold, memory cap."""
 
     mode: str = LEVEL_TWO_PRIME
     primes: tuple = ()
     exact_threshold: int = 256
     memory_cap: int = DEFAULT_MEMORY_CAP
-    backend: str = "elimination"
-    threads: int = 1
 
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.backend not in ("elimination", "wiedemann"):
-            raise ValueError(f"unknown backend {self.backend!r}")
         if self.mode == LEVEL_TWO_PRIME and len(self.primes) < 2:
             raise ValueError("two-prime mode needs at least two primes")
         if self.mode == LEVEL_ONE_PRIME and len(self.primes) != 1:
             raise ValueError("one-prime mode needs exactly one prime")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 def make_config(
@@ -85,8 +77,6 @@ def make_config(
     prime_bits: int = 31,
     exact_threshold: int = 256,
     memory_cap: int = DEFAULT_MEMORY_CAP,
-    backend: str = "elimination",
-    threads: int = 1,
 ) -> EngineConfig:
     """Config with reproducible primes drawn from the given seeds."""
     if mode not in _MODES:
@@ -96,7 +86,7 @@ def make_config(
     primes = tuple(random_prime(prime_bits, s) for s in prime_seeds)
     return EngineConfig(
         mode=mode, primes=primes, exact_threshold=exact_threshold,
-        memory_cap=memory_cap, backend=backend, threads=threads,
+        memory_cap=memory_cap,
     )
 
 
@@ -113,7 +103,6 @@ class CellResult:
     level: str
     agreement: bool
     primes: tuple
-    backend: str
     exact_threshold: int
     block_count: int
     max_block_dim: int
@@ -124,7 +113,7 @@ class CellResult:
         return {
             "n": self.n, "b": self.b, "d": self.d, "p": self.p, "q": self.q,
             "dim": self.dim, "level": self.level, "agreement": self.agreement,
-            "primes": list(self.primes), "backend": self.backend,
+            "primes": list(self.primes),
             "exact_threshold": self.exact_threshold, "engine_version": ENGINE_VERSION,
             "wall_time_ms": self.wall_time_ms, "block_count": self.block_count,
             "max_block_dim": self.max_block_dim, "analytic": self.analytic,
@@ -135,7 +124,7 @@ class CellResult:
         return CellResult(
             n=rec["n"], b=rec["b"], d=rec["d"], p=rec["p"], q=rec["q"],
             dim=rec["dim"], level=rec["level"], agreement=rec["agreement"],
-            primes=tuple(rec["primes"]), backend=rec["backend"],
+            primes=tuple(rec["primes"]),
             exact_threshold=rec["exact_threshold"], block_count=rec["block_count"],
             max_block_dim=rec["max_block_dim"], wall_time_ms=rec["wall_time_ms"],
             analytic=rec.get("analytic", False),
@@ -163,13 +152,13 @@ def _block_ranks(block, config: EngineConfig):
     if config.mode == LEVEL_EXACT:
         return rank_exact(block.d_in), rank_exact(block.d_out), True, True
     if config.mode == LEVEL_ONE_PRIME:
-        fld = PrimeField(config.primes[0])
+        fld = _field(config.primes[0])
         exact = block.d_in.nnz == 0 and block.d_out.nnz == 0
         r_in = 0 if block.d_in.nnz == 0 else rank_mod_p(block.d_in, fld)
         r_out = 0 if block.d_out.nnz == 0 else rank_mod_p(block.d_out, fld)
         return r_in, r_out, exact, exact
-    cert_in = certified_rank(block.d_in, config.primes, config.exact_threshold, config.backend)
-    cert_out = certified_rank(block.d_out, config.primes, config.exact_threshold, config.backend)
+    cert_in = certified_rank(block.d_in, config.primes, config.exact_threshold)
+    cert_out = certified_rank(block.d_out, config.primes, config.exact_threshold)
     exact = cert_in.exact and cert_out.exact
     agreement = (cert_in.exact or cert_in.agreement) and (cert_out.exact or cert_out.agreement)
     return cert_in.rank, cert_out.rank, exact, agreement
@@ -192,8 +181,8 @@ def _compute_cell(n: int, b: int, d: int, p: int, q: int, config: EngineConfig) 
     if reason is not None:
         return CellResult(
             n=n, b=b, d=d, p=p, q=q, dim=0, level=LEVEL_EXACT, agreement=True,
-            primes=config.primes, backend=config.backend,
-            exact_threshold=config.exact_threshold, block_count=0, max_block_dim=0,
+            primes=config.primes, exact_threshold=config.exact_threshold,
+            block_count=0, max_block_dim=0,
             wall_time_ms=int((time.monotonic() - t0) * 1000), analytic=True,
         )
     params = Parameters(n=n, b=b, d=d, p=p, q=q)
@@ -217,7 +206,7 @@ def _compute_cell(n: int, b: int, d: int, p: int, q: int, config: EngineConfig) 
         level = LEVEL_TWO_PRIME if config.mode == LEVEL_TWO_PRIME else LEVEL_ONE_PRIME
     return CellResult(
         n=n, b=b, d=d, p=p, q=q, dim=dim, level=level,
-        agreement=all_agree, primes=config.primes, backend=config.backend,
+        agreement=all_agree, primes=config.primes,
         exact_threshold=config.exact_threshold, block_count=block_count,
         max_block_dim=max_block, wall_time_ms=int((time.monotonic() - t0) * 1000),
     )
@@ -233,8 +222,8 @@ class StoreConflictError(Exception):
 
 class ResultStore:
     """Append-only JSONL store of cell results, keyed by parameters, primes,
-    backend, exact threshold and engine version: every engine setting that
-    can change an answer or how it is known.
+    exact threshold and engine version: every engine setting that can change
+    an answer or how it is known.
 
     Keys are write-once: re-putting an identical result is a no-op, a
     conflicting result is an error (timing metadata is allowed to differ).
@@ -285,13 +274,11 @@ class ResultStore:
             self._torn_at = (unreadable[1], start)
 
     @staticmethod
-    def key_of(n, b, d, p, q, primes, backend=EngineConfig.backend,
-               exact_threshold=EngineConfig.exact_threshold,
+    def key_of(n, b, d, p, q, primes, exact_threshold=EngineConfig.exact_threshold,
                engine_version=ENGINE_VERSION) -> str:
         return json.dumps(
             {"n": n, "b": b, "d": d, "p": p, "q": q, "primes": sorted(primes),
-             "backend": backend, "exact_threshold": exact_threshold,
-             "engine": engine_version},
+             "exact_threshold": exact_threshold, "engine": engine_version},
             sort_keys=True, separators=(",", ":"),
         )
 
@@ -317,8 +304,7 @@ class ResultStore:
     def put(self, record: dict) -> None:
         key = self.key_of(
             record["n"], record["b"], record["d"], record["p"], record["q"],
-            record["primes"], record["backend"], record["exact_threshold"],
-            record["engine_version"],
+            record["primes"], record["exact_threshold"], record["engine_version"],
         )
         with self._lock:
             hit = self._index.get(key)
@@ -347,8 +333,7 @@ def cell_result(n, b, d, p, q, config: EngineConfig = None,
     """Compute (or fetch from the store) one cell."""
     config = config or make_config()
     if store is not None:
-        key = ResultStore.key_of(n, b, d, p, q, config.primes, config.backend,
-                                 config.exact_threshold)
+        key = ResultStore.key_of(n, b, d, p, q, config.primes, config.exact_threshold)
         rec = store.get(key)
         if rec is not None:
             return CellResult.from_record(rec)
@@ -361,16 +346,6 @@ def cell_result(n, b, d, p, q, config: EngineConfig = None,
 def kpq_dim(n, b, d, p, q, config: EngineConfig = None,
             store: ResultStore = None) -> int:
     return cell_result(n, b, d, p, q, config, store).dim
-
-
-def kpq_dim_unblocked(n, b, d, p, q, memory_cap: int = DEFAULT_MEMORY_CAP) -> int:
-    """Cross-check path: exact cohomology of the full complex, no weight
-    decomposition.  Only for tiny instances."""
-    if _analytic_zero_reason(n, b, d, p, q) is not None:
-        return 0
-    params = Parameters(n=n, b=b, d=d, p=p, q=q)
-    d_in, d_out, mid = full_complex(params, memory_cap)
-    return mid - rank_exact(d_in) - rank_exact(d_out)
 
 
 def default_q_lo(b: int, d: int) -> int:
@@ -436,25 +411,11 @@ def betti_table(n, b, d, p_range=None, q_range=None,
     if q_range is None:
         q_range = (default_q_lo(b, d), n + 1)
     table = BettiTable(n=n, b=b, d=d, p_range=tuple(p_range), q_range=tuple(q_range))
-
-    def work(pq):
-        p, q = pq
+    for p, q in table.window_cells():
         try:
-            return pq, cell_result(n, b, d, p, q, config, store), None
+            table.cells[(p, q)] = cell_result(n, b, d, p, q, config, store)
         except InfeasibleBlockError as exc:
-            return pq, None, str(exc)
-
-    jobs = table.window_cells()
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = [f.result() for f in as_completed(pool.submit(work, j) for j in jobs)]
-    else:
-        results = [work(j) for j in jobs]
-    for pq, res, err in results:
-        if res is not None:
-            table.cells[pq] = res
-        else:
-            table.failures[pq] = err
+            table.failures[(p, q)] = str(exc)
     return table
 
 

@@ -82,8 +82,6 @@ class RunConfig:
     prime_bits: int = 31
     exact_threshold: int = 256
     memory_cap_mb: int = 2048
-    backend: str = "elimination"
-    threads: int = 1
     cache_dir: str = None
     fmt: str = "json"
     width_px: int = 640
@@ -101,8 +99,6 @@ class RunConfig:
             prime_bits=self.prime_bits,
             exact_threshold=self.exact_threshold,
             memory_cap=self.memory_cap_mb * (1 << 20),
-            backend=self.backend,
-            threads=self.threads,
         )
 
     def store(self):
@@ -120,9 +116,6 @@ def _add_engine_flags(sp):
     sp.add_argument("--exact-threshold", type=int, default=256,
                     help="blocks up to this rows*cols take the exact rational path")
     sp.add_argument("--memory-cap-mb", type=int, default=2048)
-    sp.add_argument("--backend", choices=["elimination", "wiedemann"],
-                    default="elimination")
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--cache-dir", default=None)
     sp.add_argument("--no-cache", action="store_true")
 
@@ -201,7 +194,7 @@ def config_from_args(args) -> RunConfig:
     fields = {"command": args.command}
     for name in ("n", "b", "d", "p", "q", "p_min", "p_max", "q_min", "q_max",
                  "d_min", "d_max", "mode", "prime_bits", "exact_threshold",
-                 "memory_cap_mb", "backend", "threads", "fmt", "width_px", "out"):
+                 "memory_cap_mb", "fmt", "width_px", "out"):
         if hasattr(args, name):
             fields[name] = getattr(args, name)
     if hasattr(args, "prime_seeds"):

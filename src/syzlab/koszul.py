@@ -354,43 +354,3 @@ def enumerate_weights(params: Parameters, memory_cap: int = DEFAULT_MEMORY_CAP) 
 def build_block(params: Parameters, weight, memory_cap: int = DEFAULT_MEMORY_CAP) -> KoszulBlock:
     """Standalone single-block build (a fresh cell; fine for one-off use)."""
     return KoszulCell(params, memory_cap).block(weight)
-
-
-def full_complex(params: Parameters, memory_cap: int = DEFAULT_MEMORY_CAP):
-    """The unblocked three-term complex, for cross-checks on tiny instances.
-
-    Returns (d_in, d_out, mid_dim) over the full bases with no weight
-    decomposition; shares no grouping code with the block path.
-    """
-    par = params
-    cell_guard = KoszulCell(par, memory_cap)  # reuse the feasibility estimate
-    exps = cell_guard.basis_d.monomials
-
-    def basis_of(wedge_size, tensor_degree):
-        if wedge_size < 0 or wedge_size > par.v:
-            return []
-        tensors = exponent_vectors(par.n, tensor_degree)
-        return [
-            (wedge, t)
-            for wedge in combinations(range(par.v), wedge_size)
-            for t in tensors
-        ]
-
-    middle = basis_of(par.p, par.middle_degree)
-    source = basis_of(par.p + 1, par.source_degree)
-    mid_index = {elem: i for i, elem in enumerate(middle)}
-
-    target_index = {}
-    out_entries = []
-    for col, (wedge, tensor) in enumerate(middle):
-        for key, sign in _delta_terms(wedge, tensor, exps):
-            row = target_index.setdefault(key, len(target_index))
-            out_entries.append((row, col, sign))
-    d_out = SparseMatrix(len(target_index), len(middle), tuple(out_entries))
-
-    in_entries = []
-    for col, (wedge, tensor) in enumerate(source):
-        for key, sign in _delta_terms(wedge, tensor, exps):
-            in_entries.append((mid_index[key], col, sign))
-    d_in = SparseMatrix(len(middle), len(source), tuple(in_entries))
-    return d_in, d_out, len(middle)

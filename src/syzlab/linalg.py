@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import heapq
 import logging
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -199,134 +198,6 @@ def rank_exact(m: SparseMatrix) -> int:
     return rank
 
 
-def _berlekamp_massey(seq, p):
-    """Minimal generating polynomial (monic, low-to-high coeffs) of seq mod p."""
-    c = [1]
-    b = [1]
-    l, m, bb = 0, 1, 1
-    for i, s in enumerate(seq):
-        delta = s
-        for j in range(1, l + 1):
-            delta = (delta + c[j] * seq[i - j]) % p
-        if delta == 0:
-            m += 1
-        elif 2 * l <= i:
-            t = list(c)
-            coef = delta * pow(bb, -1, p) % p
-            c += [0] * (len(b) + m - len(c))
-            for j, bv in enumerate(b):
-                c[j + m] = (c[j + m] - coef * bv) % p
-            l = i + 1 - l
-            b = t
-            bb = delta
-            m = 1
-        else:
-            coef = delta * pow(bb, -1, p) % p
-            c += [0] * (len(b) + m - len(c))
-            for j, bv in enumerate(b):
-                c[j + m] = (c[j + m] - coef * bv) % p
-            m += 1
-    while c and c[-1] == 0:
-        c.pop()
-    # Reverse to get the connection polynomial monic in the leading term.
-    rev = list(reversed(c))
-    lead_inv = pow(rev[-1], -1, p)
-    return [x * lead_inv % p for x in rev]
-
-
-def _poly_mod(a, b, p):
-    a = list(a)
-    db, da = len(b) - 1, len(a) - 1
-    inv = pow(b[-1], -1, p)
-    while len(a) - 1 >= db and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        coef = a[-1] * inv % p
-        shift = len(a) - 1 - db
-        for i, bv in enumerate(b):
-            a[i + shift] = (a[i + shift] - coef * bv) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return a if a else [0]
-
-
-def _poly_lcm(f, g, p):
-    if f == [0] or len(f) == 1:
-        return g
-    if g == [0] or len(g) == 1:
-        return f
-    a, b = list(f), list(g)
-    while any(b):
-        a, b = b, _poly_mod(a, b, p)
-    gcd = a
-    # lcm = f * g / gcd; polynomial long multiplication then division.
-    prod = [0] * (len(f) + len(g) - 1)
-    for i, fv in enumerate(f):
-        if fv:
-            for j, gv in enumerate(g):
-                prod[i + j] = (prod[i + j] + fv * gv) % p
-    quot = _poly_divide_exact(prod, gcd, p)
-    return quot
-
-
-def _poly_divide_exact(a, b, p):
-    a = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    inv = pow(b[-1], -1, p)
-    for k in range(len(out) - 1, -1, -1):
-        coef = a[k + len(b) - 1] * inv % p
-        out[k] = coef
-        if coef:
-            for i, bv in enumerate(b):
-                a[k + i] = (a[k + i] - coef * bv) % p
-    assert not any(a), "inexact polynomial division"
-    return out
-
-
-def rank_mod_p_wiedemann(m: SparseMatrix, field: PrimeField, seed: int = 0) -> int:
-    """Black-box rank via the Wiedemann minimal-polynomial method.
-
-    Preconditions the matrix with random diagonal scalings D1, D2, forms
-    M = (D1*A*D2)^T (D1*A*D2), and recovers deg(minpoly) from the Krylov
-    sequence u^T M^i w by Berlekamp-Massey.  For random diagonals the rank is
-    deg(minpoly) - 1 when x divides it, deg(minpoly) otherwise, with failure
-    probability O(n/p).  Kept as an independent backend for cross-checks.
-    """
-    p = field.modulus
-    if m.nnz == 0:
-        return 0
-    rng = random.Random(0x9E3779B1 * (seed + 1) + m.rows * 131 + m.cols * 31 + p % 97)
-    d1 = [rng.randrange(1, p) for _ in range(m.rows)]
-    d2 = [rng.randrange(1, p) for _ in range(m.cols)]
-    scaled = [(r, c, d1[r] * v * d2[c] % p) for r, c, v in m.entries]
-    scaled = [(r, c, v) for r, c, v in scaled if v]
-    n = m.cols
-
-    def apply_m(w):
-        mid = [0] * m.rows
-        for r, c, v in scaled:
-            mid[r] = (mid[r] + v * w[c]) % p
-        out = [0] * n
-        for r, c, v in scaled:
-            out[c] = (out[c] + v * mid[r]) % p
-        return out
-
-    length = 2 * (min(m.rows, m.cols) + 2)
-    gen = [1]
-    for _ in range(2):
-        u = [rng.randrange(p) for _ in range(n)]
-        w = [rng.randrange(p) for _ in range(n)]
-        seq = []
-        vec = w
-        for _ in range(length):
-            seq.append(sum(ui * vi for ui, vi in zip(u, vec)) % p)
-            vec = apply_m(vec)
-        gen = _poly_lcm(gen, _berlekamp_massey(seq, p), p)
-    deg = len(gen) - 1
-    return deg - 1 if gen[0] == 0 else deg
-
-
 @dataclass(frozen=True)
 class RankCertificate:
     """Outcome of a certified rank computation.
@@ -348,16 +219,14 @@ def _field(p: int) -> PrimeField:
     return PrimeField(p)
 
 
-def _modular_ranks(m: SparseMatrix, primes: tuple, backend: str) -> list:
+def _modular_ranks(m: SparseMatrix, primes: tuple) -> list:
     """The rank of m mod each prime, in order.
 
     Elimination runs once modulo the product of the distinct primes and
     falls back to one run per prime on a non-unit pivot (see the module
-    notes); Wiedemann runs per prime.
+    notes).
     """
     fields = [_field(p) for p in primes]
-    if backend == "wiedemann":
-        return [rank_mod_p_wiedemann(m, f) for f in fields]
     try:
         rank = _rank_mod(m, prod(set(primes)))
     except NonUnitPivot:
@@ -365,12 +234,7 @@ def _modular_ranks(m: SparseMatrix, primes: tuple, backend: str) -> list:
     return [rank] * len(primes)
 
 
-def certified_rank(
-    m: SparseMatrix,
-    primes,
-    exact_threshold: int = 0,
-    backend: str = "elimination",
-) -> RankCertificate:
+def certified_rank(m: SparseMatrix, primes, exact_threshold: int = 0) -> RankCertificate:
     """Rank with a certification level.
 
     Requires at least two primes; single-prime estimates are deliberately a
@@ -385,7 +249,7 @@ def certified_rank(
         return RankCertificate(0, primes, True, True)
     if m.rows * m.cols <= exact_threshold:
         exact = rank_exact(m)
-        for p, modular in zip(primes, _modular_ranks(m, primes, backend)):
+        for p, modular in zip(primes, _modular_ranks(m, primes)):
             if modular > exact:
                 raise InvariantError(
                     f"rank mod {p} is {modular}, above the exact rank {exact} "
@@ -397,7 +261,7 @@ def certified_rank(
                     p, modular, exact, m.rows, m.cols,
                 )
         return RankCertificate(exact, primes, True, True)
-    ranks = _modular_ranks(m, primes, backend)
+    ranks = _modular_ranks(m, primes)
     agreement = len(set(ranks)) == 1
     if not agreement:
         logger.warning(

@@ -9,7 +9,9 @@ sizes.  The all-weights loop is the cell computation as it was before the
 orbit reduction; it shares the package's block builder and rank code on
 purpose, so that comparing against it tests the reduction and nothing else.
 Likewise the block build on full (wedge, tensor) keys is the build as it
-was before blocks were keyed by wedge alone.
+was before blocks were keyed by wedge alone, and full_complex and
+kpq_dim_unblocked at the end take the whole three-term complex, with no
+weight decomposition, through the package's term and exact-rank code.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import itertools
 from fractions import Fraction
 
 from syzlab import ENGINE_VERSION, betti
-from syzlab.koszul import KoszulCell, Parameters, _delta_terms
-from syzlab.linalg import SparseMatrix
+from syzlab.koszul import DEFAULT_MEMORY_CAP, KoszulCell, Parameters, _delta_terms
+from syzlab.linalg import SparseMatrix, rank_exact
+from syzlab.monomials import exponent_vectors
 
 
 def fraction_rank(dense) -> int:
@@ -244,7 +247,57 @@ def append_records(directory, q, count):
     store = betti.ResultStore(directory)
     for p in range(count):
         store.put({"n": 1, "b": 0, "d": 2, "p": p, "q": q, "dim": p, "level": "exact",
-                   "agreement": True, "primes": [], "backend": "elimination",
+                   "agreement": True, "primes": [],
                    "exact_threshold": 256, "engine_version": ENGINE_VERSION,
                    "wall_time_ms": 0, "block_count": 1, "max_block_dim": 1,
                    "analytic": False})
+
+
+def full_complex(params: Parameters, memory_cap: int = DEFAULT_MEMORY_CAP):
+    """The unblocked three-term complex, for cross-checks on tiny instances.
+
+    Returns (d_in, d_out, mid_dim) over the full bases with no weight
+    decomposition; shares no grouping code with the block path.
+    """
+    par = params
+    cell_guard = KoszulCell(par, memory_cap)  # reuse the feasibility estimate
+    exps = cell_guard.basis_d.monomials
+
+    def basis_of(wedge_size, tensor_degree):
+        if wedge_size < 0 or wedge_size > par.v:
+            return []
+        tensors = exponent_vectors(par.n, tensor_degree)
+        return [
+            (wedge, t)
+            for wedge in itertools.combinations(range(par.v), wedge_size)
+            for t in tensors
+        ]
+
+    middle = basis_of(par.p, par.middle_degree)
+    source = basis_of(par.p + 1, par.source_degree)
+    mid_index = {elem: i for i, elem in enumerate(middle)}
+
+    target_index = {}
+    out_entries = []
+    for col, (wedge, tensor) in enumerate(middle):
+        for key, sign in _delta_terms(wedge, tensor, exps):
+            row = target_index.setdefault(key, len(target_index))
+            out_entries.append((row, col, sign))
+    d_out = SparseMatrix(len(target_index), len(middle), tuple(out_entries))
+
+    in_entries = []
+    for col, (wedge, tensor) in enumerate(source):
+        for key, sign in _delta_terms(wedge, tensor, exps):
+            in_entries.append((mid_index[key], col, sign))
+    d_in = SparseMatrix(len(middle), len(source), tuple(in_entries))
+    return d_in, d_out, len(middle)
+
+
+def kpq_dim_unblocked(n, b, d, p, q, memory_cap: int = DEFAULT_MEMORY_CAP) -> int:
+    """Cross-check path: exact cohomology of the full complex, no weight
+    decomposition.  Only for tiny instances."""
+    if betti._analytic_zero_reason(n, b, d, p, q) is not None:
+        return 0
+    params = Parameters(n=n, b=b, d=d, p=p, q=q)
+    d_in, d_out, mid = full_complex(params, memory_cap)
+    return mid - rank_exact(d_in) - rank_exact(d_out)

@@ -21,7 +21,6 @@ from syzlab.betti import (
     check_duality,
     euler_check,
     kpq_dim,
-    kpq_dim_unblocked,
     make_config,
 )
 from syzlab.bounds import (
@@ -35,7 +34,7 @@ from syzlab.bounds import (
 )
 from syzlab.cli import main as cli_main
 from syzlab.cycles import build_kp0_cycle, verify_nonzero_class
-from syzlab.koszul import Parameters, full_complex
+from syzlab.koszul import Parameters
 from syzlab.schur import (
     schur_multiplicities,
     stability_check,
@@ -43,7 +42,7 @@ from syzlab.schur import (
     weyl_dim,
 )
 
-from helpers import brute_hilbert_numerator
+from helpers import brute_hilbert_numerator, full_complex, kpq_dim_unblocked
 
 # every full table the criteria below share (memoized in the tables fixture)
 ACCEPTANCE_TABLES = [

@@ -26,12 +26,11 @@ from syzlab.betti import (
     euler_check,
     hilbert_numerator_coeffs,
     kpq_dim,
-    kpq_dim_unblocked,
     m2_text,
     make_config,
 )
 
-from helpers import append_records, brute_hilbert_numerator, brute_kpq
+from helpers import append_records, brute_hilbert_numerator, brute_kpq, kpq_dim_unblocked
 
 TWO_PRIME = make_config()
 EXACT = make_config("exact")
@@ -119,9 +118,12 @@ def test_config_validation():
         make_config("three-prime")
     with pytest.raises(ValueError):
         EngineConfig(mode=LEVEL_TWO_PRIME, primes=(7,), exact_threshold=0,
-                     memory_cap=1 << 20, backend="elimination", threads=1)
+                     memory_cap=1 << 20)
     with pytest.raises(ValueError):
-        make_config(backend="cholesky")
+        make_config(LEVEL_ONE_PRIME, prime_seeds=(0, 1))
+    for retired in ("backend", "threads"):
+        with pytest.raises(TypeError):
+            make_config(**{retired: 1})
 
 
 # --------------------------------------------------------------------- tables
@@ -161,13 +163,6 @@ def test_table_records_infeasible_cells():
     for pq, err in table.failures.items():
         assert pq not in table.cells
         assert "cap is 2000" in err
-
-
-def test_threaded_table_matches_serial():
-    serial = betti_table(1, 1, 3)
-    threaded = betti_table(1, 1, 3, config=make_config(threads=4))
-    assert {pq: c.dim for pq, c in serial.cells.items()} == \
-        {pq: c.dim for pq, c in threaded.cells.items()}
 
 
 # ---------------------------------------------------------------------- euler
@@ -332,17 +327,15 @@ def test_store_key_depends_on_primes(tmp_path):
     assert a == ResultStore.key_of(1, 0, 2, 1, 1, (11, 7))  # order-free
 
 
-def test_store_key_covers_backend_and_exact_threshold():
+def test_store_key_covers_exact_threshold():
     primes = (7, 11)
-    base = ResultStore.key_of(1, 0, 2, 1, 1, primes, "elimination", 256)
+    base = ResultStore.key_of(1, 0, 2, 1, 1, primes, 256)
     assert base == ResultStore.key_of(1, 0, 2, 1, 1, primes)
-    assert base != ResultStore.key_of(1, 0, 2, 1, 1, primes, "wiedemann", 256)
-    assert base != ResultStore.key_of(1, 0, 2, 1, 1, primes, "elimination", 0)
+    assert base != ResultStore.key_of(1, 0, 2, 1, 1, primes, 0)
 
 
-@pytest.mark.parametrize("other", [make_config(backend="wiedemann"),
-                                   make_config(exact_threshold=0)])
-def test_store_never_serves_another_configs_result(tmp_path, monkeypatch, other):
+def test_store_never_serves_another_configs_result(tmp_path, monkeypatch):
+    other = make_config(exact_threshold=0)
     store = ResultStore(str(tmp_path))
     computed = []
     compute = betti._compute_cell
@@ -355,7 +348,7 @@ def test_store_never_serves_another_configs_result(tmp_path, monkeypatch, other)
     first = cell_result(1, 0, 3, 1, 1, TWO_PRIME, store)
     second = cell_result(1, 0, 3, 1, 1, other, store)
     assert len(computed) == 2                    # the second config ran afresh
-    assert (second.backend, second.exact_threshold) == (other.backend, other.exact_threshold)
+    assert second.exact_threshold == other.exact_threshold
     assert second.dim == first.dim
     assert cell_result(1, 0, 3, 1, 1, other, store) == second   # and is now stored
     assert cell_result(1, 0, 3, 1, 1, TWO_PRIME, ResultStore(str(tmp_path))) == first

@@ -214,6 +214,19 @@ def test_bad_parameter_is_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+def test_retired_engine_flags_are_usage_errors(capsys):
+    args = ("kpq", "--n", "1", "--b", "0", "--d", "3", "--p", "1", "--q", "1",
+            "--no-cache")
+    for retired in (("--backend", "wiedemann"), ("--threads", "2")):
+        code, out, err = run(capsys, *args, *retired)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "usage error" in err
+    code, out, _ = run(capsys, *args)
+    config = json.loads(out)["config"]
+    assert code == EXIT_OK and "mode" in config
+    assert not {"backend", "threads"} & set(config)
+
+
 def test_memory_cap_zero_is_infeasible(capsys):
     code, _, err = run(capsys, "kpq", "--n", "2", "--b", "0", "--d", "3",
                        "--p", "4", "--q", "1", "--memory-cap-mb", "0",

@@ -11,11 +11,10 @@ from syzlab.koszul import (
     build_block,
     differential,
     enumerate_weights,
-    full_complex,
 )
 from syzlab.monomials import distinct_permutations_count, enumerate_basis
 
-from helpers import delta_terms_block, fraction_rank
+from helpers import delta_terms_block, fraction_rank, full_complex
 
 
 def all_weights(cell):

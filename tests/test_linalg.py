@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from syzlab.arith import PrimeField, binom_safe, default_primes, random_prime
+from syzlab.arith import PrimeField, binom_safe, default_primes
 from syzlab.betti import default_q_lo
 from syzlab.koszul import KoszulCell, Parameters
 from syzlab.linalg import (
@@ -15,7 +15,6 @@ from syzlab.linalg import (
     certified_rank,
     rank_exact,
     rank_mod_p,
-    rank_mod_p_wiedemann,
 )
 
 from helpers import fraction_rank
@@ -78,27 +77,10 @@ def test_rank_matches_fraction_oracle():
         assert rank_exact(m) == expect, (trial, m.to_dense())
 
 
-def test_wiedemann_matches_fraction_oracle():
-    rng = random.Random(102)
-    for trial in range(40):
-        rows = rng.randrange(1, 8)
-        cols = rng.randrange(1, 8)
-        m = random_sparse(rng, rows, cols, fill=rng.uniform(0.2, 0.8))
-        expect = fraction_rank(m.to_dense())
-        assert rank_mod_p_wiedemann(m, FIELD, seed=trial) == expect, (trial, m.to_dense())
-
-
-def test_wiedemann_edge_cases():
-    assert rank_mod_p_wiedemann(SparseMatrix(3, 3, ()), FIELD) == 0
-    one = SparseMatrix.from_dense([[0, 7], [0, 0]])
-    assert rank_mod_p_wiedemann(one, FIELD) == 1
-
-
 def test_rank_is_deterministic():
     rng = random.Random(103)
     m = random_sparse(rng, 10, 10, fill=0.4)
     assert rank_mod_p(m, FIELD) == rank_mod_p(m, FIELD)
-    assert rank_mod_p_wiedemann(m, FIELD, seed=1) == rank_mod_p_wiedemann(m, FIELD, seed=1)
 
 
 def test_block_diagonal_rank_is_additive():
@@ -193,7 +175,7 @@ def test_non_unit_pivot_after_fill_in_falls_back_per_prime(caplog):
     m = SparseMatrix.from_dense([[1, 1], [1, 1 + p1]])
     with pytest.raises(NonUnitPivot):
         _rank_mod(m, p1 * p2)
-    assert _modular_ranks(m, (p1, p2), "elimination") == [1, 2]
+    assert _modular_ranks(m, (p1, p2)) == [1, 2]
     with caplog.at_level(logging.WARNING, logger="syzlab.linalg"):
         cert = certified_rank(m, (p1, p2), exact_threshold=0)
     assert cert == RankCertificate(2, (p1, p2), False, False)
@@ -207,14 +189,14 @@ def test_non_unit_pivot_after_fill_in_falls_back_per_prime(caplog):
 def test_duplicate_primes_give_the_per_prime_ranks():
     p1, p2 = default_primes(2)
     m = SparseMatrix.from_dense([[1, 1], [1, 1 + p1]])
-    assert _modular_ranks(m, (p1, p1), "elimination") == [1, 1]
-    assert _modular_ranks(m, (p1, p2, p1), "elimination") == [1, 2, 1]
+    assert _modular_ranks(m, (p1, p1)) == [1, 1]
+    assert _modular_ranks(m, (p1, p2, p1)) == [1, 2, 1]
     assert certified_rank(m, (p1, p1)) == RankCertificate(1, (p1, p1), True, False)
     rng = random.Random(109)
     for trial in range(20):
         m = random_sparse(rng, 10, 12, fill=0.3, lo=-1, hi=1)
         for primes in ((p1, p1), (p2, p1, p2)):
-            assert _modular_ranks(m, primes, "elimination") == per_prime_ranks(m, primes)
+            assert _modular_ranks(m, primes) == per_prime_ranks(m, primes)
 
 
 def test_certified_rank_checks_its_primes():
@@ -224,18 +206,11 @@ def test_certified_rank_checks_its_primes():
         certified_rank(m, (p1, p1 + 2))
 
 
-def test_certified_rank_wiedemann_backend():
-    rng = random.Random(106)
-    m = random_sparse(rng, 9, 7, fill=0.4)
-    cert = certified_rank(m, default_primes(2), exact_threshold=0, backend="wiedemann")
-    assert cert.rank == fraction_rank(m.to_dense())
-
-
 def test_large_random_cross_backend_agreement():
     rng = random.Random(107)
     for trial in range(10):
         m = random_sparse(rng, 20, 20, fill=0.15)
         r1 = rank_mod_p(m, FIELD)
         r2 = rank_exact(m)
-        r3 = rank_mod_p_wiedemann(m, FIELD, seed=trial)
+        r3 = fraction_rank(m.to_dense())
         assert r1 == r2 == r3
