@@ -13,6 +13,19 @@ times: in dim, in block_count, and once in max_block_dim.  Its ranks, and
 with them the level and the agreement flag, are those of every block of its
 orbit.
 
+Each block is ranked on its quotient by a vertex star (see koszul), which
+has the same cohomology over every field: each rank of the block is the
+star's rank, the same in all fields, plus the quotient's.  What the result
+says about a block is still taken from the unreduced block.  Its middle
+dimension counts in block_count and max_block_dim, and its shapes pick the
+route of each map: zero, exact (rows*cols <= exact_threshold, with the
+modular ranks checked against the exact one) or modular, and so the level.
+Routed by its own, smaller shape, the quotient of a map would often go to
+the exact route, or be zero, and the cell would report level exact where it
+reported two-prime.  Only the ranks are the quotient's; they differ from the
+block's by the star's ranks, the same in every field, so the dimension is
+the same and the primes agree or disagree on a block as before.
+
 Two global consistency checks are provided.  The Euler check compares the
 alternating column sums of a complete table against the coefficients of
 H_R(t) * (1-t)^v, where H_R(t) = sum_m binom(md+b+n, n) t^m is the Hilbert
@@ -148,17 +161,22 @@ def _analytic_zero_reason(n: int, b: int, d: int, p: int, q: int):
 
 
 def _block_ranks(block, config: EngineConfig):
-    """(rank_in, rank_out, exact, agreement) for one block under the config."""
+    """(rank_in, rank_out, exact, agreement) for one block under the config.
+
+    The ranks are the quotient's, the block's own matrices; the route, and
+    so `exact`, is picked from the shapes of the unreduced block (see the
+    module notes)."""
     if config.mode == LEVEL_EXACT:
         return rank_exact(block.d_in), rank_exact(block.d_out), True, True
     if config.mode == LEVEL_ONE_PRIME:
         fld = _field(config.primes[0])
-        exact = block.d_in.nnz == 0 and block.d_out.nnz == 0
+        exact = block.full_sizes(0) == (0, 0)   # both unreduced maps zero
         r_in = 0 if block.d_in.nnz == 0 else rank_mod_p(block.d_in, fld)
         r_out = 0 if block.d_out.nnz == 0 else rank_mod_p(block.d_out, fld)
         return r_in, r_out, exact, exact
-    cert_in = certified_rank(block.d_in, config.primes, config.exact_threshold)
-    cert_out = certified_rank(block.d_out, config.primes, config.exact_threshold)
+    size_in, size_out = block.full_sizes(config.exact_threshold)
+    cert_in = certified_rank(block.d_in, config.primes, config.exact_threshold, size_in)
+    cert_out = certified_rank(block.d_out, config.primes, config.exact_threshold, size_out)
     exact = cert_in.exact and cert_out.exact
     agreement = (cert_in.exact or cert_in.agreement) and (cert_out.exact or cert_out.agreement)
     return cert_in.rank, cert_out.rank, exact, agreement
@@ -197,7 +215,7 @@ def _compute_cell(n: int, b: int, d: int, p: int, q: int, config: EngineConfig) 
         orbit = distinct_permutations_count(block.weight)
         dim += orbit * block_dim
         block_count += orbit
-        max_block = max(max_block, block.mid_dim)
+        max_block = max(max_block, block.full_mid_dim)
         all_exact = all_exact and exact
         all_agree = all_agree and agree
     if all_exact:

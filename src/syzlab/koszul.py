@@ -33,13 +33,36 @@ A cell therefore stores only its dominant weights (non-increasing tuples,
 i.e. partitions padded to n+1 parts), one per orbit; each stands for
 distinct_permutations_count(w) blocks.  A block at any other weight is
 built by permuting the basis of its dominant rearrangement.
+
+A block is built and ranked as its quotient by a vertex star.  Its basis
+elements are the wedges F with sum F <= w (each with tensor factor
+w - sum F), so in three consecutive degrees the block is the augmented chain
+complex of the squarefree divisor complex Delta_w = {F : sum F <= w} on the
+degree-d monomials (Bruns-Herzog, JPAA 1997).  Take as apex v0 the first
+degree-d monomial, in basis order, that divides x^w.  Its closed star
+st(v0) = {F : F u {v0} in Delta_w} is a subcomplex and a cone on v0, so its
+augmented chain complex is exact over Z (adding v0 is a contracting
+homotopy), and stays exact over every field.  An element (F, t) lies in the
+star iff v0 is in F or v0 divides x^t.  The quotient complex keeps the other
+elements, and its maps are the block's matrices with the star's rows and
+columns deleted.  Over any field, every map of a bounded complex C with an
+exact subcomplex S has rank(C) = rank(S) + rank(C/S): induct from the bottom
+on dim C_k = r_k + r_(k+1) + h_k, which holds for C, S and C/S, with h
+zero on S and equal on C and C/S by the long exact sequence.  And rank(S) is
+fixed by the dimensions of S alone, so it is the same in every field.  So
+mid - rank(d_in) - rank(d_out) is the same on the quotient as on the block,
+over Q and over every F_p, and two primes agree on the quotient exactly when
+they agree on the block.  If no degree-d monomial divides x^w the block is
+its own quotient.  The unreduced block is never built: its d_out . d_in = 0
+is checked from the source side, through the faces of the faces of each
+source wedge, and the quotient's matrices are checked as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
-from operator import add
+from operator import add, ge, sub
 
 from .arith import binom_safe
 from .linalg import InvariantError, SparseMatrix
@@ -154,10 +177,13 @@ def differential(wedge, tensor, basis: GradedPieceBasis):
 
 @dataclass(frozen=True)
 class KoszulBlock:
-    """One torus-weight block: bases are implicit, matrices explicit.
+    """One torus-weight block as it is ranked: its quotient by a vertex star.
 
     d_in has shape (mid_dim, src_dim), d_out (target_dim, mid_dim), and the
     block's contribution to dim K_{p,q} is mid_dim - rank(d_in) - rank(d_out).
+    These are the quotient's (see the module notes); full_mid_dim and
+    full_src_dim are the dimensions of the unreduced block, and
+    full_sizes() the shapes of its maps.
     """
 
     weight: tuple
@@ -166,6 +192,23 @@ class KoszulBlock:
     target_dim: int
     d_in: SparseMatrix
     d_out: SparseMatrix
+    full_mid_dim: int
+    full_src_dim: int
+    full_middle: list = field(repr=False, compare=False)  # unreduced (wedge, t)
+
+    def full_sizes(self, limit: int) -> tuple:
+        """(size of d_in, size of d_out) of the unreduced block, a size being
+        rows * cols, or 0 for a zero map, as far as a comparison with `limit`
+        needs.  The rows of the unreduced d_out are counted only when its
+        middle dimension is at most `limit`; otherwise that dimension, a
+        lower bound already above `limit`, stands for its size."""
+        size_in = self.full_mid_dim * self.full_src_dim
+        if not self.full_middle or not self.full_middle[0][0]:
+            return size_in, 0                  # no middle space, or p = 0
+        if self.full_mid_dim > limit:
+            return size_in, self.full_mid_dim
+        rows = {face for wedge, _ in self.full_middle for _, face, _ in _faces(wedge)}
+        return size_in, len(rows) * self.full_mid_dim
 
 
 class KoszulCell:
@@ -173,9 +216,9 @@ class KoszulCell:
 
     The middle and source spaces are enumerated once (wedges of basis indices
     times tensor monomials) and only the elements of dominant weight are
-    kept, grouped by weight; blocks are then built lazily per weight.  Target
-    rows are allocated on demand while applying the differential, so the
-    target space is never enumerated.
+    kept, grouped by weight; blocks are then built lazily per weight, each
+    as its star quotient.  Target rows are allocated on demand while
+    applying the differential, so the target space is never enumerated.
     """
 
     def __init__(self, params: Parameters, memory_cap: int = DEFAULT_MEMORY_CAP):
@@ -196,6 +239,7 @@ class KoszulCell:
             )
         self._middle = None
         self._source = None
+        self._checked = set()    # source wedges whose d_out . d_in is zero
 
     def expected_middle_dim(self) -> int:
         p = self.params
@@ -213,16 +257,18 @@ class KoszulCell:
         tensors = exponent_vectors(par.n, tensor_degree)
         if not tensors:
             return groups
+        # s + t is dominant iff each gap t_i - t_(i+1) covers s_(i+1) - s_i
+        gaps = [(t, tuple(map(sub, t, t[1:]))) for t in tensors]
         exps = self.basis_d.monomials
         zero = (0,) * (par.n + 1)
         for wedge in combinations(range(par.v), wedge_size):
             s = zero
             for i in wedge:
                 s = tuple(map(add, s, exps[i]))
-            for t in tensors:
-                w = tuple(map(add, s, t))
-                if w == tuple(sorted(w, reverse=True)):  # dominant
-                    groups.setdefault(w, []).append((wedge, t))
+            need = tuple(map(sub, s[1:], s))
+            for t, gap in gaps:
+                if all(map(ge, gap, need)):
+                    groups.setdefault(tuple(map(add, s, t)), []).append((wedge, t))
         return groups
 
     def _ensure_groups(self):
@@ -255,8 +301,9 @@ class KoszulCell:
         return _orbit_total(self._middle)
 
     def block(self, weight) -> KoszulBlock:
-        """The block at any weight; a non-dominant one is built on the
-        permuted basis of its dominant rearrangement."""
+        """The block at any weight, as ranked: its star quotient.  A
+        non-dominant one is built on the permuted basis of its dominant
+        rearrangement."""
         self._ensure_groups()
         weight = tuple(weight)
         dominant = tuple(sorted(weight, reverse=True))
@@ -283,9 +330,8 @@ class KoszulCell:
         image = [self.basis_d.index_of(perm(m)) for m in self.basis_d.monomials]
         return [(tuple(sorted(image[i] for i in wedge)), perm(t)) for wedge, t in group]
 
-    def _build(self, weight, middle, source) -> KoszulBlock:
-        """Matrices of the block at `weight` on the given bases, with the
-        memory-cap estimate before and the d_out . d_in = 0 check after."""
+    def _check_cap(self, weight, middle, source):
+        """Refuse a block whose unreduced bases and maps would exceed the cap."""
         par = self.params
         est = _BYTES_PER_ELEMENT * (len(middle) + len(source)) + _BYTES_PER_ENTRY * (
             len(source) * (par.p + 1) + len(middle) * par.p
@@ -296,23 +342,44 @@ class KoszulCell:
                 weight=weight, middle_dim=len(middle), source_dim=len(source),
                 estimated_bytes=est, cap=self.memory_cap,
             )
+
+    def _build(self, weight, middle, source) -> KoszulBlock:
+        """Matrices of the block at `weight` on the quotient of the given
+        bases by the star of the apex.  The memory-cap estimate and the
+        d_out . d_in = 0 check of the unreduced block come first, the same
+        check on the quotient's matrices last."""
+        self._check_cap(weight, middle, source)
+        self._check_unreduced_composition(source, weight)
+        full_mid, full_src = middle, source
+        exps = self.basis_d.monomials
+        # (index, exponents) of the first degree-d monomial dividing x^weight
+        apex = next(((i, m) for i, m in enumerate(exps) if all(map(ge, weight, m))), None)
+
+        def kept(wedge, tensor):
+            # outside the star: the apex is not in the wedge, nor divides the tensor
+            return apex is None or not (apex[0] in wedge or all(map(ge, tensor, apex[1])))
+
+        middle = [(wedge, t) for wedge, t in middle if kept(wedge, t)]
+        source = [(wedge, t) for wedge, t in source if kept(wedge, t)]
         mid_index = {wedge: i for i, (wedge, _) in enumerate(middle)}
 
         target_index = {}
         out_entries = []
-        for col, (wedge, _) in enumerate(middle):
-            for _, face, sign in _faces(wedge):
-                row = target_index.setdefault(face, len(target_index))
-                out_entries.append((row, col, sign))
+        for col, (wedge, t) in enumerate(middle):
+            for i, face, sign in _faces(wedge):
+                if kept(face, tuple(map(add, t, exps[i]))):
+                    row = target_index.setdefault(face, len(target_index))
+                    out_entries.append((row, col, sign))
         d_out = SparseMatrix(len(target_index), len(middle), tuple(out_entries))
 
         in_entries = []
         in_columns = []
-        for col, (wedge, _) in enumerate(source):
+        for col, (wedge, t) in enumerate(source):
             column = []
-            for _, face, sign in _faces(wedge):
-                row = mid_index[face]  # weight preservation: must land in this block
-                column.append((row, sign))
+            for i, face, sign in _faces(wedge):
+                if kept(face, tuple(map(add, t, exps[i]))):
+                    row = mid_index[face]  # weight preservation: must land in this block
+                    column.append((row, sign))
             in_columns.append(column)
             in_entries.extend((row, col, sign) for row, sign in column)
         d_in = SparseMatrix(len(middle), len(source), tuple(in_entries))
@@ -321,7 +388,25 @@ class KoszulCell:
         return KoszulBlock(
             weight=weight, mid_dim=len(middle), src_dim=len(source),
             target_dim=len(target_index), d_in=d_in, d_out=d_out,
+            full_mid_dim=len(full_mid), full_src_dim=len(full_src),
+            full_middle=full_mid,
         )
+
+    def _check_unreduced_composition(self, source, weight):
+        """d_out . d_in = 0 on the unreduced block, from the source side: the
+        faces of the faces of each source wedge cancel.  The column of the
+        composite at a source element depends on its wedge alone, so each
+        wedge is checked once per cell."""
+        for wedge, _ in source:
+            if wedge in self._checked:
+                continue
+            acc = {}
+            for _, face, sign in _faces(wedge):
+                for _, face2, sign2 in _faces(face):
+                    acc[face2] = acc.get(face2, 0) + sign * sign2
+            if any(acc.values()):
+                raise InvariantError(f"d_out . d_in != 0 at weight {weight}")
+            self._checked.add(wedge)
 
     @staticmethod
     def _check_composition_zero(d_out: SparseMatrix, in_columns, weight):

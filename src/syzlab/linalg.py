@@ -234,20 +234,29 @@ def _modular_ranks(m: SparseMatrix, primes: tuple) -> list:
     return [rank] * len(primes)
 
 
-def certified_rank(m: SparseMatrix, primes, exact_threshold: int = 0) -> RankCertificate:
+def certified_rank(m: SparseMatrix, primes, exact_threshold: int = 0,
+                   size: int = None) -> RankCertificate:
     """Rank with a certification level.
 
     Requires at least two primes; single-prime estimates are deliberately a
     different, lower-trust code path so they cannot masquerade as certified.
     Matrices with rows*cols <= exact_threshold take the rational path, and
     the modular ranks are checked against it (modular can never exceed exact).
+
+    `size` is the rows*cols (0 if zero) that picks the route, by default m's
+    own.  A caller ranking m as the quotient of a larger matrix whose rank
+    exceeds m's by the same amount over every field passes the larger one's,
+    so the route, and with it `exact`, is the larger matrix's; `agreement`
+    is already the same for both.
     """
     primes = tuple(primes)
     if len(primes) < 2:
         raise ValueError("certified_rank needs at least two primes")
-    if m.nnz == 0:
+    if size is None:
+        size = m.rows * m.cols if m.nnz else 0
+    if size == 0:
         return RankCertificate(0, primes, True, True)
-    if m.rows * m.cols <= exact_threshold:
+    if size <= exact_threshold:
         exact = rank_exact(m)
         for p, modular in zip(primes, _modular_ranks(m, primes)):
             if modular > exact:

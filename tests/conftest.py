@@ -19,7 +19,7 @@ CRITERIA = {
     7: "Schur decomposition matches the plethysm oracle",
     8: "explicit cycles certify the whole K_{p,0} strand",
     9: "metamorphic, agreement, and reproducibility properties",
-    10: "stretch window on the quartic Veronese surface (non-gating)",
+    10: "complete Betti table of the quartic Veronese surface, Euler and bounds checked",
 }
 
 results = {}

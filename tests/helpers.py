@@ -6,12 +6,15 @@ order, no matrix layout and no rank code with the package: monomials come
 from combinations_with_replacement in ascending order, matrices are dense,
 ranks are Fraction-exact Gaussian elimination.  Slow but unarguable at tiny
 sizes.  The all-weights loop is the cell computation as it was before the
-orbit reduction; it shares the package's block builder and rank code on
-purpose, so that comparing against it tests the reduction and nothing else.
-Likewise the block build on full (wedge, tensor) keys is the build as it
-was before blocks were keyed by wedge alone, and full_complex and
-kpq_dim_unblocked at the end take the whole three-term complex, with no
-weight decomposition, through the package's term and exact-rank code.
+orbit reduction, and UnreducedCell builds each whole weight block as the
+engine did before it ranked blocks on their star quotients; both share the
+package's grouping, memory check and rank code on purpose, so that
+comparing against them tests the reduction and nothing else.  Likewise the
+block build on full (wedge, tensor) keys is the build as it was before
+blocks were keyed by wedge alone, with the star taken from full keys, and
+full_complex and kpq_dim_unblocked at the end take the whole three-term
+complex, with no weight decomposition, through the package's term and
+exact-rank code.
 """
 
 from __future__ import annotations
@@ -20,7 +23,14 @@ import itertools
 from fractions import Fraction
 
 from syzlab import ENGINE_VERSION, betti
-from syzlab.koszul import DEFAULT_MEMORY_CAP, KoszulCell, Parameters, _delta_terms
+from syzlab.koszul import (
+    DEFAULT_MEMORY_CAP,
+    KoszulBlock,
+    KoszulCell,
+    Parameters,
+    _delta_terms,
+    _faces,
+)
 from syzlab.linalg import SparseMatrix, rank_exact
 from syzlab.monomials import exponent_vectors
 
@@ -159,8 +169,36 @@ def brute_ssyt_count(shape, content) -> int:
     return rec(0)
 
 
-class AllWeightsCell(KoszulCell):
-    """A KoszulCell that groups and builds every weight, not only the
+class UnreducedCell(KoszulCell):
+    """A KoszulCell whose blocks are the whole weight blocks, as built before
+    each block was reduced by a vertex star: full bases, full matrices, and
+    the d_out . d_in = 0 check on the full matrices."""
+
+    def _build(self, weight, middle, source):
+        self._check_cap(weight, middle, source)
+        mid_index = {wedge: i for i, (wedge, _) in enumerate(middle)}
+        target_index = {}
+        out_entries = []
+        for col, (wedge, _) in enumerate(middle):
+            for _, face, sign in _faces(wedge):
+                row = target_index.setdefault(face, len(target_index))
+                out_entries.append((row, col, sign))
+        d_out = SparseMatrix(len(target_index), len(middle), tuple(out_entries))
+        in_columns = [[(mid_index[face], sign) for _, face, sign in _faces(wedge)]
+                      for wedge, _ in source]
+        d_in = SparseMatrix(len(middle), len(source), tuple(
+            (row, col, sign) for col, column in enumerate(in_columns)
+            for row, sign in column))
+        self._check_composition_zero(d_out, in_columns, weight)
+        return KoszulBlock(
+            weight=weight, mid_dim=len(middle), src_dim=len(source),
+            target_dim=len(target_index), d_in=d_in, d_out=d_out,
+            full_mid_dim=len(middle), full_src_dim=len(source), full_middle=middle,
+        )
+
+
+class AllWeightsCell(UnreducedCell):
+    """An UnreducedCell that groups and builds every weight, not only the
     dominant ones."""
 
     def _grouped(self, wedge_size, tensor_degree):
@@ -217,9 +255,12 @@ def all_weights_cell(n, b, d, p, q, config, cell_class=AllWeightsCell) -> dict:
 
 
 def delta_terms_block(cell: KoszulCell, weight) -> tuple:
-    """(d_in, d_out) of the block at a weight, with every basis element keyed
-    by its full (wedge, tensor) pair and every term taken from _delta_terms.
-    The bases are the cell's own, in its order."""
+    """(d_in, d_out) of the block at a weight on its quotient by the star of
+    its apex, with every basis element keyed by its full (wedge, tensor)
+    pair and every term taken from _delta_terms.  The apex is the first
+    degree-d monomial dividing x^weight; an element lies in its star when
+    its wedge holds the apex or the apex divides its tensor.  The bases are
+    the cell's own, in its order, less the star."""
     cell._ensure_groups()
     dominant = tuple(sorted(weight, reverse=True))
     middle = cell._middle.get(dominant, [])
@@ -228,15 +269,27 @@ def delta_terms_block(cell: KoszulCell, weight) -> tuple:
         middle = cell._permuted(middle, weight)
         source = cell._permuted(source, weight)
     exps = cell.basis_d.monomials
+    apex = next((i for i, m in enumerate(exps)
+                 if all(a >= c for a, c in zip(weight, m))), None)
+
+    def kept(key):
+        wedge, tensor = key
+        return apex is None or not (
+            apex in wedge or all(a >= c for a, c in zip(tensor, exps[apex])))
+
+    middle = [elem for elem in middle if kept(elem)]
+    source = [elem for elem in source if kept(elem)]
     mid_index = {elem: i for i, elem in enumerate(middle)}
     target_index = {}
     out_entries = []
     for col, (wedge, tensor) in enumerate(middle):
         for key, sign in _delta_terms(wedge, tensor, exps):
-            out_entries.append((target_index.setdefault(key, len(target_index)), col, sign))
+            if kept(key):
+                out_entries.append((target_index.setdefault(key, len(target_index)),
+                                    col, sign))
     in_entries = [(mid_index[key], col, sign)
                   for col, (wedge, tensor) in enumerate(source)
-                  for key, sign in _delta_terms(wedge, tensor, exps)]
+                  for key, sign in _delta_terms(wedge, tensor, exps) if kept(key)]
     return (SparseMatrix(len(middle), len(source), tuple(in_entries)),
             SparseMatrix(len(target_index), len(middle), tuple(out_entries)))
 

@@ -240,20 +240,27 @@ def test_criterion_09_metamorphic(tables, capsys):
 
 @pytest.mark.slow
 def test_criterion_10_stretch_quartic_surface(session_store):
-    """Both tails (p <= 5 and p >= 9) of all four strands of (n, b, d) =
-    (2, 0, 4), r_d = 14: the q = 2 strand starts and stops exactly where the
-    closed form says, and the high-p tail matches its twisted dual."""
+    """The whole Betti table of (n, b, d) = (2, 0, 4), r_d = 14: all 60
+    cells, p in [0, 14] on the four strands.  It passes the Euler identity
+    and every proved strand statement; the q = 2 strand starts and stops
+    exactly where the closed form says, and the high-p tail matches its
+    twisted dual."""
     config = make_config()
     t0 = time.monotonic()
-    window_p = list(range(0, 6)) + list(range(9, 15))
-    dims = {}
-    max_block = 0
-    for q in range(0, 4):
-        for p in window_p:
-            res = cell_result(2, 0, 4, p, q, config, session_store)
-            dims[(p, q)] = res.dim
-            max_block = max(max_block, res.max_block_dim)
-            assert res.agreement, (p, q)
+    table = betti_table(2, 0, 4, config=config, store=session_store)
+    assert not table.failures and not table.missing_cells()
+    dims = {pq: cell.dim for pq, cell in table.cells.items()}
+    assert len(dims) == 60
+    max_block = max(cell.max_block_dim for cell in table.cells.values())
+    for (p, q), cell in table.cells.items():
+        assert cell.agreement, (p, q)
+    window_p = range(0, 15)
+    report = euler_check(table)
+    assert report.ok, report.nonzero_residuals()
+    bounds = compare_report(table)
+    assert bounds.ok, [s.to_dict() for s in bounds.strands]
+    assert all(s.required_ok for s in bounds.strands)
+    assert bounds.linearity_violations == []
     # q = 0: the single generator
     for p in window_p:
         assert dims[(p, 0)] == (1 if p == 0 else 0), p

@@ -267,6 +267,13 @@ def _store_after_two_kpq(capsys, cache):
     return os.path.join(cache, "results.jsonl")
 
 
+def _untimed(line):
+    """A store line's key and record without wall_time_ms, as put() compares
+    records."""
+    row = json.loads(line)
+    return row["key"], ResultStore._payload(row["record"])
+
+
 def test_torn_last_store_line_is_skipped(capsys, tmp_path, caplog):
     cache = str(tmp_path / "cache")
     path = _store_after_two_kpq(capsys, cache)
@@ -280,9 +287,14 @@ def test_torn_last_store_line_is_skipped(capsys, tmp_path, caplog):
     assert code == EXIT_OK
     assert json.loads(out)["result"]["dim"] == 2
     assert "torn last line 2" in caplog.text
-    # the recomputed record replaced the torn line, and the store reads clean
+    # the recomputed record replaced the torn line, and the store reads clean;
+    # only its wall_time_ms (and with it the CRC) may differ from the first
     with open(path, encoding="utf-8") as fh:
-        assert fh.readlines() == [good, second]
+        lines = fh.readlines()
+    assert len(lines) == 2 and lines[0] == good and lines[1].endswith("\n")
+    assert _untimed(lines[1]) == _untimed(second)
+    key = json.loads(second)["key"]
+    assert ResultStore(cache).get(key)["dim"] == 2     # CRC checked on read
     caplog.clear()
     assert run(capsys, *args)[0] == EXIT_OK
     assert "torn" not in caplog.text

@@ -37,15 +37,14 @@ def weyl_plus_one(lam, m):
 
 
 WEYL = schur.weyl_dim
-PRIMES = betti.make_config().primes
-block = build_block(Parameters(1, 0, 2, 1, 1), (2, 2))
+EXACT_ROUTE = betti.make_config(exact_threshold=10 ** 6)
 cases = {
     "composition": (koszul, "_faces", flat_faces,
                     lambda: build_block(Parameters(1, 0, 2, 1, 1), (2, 2))),
     "rank_sum": (betti, "_block_ranks", too_large_ranks,
                  lambda: betti._compute_cell(1, 0, 2, 1, 1, betti.make_config())),
     "modular_le_exact": (linalg, "_rank_mod", one_above,
-                         lambda: linalg.certified_rank(block.d_out, PRIMES, 10 ** 6)),
+                         lambda: betti._compute_cell(1, 0, 2, 1, 1, EXACT_ROUTE)),
     "schur_recomposition": (schur, "weyl_dim", weyl_plus_one,
                             lambda: schur.schur_multiplicities(2, 0, 2, 1, 1)),
 }

@@ -14,7 +14,7 @@ from syzlab.koszul import (
 )
 from syzlab.monomials import distinct_permutations_count, enumerate_basis
 
-from helpers import delta_terms_block, fraction_rank, full_complex
+from helpers import UnreducedCell, delta_terms_block, fraction_rank, full_complex
 
 
 def all_weights(cell):
@@ -93,7 +93,8 @@ def test_weights_sum_and_order():
 
 
 def test_block_2_2_of_twisted_cubic_cell():
-    block = build_block(Parameters(1, 0, 2, 1, 1), (2, 2))
+    par = Parameters(1, 0, 2, 1, 1)
+    block = UnreducedCell(par).block((2, 2))
     # middle basis: x^2 (x) y^2, xy (x) xy, y^2 (x) x^2
     assert block.mid_dim == 3
     # source basis: x^2 ^ y^2 (x) 1 only
@@ -102,6 +103,11 @@ def test_block_2_2_of_twisted_cubic_cell():
     assert sorted(v for _, _, v in block.d_in.entries) == [-1, 1]
     assert fraction_rank(block.d_out.to_dense()) == 1
     assert fraction_rank(block.d_in.to_dense()) == 1
+    # the engine ranks its quotient by the star of x^2, which leaves only
+    # xy (x) xy: a cycle and no boundary, the block's one class
+    quotient = build_block(par, (2, 2))
+    assert (quotient.mid_dim, quotient.src_dim, quotient.target_dim) == (1, 0, 0)
+    assert (quotient.full_mid_dim, quotient.full_src_dim) == (3, 1)
 
 
 def test_block_contributions_sum_to_one():
@@ -162,7 +168,7 @@ def test_block_ranks_match_unblocked_ranks():
         d_in, d_out, mid = full_complex(par)
         whole_in = fraction_rank(d_in.to_dense())
         whole_out = fraction_rank(d_out.to_dense())
-        cell = KoszulCell(par)
+        cell = UnreducedCell(par)
         blocks = [cell.block(w) for w in all_weights(cell)]
         assert sum(b.mid_dim for b in blocks) == mid
         assert sum(fraction_rank(b.d_in.to_dense()) for b in blocks) == whole_in
@@ -174,7 +180,8 @@ def test_block_ranks_match_unblocked_ranks():
 
 
 def test_weight_permutation_symmetry():
-    # permuting the variables permutes weights without changing block shape
+    # permuting the variables permutes weights without changing the shape of
+    # the unreduced block or the block's contribution
     par = Parameters(2, 0, 2, 1, 1)
     cell = KoszulCell(par)
     dims = {}
@@ -182,7 +189,7 @@ def test_weight_permutation_symmetry():
         block = cell.block(w)
         r_in = fraction_rank(block.d_in.to_dense())
         r_out = fraction_rank(block.d_out.to_dense())
-        dims[block.weight] = (block.mid_dim, block.src_dim,
+        dims[block.weight] = (block.full_mid_dim, block.full_src_dim,
                               block.mid_dim - r_in - r_out)
     for w in dims:
         for perm in permutations(w):
@@ -192,7 +199,8 @@ def test_weight_permutation_symmetry():
 @pytest.mark.parametrize("params", [(1, 1, 4, 2, 1), (2, 0, 3, 3, 1), (2, 1, 3, 4, 1),
                                     (3, 0, 2, 3, 1), (2, 0, 2, 2, 1), (2, 3, 2, 1, -1)])
 def test_wedge_keyed_build_matches_delta_terms_build(params):
-    # every dominant block and one permuted block, entry for entry
+    # the quotient of every dominant block and of one permuted block, entry
+    # for entry
     cell = KoszulCell(Parameters(*params))
     weights = cell.weights()
     assert weights

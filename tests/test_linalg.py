@@ -1,5 +1,6 @@
 import logging
 import random
+from itertools import product
 
 import pytest
 
@@ -17,7 +18,7 @@ from syzlab.linalg import (
     rank_mod_p,
 )
 
-from helpers import fraction_rank
+from helpers import UnreducedCell, fraction_rank
 
 FIELD = PrimeField(default_primes(1)[0])
 
@@ -159,8 +160,10 @@ def test_fused_kernel_matches_per_prime_ranks_on_table_blocks(nbd):
     p1, p2 = default_primes(2)
     ranked = 0
     for q in range(default_q_lo(b, d), n + 2):
-        for p in range(binom_safe(d + n, n)):
-            for block in KoszulCell(Parameters(n, b, d, p, q)).iter_blocks():
+        for p, cell_class in product(range(binom_safe(d + n, n)),
+                                     (KoszulCell, UnreducedCell)):
+            # the quotient blocks the engine ranks, and the whole blocks
+            for block in cell_class(Parameters(n, b, d, p, q)).iter_blocks():
                 for m in (block.d_in, block.d_out):
                     if m.nnz:
                         assert [_rank_mod(m, p1 * p2)] * 2 == per_prime_ranks(m, (p1, p2))

@@ -1,0 +1,90 @@
+"""Ranking each block on its quotient by a vertex star changes no answer.
+
+The engine builds every weight block as its quotient by the star of its
+apex, an acyclic cone, and ranks only that.  The oracle in helpers.py,
+UnreducedCell, builds the whole block as the engine did before.  Block by
+block, the two contributions mid - rank(d_in) - rank(d_out) must agree over
+every field; cell by cell, every field of the result must agree in every
+mode, since the route and the flags come from the unreduced shapes.
+"""
+
+import pytest
+
+from syzlab import betti
+from syzlab.arith import binom_safe, random_prime
+from syzlab.betti import EngineConfig, default_q_lo, make_config
+from syzlab.koszul import KoszulCell, Parameters
+from syzlab.linalg import _rank_mod
+
+from helpers import UnreducedCell
+
+TABLES = [(1, 1, 4), (2, 0, 3), (2, 1, 3), (3, 0, 2), (2, 1, 2), (1, 2, 2)]
+PRIMES = [2, random_prime(31, 0)]
+
+
+def table_cells(n, b, d):
+    v = binom_safe(d + n, n)
+    return [(p, q) for q in range(default_q_lo(b, d), n + 2) for p in range(v)
+            if betti._analytic_zero_reason(n, b, d, p, q) is None]
+
+
+def contribution(block, prime) -> int:
+    return block.mid_dim - _rank_mod(block.d_in, prime) - _rank_mod(block.d_out, prime)
+
+
+@pytest.mark.parametrize("nbd", TABLES, ids=lambda nbd: "".join(map(str, nbd)))
+def test_quotient_contribution_matches_the_unreduced_block(nbd):
+    shrunk = 0
+    for p, q in table_cells(*nbd):
+        params = Parameters(*nbd, p, q)
+        cell, oracle = KoszulCell(params), UnreducedCell(params)
+        weights = cell.weights()
+        for w in weights + [tuple(reversed(weights[len(weights) // 2]))]:
+            block, full = cell.block(w), oracle.block(w)
+            assert (block.full_mid_dim, block.full_src_dim) == (full.mid_dim, full.src_dim)
+            for prime in PRIMES:
+                assert contribution(block, prime) == contribution(full, prime), \
+                    (nbd, p, q, w, prime)
+            shrunk += block.mid_dim < full.mid_dim
+    assert shrunk
+
+
+CONFIGS = {
+    "two-prime": make_config(),
+    "exact": make_config("exact"),
+    "one-prime": make_config("one-prime"),
+    "threshold-0": make_config(exact_threshold=0),
+    "threshold-100000": make_config(exact_threshold=100000),
+    "primes-2-3": EngineConfig(primes=(2, 3)),
+}
+
+
+def cell_fields(n, b, d, p, q, config):
+    """The result's fields, or the error it raised (the primes 2 and 3 are
+    refused as certification primes, at the first nonzero map)."""
+    try:
+        res = betti._compute_cell(n, b, d, p, q, config)
+    except ValueError as exc:
+        return ("refused", str(exc))
+    return {"dim": res.dim, "level": res.level, "agreement": res.agreement,
+            "block_count": res.block_count, "max_block_dim": res.max_block_dim}
+
+
+# Exact ranks of unreduced blocks (exact mode, threshold 100000) take the
+# oracle minutes on the three larger tables, so those run the other modes.
+SMALL = [(1, 1, 4), (2, 1, 2), (1, 2, 2), (2, 0, 2)]
+CASES = [(nbd, name) for nbd in SMALL for name in sorted(CONFIGS)] + [
+    (nbd, name) for nbd in [(2, 0, 3), (2, 1, 3), (3, 0, 2)]
+    for name in ["one-prime", "primes-2-3", "threshold-0", "two-prime"]]
+
+
+@pytest.mark.parametrize("nbd,name", CASES,
+                         ids=["".join(map(str, nbd)) + "-" + name for nbd, name in CASES])
+def test_every_cell_matches_the_unreduced_engine(nbd, name, monkeypatch):
+    config = CONFIGS[name]
+    cells = table_cells(*nbd)
+    new = [cell_fields(*nbd, p, q, config) for p, q in cells]
+    monkeypatch.setattr(betti, "KoszulCell", UnreducedCell)
+    old = [cell_fields(*nbd, p, q, config) for p, q in cells]
+    for (p, q), got, want in zip(cells, new, old):
+        assert got == want, (nbd, p, q, name)
