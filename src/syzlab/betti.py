@@ -4,7 +4,9 @@ A cell is computed blockwise: each torus-weight block contributes
 mid_dim - rank(d_in) - rank(d_out), ranks taken per the engine mode (exact
 rational, two-prime certified, or single-prime estimate).  Since modular
 ranks can only undercount, dimensions can only overcount; agreement of two
-independent 31-bit primes is the standard certification level.
+independent 31-bit primes is the standard certification level.  Every mode
+ranks through linalg.certified_rank, and one pass over the weight blocks,
+weight_blocks, serves both the cells and schur's weight-space dimensions.
 
 Only the dominant weights are built and ranked, in descending lex order.
 The blocks at the permutations of a weight are isomorphic to it over the
@@ -54,7 +56,7 @@ from .koszul import (
     KoszulCell,
     Parameters,
 )
-from .linalg import InvariantError, _field, certified_rank, rank_exact, rank_mod_p
+from .linalg import InvariantError, certified_rank
 from .monomials import distinct_permutations_count
 
 logger = logging.getLogger(__name__)
@@ -63,7 +65,9 @@ LEVEL_EXACT = "exact"
 LEVEL_TWO_PRIME = "two-prime"
 LEVEL_ONE_PRIME = "one-prime"
 
-_MODES = (LEVEL_EXACT, LEVEL_TWO_PRIME, LEVEL_ONE_PRIME)
+MODES = (LEVEL_EXACT, LEVEL_TWO_PRIME, LEVEL_ONE_PRIME)
+DEFAULT_PRIME_SEEDS = {LEVEL_EXACT: (), LEVEL_TWO_PRIME: (0, 1), LEVEL_ONE_PRIME: (0,)}
+DEFAULT_PRIME_BITS = 31
 
 
 @dataclass(frozen=True)
@@ -76,7 +80,7 @@ class EngineConfig:
     memory_cap: int = DEFAULT_MEMORY_CAP
 
     def __post_init__(self):
-        if self.mode not in _MODES:
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == LEVEL_TWO_PRIME and len(self.primes) < 2:
             raise ValueError("two-prime mode needs at least two primes")
@@ -85,17 +89,17 @@ class EngineConfig:
 
 
 def make_config(
-    mode: str = LEVEL_TWO_PRIME,
+    mode: str = EngineConfig.mode,
     prime_seeds=None,
-    prime_bits: int = 31,
-    exact_threshold: int = 256,
-    memory_cap: int = DEFAULT_MEMORY_CAP,
+    prime_bits: int = DEFAULT_PRIME_BITS,
+    exact_threshold: int = EngineConfig.exact_threshold,
+    memory_cap: int = EngineConfig.memory_cap,
 ) -> EngineConfig:
     """Config with reproducible primes drawn from the given seeds."""
-    if mode not in _MODES:
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if prime_seeds is None:
-        prime_seeds = {LEVEL_EXACT: (), LEVEL_TWO_PRIME: (0, 1), LEVEL_ONE_PRIME: (0,)}[mode]
+        prime_seeds = DEFAULT_PRIME_SEEDS[mode]
     primes = tuple(random_prime(prime_bits, s) for s in prime_seeds)
     return EngineConfig(
         mode=mode, primes=primes, exact_threshold=exact_threshold,
@@ -163,23 +167,20 @@ def _analytic_zero_reason(n: int, b: int, d: int, p: int, q: int):
 def _block_ranks(block, config: EngineConfig):
     """(rank_in, rank_out, exact, agreement) for one block under the config.
 
-    The ranks are the quotient's, the block's own matrices; the route, and
-    so `exact`, is picked from the shapes of the unreduced block (see the
-    module notes)."""
+    The mode sets only the largest map that takes the exact route: any in
+    exact mode, which checks no primes, none in one-prime mode.  The ranks
+    are the quotient's, the block's own matrices; the route, and so `exact`,
+    is picked from the shapes of the unreduced block (see the module notes)."""
+    # sizes past zero matter only to two-prime mode's threshold
+    limit = config.exact_threshold if config.mode == LEVEL_TWO_PRIME else 0
+    threshold, primes = limit, config.primes
     if config.mode == LEVEL_EXACT:
-        return rank_exact(block.d_in), rank_exact(block.d_out), True, True
-    if config.mode == LEVEL_ONE_PRIME:
-        fld = _field(config.primes[0])
-        exact = block.full_sizes(0) == (0, 0)   # both unreduced maps zero
-        r_in = 0 if block.d_in.nnz == 0 else rank_mod_p(block.d_in, fld)
-        r_out = 0 if block.d_out.nnz == 0 else rank_mod_p(block.d_out, fld)
-        return r_in, r_out, exact, exact
-    size_in, size_out = block.full_sizes(config.exact_threshold)
-    cert_in = certified_rank(block.d_in, config.primes, config.exact_threshold, size_in)
-    cert_out = certified_rank(block.d_out, config.primes, config.exact_threshold, size_out)
-    exact = cert_in.exact and cert_out.exact
-    agreement = (cert_in.exact or cert_in.agreement) and (cert_out.exact or cert_out.agreement)
-    return cert_in.rank, cert_out.rank, exact, agreement
+        threshold, primes = float("inf"), ()
+    size_in, size_out = block.full_sizes(limit)
+    cert_in = certified_rank(block.d_in, primes, threshold, size_in)
+    cert_out = certified_rank(block.d_out, primes, threshold, size_out)
+    return (cert_in.rank, cert_out.rank, cert_in.exact and cert_out.exact,
+            cert_in.agreement and cert_out.agreement)
 
 
 def _block_dim(block, config: EngineConfig):
@@ -193,6 +194,14 @@ def _block_dim(block, config: EngineConfig):
     return block.mid_dim - r_in - r_out, exact, agree
 
 
+def weight_blocks(n: int, b: int, d: int, p: int, q: int, config: EngineConfig):
+    """(block, contribution, exact, agreement) at each dominant weight of the
+    cell, in descending lex order.  The cell's parameters and memory cap are
+    checked before the first block is asked for."""
+    cell = KoszulCell(Parameters(n=n, b=b, d=d, p=p, q=q), config.memory_cap)
+    return ((block, *_block_dim(block, config)) for block in cell.iter_blocks())
+
+
 def _compute_cell(n: int, b: int, d: int, p: int, q: int, config: EngineConfig) -> CellResult:
     t0 = time.monotonic()
     reason = _analytic_zero_reason(n, b, d, p, q)
@@ -203,15 +212,12 @@ def _compute_cell(n: int, b: int, d: int, p: int, q: int, config: EngineConfig) 
             block_count=0, max_block_dim=0,
             wall_time_ms=int((time.monotonic() - t0) * 1000), analytic=True,
         )
-    params = Parameters(n=n, b=b, d=d, p=p, q=q)
-    cell = KoszulCell(params, config.memory_cap)
     dim = 0
     block_count = 0
     max_block = 0
     all_exact = True
     all_agree = True
-    for block in cell.iter_blocks():
-        block_dim, exact, agree = _block_dim(block, config)
+    for block, block_dim, exact, agree in weight_blocks(n, b, d, p, q, config):
         orbit = distinct_permutations_count(block.weight)
         dim += orbit * block_dim
         block_count += orbit
@@ -415,20 +421,23 @@ class BettiTable:
         return [pq for pq in self.window_cells() if pq not in self.cells]
 
 
-def betti_table(n, b, d, p_range=None, q_range=None,
+def betti_table(n, b, d, p_range=(None, None), q_range=(None, None),
                 config: EngineConfig = None, store: ResultStore = None) -> BettiTable:
-    """Compute a window of cells (default: every possibly-nonzero cell).
+    """Compute a window of cells; a range end that is None is the end of the
+    full table, which holds every possibly-nonzero cell.
 
     Infeasible cells are recorded per cell, not fatal; everything already in
     the store is reused.
     """
     config = config or make_config()
-    v = binom_safe(d + n, n)
-    if p_range is None:
-        p_range = (0, v - 1)
-    if q_range is None:
-        q_range = (default_q_lo(b, d), n + 1)
-    table = BettiTable(n=n, b=b, d=d, p_range=tuple(p_range), q_range=tuple(q_range))
+    (p_lo, p_hi), (q_lo, q_hi) = p_range, q_range
+    table = BettiTable(
+        n=n, b=b, d=d,
+        p_range=(0 if p_lo is None else p_lo,
+                 binom_safe(d + n, n) - 1 if p_hi is None else p_hi),
+        q_range=(default_q_lo(b, d) if q_lo is None else q_lo,
+                 n + 1 if q_hi is None else q_hi),
+    )
     for p, q in table.window_cells():
         try:
             table.cells[(p, q)] = cell_result(n, b, d, p, q, config, store)

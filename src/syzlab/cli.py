@@ -21,6 +21,9 @@ from dataclasses import asdict, dataclass
 from . import ENGINE_VERSION, SCHEMA
 from .arith import binom_safe
 from .betti import (
+    DEFAULT_PRIME_BITS,
+    DEFAULT_PRIME_SEEDS,
+    MODES,
     EngineConfig,
     IncompleteTableError,
     ResultStore,
@@ -37,7 +40,7 @@ from .betti import (
 )
 from .bounds import all_ranges, compare_report
 from .cycles import build_kp0_cycle, verify_nonzero_class
-from .koszul import InfeasibleBlockError
+from .koszul import DEFAULT_MEMORY_CAP, InfeasibleBlockError
 from .linalg import InvariantError
 from .render import render_normalized_diagram
 from .schur import CertificationError, SchurSolveError, schur_multiplicities
@@ -77,11 +80,11 @@ class RunConfig:
     q_max: int = None
     d_min: int = None
     d_max: int = None
-    mode: str = "two-prime"
-    prime_seeds: tuple = (0, 1)
-    prime_bits: int = 31
-    exact_threshold: int = 256
-    memory_cap_mb: int = 2048
+    mode: str = EngineConfig.mode
+    prime_seeds: tuple = DEFAULT_PRIME_SEEDS[EngineConfig.mode]
+    prime_bits: int = DEFAULT_PRIME_BITS
+    exact_threshold: int = EngineConfig.exact_threshold
+    memory_cap_mb: int = DEFAULT_MEMORY_CAP >> 20
     cache_dir: str = None
     fmt: str = "json"
     width_px: int = 640
@@ -108,14 +111,13 @@ class RunConfig:
 
 
 def _add_engine_flags(sp):
-    sp.add_argument("--mode", choices=["exact", "two-prime", "one-prime"],
-                    default="two-prime")
+    sp.add_argument("--mode", choices=MODES, default=RunConfig.mode)
     sp.add_argument("--prime-seeds", type=int, nargs="+", default=None,
-                    help="seeds for the certification primes (default 0 1)")
-    sp.add_argument("--prime-bits", type=int, default=31)
-    sp.add_argument("--exact-threshold", type=int, default=256,
+                    help="seeds for the certification primes (default: the mode's own)")
+    sp.add_argument("--prime-bits", type=int, default=RunConfig.prime_bits)
+    sp.add_argument("--exact-threshold", type=int, default=RunConfig.exact_threshold,
                     help="blocks up to this rows*cols take the exact rational path")
-    sp.add_argument("--memory-cap-mb", type=int, default=2048)
+    sp.add_argument("--memory-cap-mb", type=int, default=RunConfig.memory_cap_mb)
     sp.add_argument("--cache-dir", default=None)
     sp.add_argument("--no-cache", action="store_true")
 
@@ -198,12 +200,8 @@ def config_from_args(args) -> RunConfig:
         if hasattr(args, name):
             fields[name] = getattr(args, name)
     if hasattr(args, "prime_seeds"):
-        if args.prime_seeds is not None:
-            fields["prime_seeds"] = tuple(args.prime_seeds)
-        elif args.mode == "exact":
-            fields["prime_seeds"] = ()
-        elif args.mode == "one-prime":
-            fields["prime_seeds"] = (0,)
+        fields["prime_seeds"] = (DEFAULT_PRIME_SEEDS[args.mode] if args.prime_seeds is None
+                                 else tuple(args.prime_seeds))
     if hasattr(args, "cache_dir"):
         fields["cache_dir"] = _resolve_cache(args)
     return RunConfig(**fields)
@@ -238,16 +236,7 @@ def cmd_kpq(cfg: RunConfig) -> tuple:
 def _table_for(cfg: RunConfig, n=None, b=None):
     n = cfg.n if n is None else n
     b = cfg.b if b is None else b
-    p_range = None
-    q_range = None
-    if cfg.p_min is not None or cfg.p_max is not None:
-        v = binom_safe(cfg.d + n, n)
-        p_range = (cfg.p_min if cfg.p_min is not None else 0,
-                   cfg.p_max if cfg.p_max is not None else v - 1)
-    if cfg.q_min is not None or cfg.q_max is not None:
-        q_range = (cfg.q_min if cfg.q_min is not None else 0,
-                   cfg.q_max if cfg.q_max is not None else n + 1)
-    return betti_table(n, b, cfg.d, p_range, q_range,
+    return betti_table(n, b, cfg.d, (cfg.p_min, cfg.p_max), (cfg.q_min, cfg.q_max),
                        cfg.engine_config(), cfg.store())
 
 

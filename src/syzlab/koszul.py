@@ -99,8 +99,7 @@ class Parameters:
     """Cell coordinates (n, b, d, p, q) with the derived sizes v and r_d.
 
     v = dim S^d U = binom(d+n, n) and r_d = v - 1 is the dimension of the
-    ambient projective space of the embedding.  Both may be passed in
-    explicitly, in which case they are checked against the formula.
+    ambient projective space of the embedding.
     """
 
     n: int
@@ -108,8 +107,6 @@ class Parameters:
     d: int
     p: int
     q: int
-    v: int = None
-    r_d: int = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -120,15 +117,14 @@ class Parameters:
             raise ValueError(f"b must be >= 0, got {self.b}")
         if self.p < 0:
             raise ValueError(f"p must be >= 0, got {self.p}")
-        v = binom_safe(self.d + self.n, self.n)
-        if self.v is None:
-            object.__setattr__(self, "v", v)
-        elif self.v != v:
-            raise ValueError(f"inconsistent v: given {self.v}, expected {v}")
-        if self.r_d is None:
-            object.__setattr__(self, "r_d", v - 1)
-        elif self.r_d != v - 1:
-            raise ValueError(f"inconsistent r_d: given {self.r_d}, expected {v - 1}")
+
+    @property
+    def v(self) -> int:
+        return binom_safe(self.d + self.n, self.n)
+
+    @property
+    def r_d(self) -> int:
+        return self.v - 1
 
     @property
     def middle_degree(self) -> int:

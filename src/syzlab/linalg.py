@@ -11,7 +11,8 @@ A modular rank can only undercount the rational rank (bad primes divide some
 minor), never overcount.  Rank certification therefore computes ranks at
 several independent primes and takes the maximum; agreement across primes is
 recorded and disagreement is logged, since cohomology dimensions built from
-undercounted ranks can only overcount.
+undercounted ranks can only overcount.  One call, `certified_rank`, serves
+every engine mode, whatever its number of primes.
 
 The elimination kernel runs over Z/N for any modulus N, and certification
 runs it once with N the product of the distinct primes.  By the Chinese
@@ -236,12 +237,12 @@ def _modular_ranks(m: SparseMatrix, primes: tuple) -> list:
 
 def certified_rank(m: SparseMatrix, primes, exact_threshold: int = 0,
                    size: int = None) -> RankCertificate:
-    """Rank with a certification level.
+    """Rank with a certification level, for any number of primes.
 
-    Requires at least two primes; single-prime estimates are deliberately a
-    different, lower-trust code path so they cannot masquerade as certified.
     Matrices with rows*cols <= exact_threshold take the rational path, and
-    the modular ranks are checked against it (modular can never exceed exact).
+    each prime's modular rank is checked against it (modular can never
+    exceed exact).  Others get modular ranks only, and `agreement` needs two
+    primes or more that agree, so a one-prime estimate is never certified.
 
     `size` is the rows*cols (0 if zero) that picks the route, by default m's
     own.  A caller ranking m as the quotient of a larger matrix whose rank
@@ -250,15 +251,13 @@ def certified_rank(m: SparseMatrix, primes, exact_threshold: int = 0,
     is already the same for both.
     """
     primes = tuple(primes)
-    if len(primes) < 2:
-        raise ValueError("certified_rank needs at least two primes")
     if size is None:
         size = m.rows * m.cols if m.nnz else 0
     if size == 0:
         return RankCertificate(0, primes, True, True)
     if size <= exact_threshold:
         exact = rank_exact(m)
-        for p, modular in zip(primes, _modular_ranks(m, primes)):
+        for p, modular in zip(primes, _modular_ranks(m, primes) if primes else ()):
             if modular > exact:
                 raise InvariantError(
                     f"rank mod {p} is {modular}, above the exact rank {exact} "
@@ -277,4 +276,4 @@ def certified_rank(m: SparseMatrix, primes, exact_threshold: int = 0,
             "rank disagreement across primes %s: %s on a %dx%d block",
             primes, ranks, m.rows, m.cols,
         )
-    return RankCertificate(max(ranks), primes, agreement, False)
+    return RankCertificate(max(ranks), primes, agreement and len(ranks) > 1, False)

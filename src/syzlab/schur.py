@@ -12,8 +12,9 @@ is plain back-substitution:
     M_lambda = c_lambda - sum_{nu > lambda} M_nu K_{nu lambda}.
 
 A negative M_lambda is mathematically impossible, so it is raised as a hard
-error (it would mean a rank was wrong).  Weight-space dimensions demand
-exact or multi-prime-agreed ranks; single-prime estimates are refused.
+error (it would mean a rank was wrong).  Weight-space dimensions, read off
+the cell's own pass, demand exact or multi-prime-agreed ranks; single-prime
+estimates are refused.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .betti import LEVEL_ONE_PRIME, EngineConfig, _block_dim, make_config
+from .betti import LEVEL_ONE_PRIME, EngineConfig, _block_dim, make_config, weight_blocks
 from .koszul import KoszulCell, Parameters
 from .monomials import distinct_permutations_count
 
@@ -129,8 +130,7 @@ def weyl_dim(lam, m: int) -> int:
     return num // den
 
 
-def _certified_block_dim(block, config: EngineConfig) -> int:
-    dim, exact, agree = _block_dim(block, config)
+def _certified(block, dim, exact, agree) -> int:
     if not (exact or agree):
         raise CertificationError(
             f"rank disagreement across primes at weight {block.weight}; "
@@ -143,9 +143,9 @@ def weight_space_dims(n, b, d, p, q, config: EngineConfig = None) -> dict:
     """Dimensions c_mu of the dominant torus-weight spaces of K_{p,q}.
 
     Keys are all partitions of (p+q)d + b into at most n+1 parts, padded
-    with zeros to n+1 entries; values can be 0.  The blocks are those of the
-    cell's own dominant grouping, so the ranks are the ones `kpq` takes.
-    Refuses single-prime configurations outright.
+    with zeros to n+1 entries; values can be 0.  The values are the
+    contributions of the cell's own pass, so the ranks are the ones `kpq`
+    takes.  Refuses single-prime configurations outright.
     """
     config = config or make_config()
     if config.mode == LEVEL_ONE_PRIME:
@@ -153,12 +153,11 @@ def weight_space_dims(n, b, d, p, q, config: EngineConfig = None) -> dict:
             "weight-space dimensions refuse one-prime estimates; "
             "use exact or two-prime mode"
         )
-    params = Parameters(n=n, b=b, d=d, p=p, q=q)
-    cell = KoszulCell(params, config.memory_cap)
+    blocks = weight_blocks(n, b, d, p, q, config)
     out = {lam + (0,) * (n + 1 - len(lam)): 0
-           for lam in partitions_of(params.weight_total, n + 1)}
-    for w in cell.weights():
-        out[w] = _certified_block_dim(cell.block(w), config)
+           for lam in partitions_of((p + q) * d + b, n + 1)}
+    for block, dim, exact, agree in blocks:
+        out[block.weight] = _certified(block, dim, exact, agree)
     return out
 
 
@@ -179,8 +178,9 @@ def verify_weight_symmetry(n, b, d, p, q, samples: int = 3, seed: int = 0,
         perm = list(w)
         while tuple(perm) == w:
             rng.shuffle(perm)
-        base = _certified_block_dim(cell.block(w), config)
-        other = _certified_block_dim(cell.block(tuple(perm)), config)
+        block, twin = cell.block(w), cell.block(tuple(perm))
+        base = _certified(block, *_block_dim(block, config))
+        other = _certified(twin, *_block_dim(twin, config))
         if base != other:
             return False
     return True

@@ -92,6 +92,30 @@ def test_window_flags(capsys):
     assert [(e["p"], e["q"]) for e in table["entries"]] == [(1, 1), (2, 1)]
 
 
+def test_window_ends_not_given_are_the_full_tables(capsys):
+    # b >= d: the full table starts at the q = -(b // d) strand, not at q = 0
+    base = ("betti", "--n", "1", "--b", "2", "--d", "2", "--format", "m2", "--no-cache")
+    _, full, _ = run(capsys, *base)
+    code, window, _ = run(capsys, *base, "--q-max", "2")
+    assert code == EXIT_OK
+    assert window.splitlines()[2:] == full.splitlines()[2:]
+    assert window.splitlines()[3].split() == ["-1", "1", ".", "."]
+
+
+@pytest.mark.parametrize("mode", ["one-prime", "two-prime"])
+def test_prime_is_checked_when_first_ranked_modulo(capsys, mode):
+    # 20 bits is outside the 31-62 a prime field takes; every unreduced map
+    # of K_{0,0} is zero, so no map is ranked modulo the prime there
+    args = ("kpq", "--n", "1", "--b", "0", "--d", "2", "--mode", mode,
+            "--prime-bits", "20", "--no-cache")
+    code, out, _ = run(capsys, *args, "--p", "0", "--q", "0")
+    assert code == EXIT_OK
+    assert json.loads(out)["result"]["dim"] == 1
+    code, out, err = run(capsys, *args, "--p", "1", "--q", "1")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "31-62 bits" in err
+
+
 def test_verify_clean_table(capsys):
     code, out, _ = run(capsys, "verify", "--n", "1", "--b", "0", "--d", "3",
                        "--no-cache")

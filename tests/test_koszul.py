@@ -31,8 +31,6 @@ def test_parameters_derived_sizes():
     assert par.middle_degree == 3
     assert par.source_degree == 0
     assert par.weight_total == 6
-    # explicit-but-consistent values are accepted
-    assert Parameters(2, 0, 3, 1, 1, v=10, r_d=9).v == 10
 
 
 def test_parameters_validation():
@@ -44,10 +42,6 @@ def test_parameters_validation():
         Parameters(1, 0, 0, 1, 1)
     with pytest.raises(ValueError):
         Parameters(1, 0, 2, -1, 1)
-    with pytest.raises(ValueError):
-        Parameters(1, 0, 2, 1, 1, v=7)
-    with pytest.raises(ValueError):
-        Parameters(1, 0, 2, 1, 1, r_d=9)
 
 
 def test_differential_two_term_example():

@@ -108,10 +108,22 @@ def test_certified_rank_modular_route():
     assert cert.exact is False
 
 
-def test_certified_rank_requires_two_primes():
-    m = SparseMatrix.from_dense([[1]])
-    with pytest.raises(ValueError):
-        certified_rank(m, default_primes(1))
+def test_certified_rank_with_one_prime_never_agrees():
+    primes = tuple(default_primes(1))
+    m = SparseMatrix.from_dense([[1, 2], [2, 4], [0, 1]])
+    assert certified_rank(m, primes) == RankCertificate(2, primes, False, False)
+    assert certified_rank(m, primes, exact_threshold=100) == \
+        RankCertificate(2, primes, True, True)
+    assert certified_rank(SparseMatrix(3, 3, ()), primes) == \
+        RankCertificate(0, primes, True, True)
+
+
+def test_certified_rank_without_primes_is_rank_exact():
+    rng = random.Random(111)
+    for _ in range(20):
+        m = random_sparse(rng, rng.randrange(0, 9), rng.randrange(0, 9))
+        assert certified_rank(m, (), float("inf")) == \
+            RankCertificate(rank_exact(m), (), True, True)
 
 
 def test_certified_rank_zero_matrix_fast_path():
