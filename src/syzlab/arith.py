@@ -76,8 +76,3 @@ class PrimeField:
             raise ValueError(f"modulus must have 31-62 bits, got {self.modulus}")
         if not is_prime(self.modulus):
             raise ValueError(f"modulus {self.modulus} is not prime")
-
-
-def default_primes(count: int = 2, bits: int = 31) -> tuple[int, ...]:
-    """The engine's standard certification primes, seeds 0, 1, ..."""
-    return tuple(random_prime(bits, seed) for seed in range(count))

@@ -195,15 +195,19 @@ class KoszulBlock:
     def full_sizes(self, limit: int) -> tuple:
         """(size of d_in, size of d_out) of the unreduced block, a size being
         rows * cols, or 0 for a zero map, as far as a comparison with `limit`
-        needs.  The rows of the unreduced d_out are counted only when its
-        middle dimension is at most `limit`; otherwise that dimension, a
-        lower bound already above `limit`, stands for its size."""
+        needs.  The size of d_in is exact.  The rows of the unreduced d_out,
+        its distinct faces, are counted only until they number more than
+        limit // full_mid_dim: the size is exact whenever it is at most
+        `limit`, and otherwise a lower bound already above it."""
         size_in = self.full_mid_dim * self.full_src_dim
         if not self.full_middle or not self.full_middle[0][0]:
             return size_in, 0                  # no middle space, or p = 0
-        if self.full_mid_dim > limit:
-            return size_in, self.full_mid_dim
-        rows = {face for wedge, _ in self.full_middle for _, face, _ in _faces(wedge)}
+        enough = limit // self.full_mid_dim
+        rows = set()
+        for wedge, _ in self.full_middle:
+            rows.update(face for _, face, _ in _faces(wedge))
+            if len(rows) > enough:
+                break
         return size_in, len(rows) * self.full_mid_dim
 
 
@@ -246,6 +250,15 @@ class KoszulCell:
         return binom_safe(p.v, p.p + 1) * binom_safe(p.source_degree + p.n, p.n)
 
     def _grouped(self, wedge_size: int, tensor_degree: int) -> dict:
+        """{dominant weight: [(wedge, tensor), ...]} over the wedges of
+        `wedge_size` basis indices, in combinations order, times the tensors
+        of `tensor_degree`, in exponent_vectors order.
+
+        s + t is dominant iff each gap t_i - t_(i+1) covers the need
+        s_(i+1) - s_i of the wedge sum s.  All wedge sums have the same
+        total, so the need fixes s; the tensors covering it, and the groups
+        they send s to, are found once per distinct sum and reused by every
+        wedge with that sum."""
         par = self.params
         groups = {}
         if wedge_size < 0 or wedge_size > par.v:
@@ -253,18 +266,19 @@ class KoszulCell:
         tensors = exponent_vectors(par.n, tensor_degree)
         if not tensors:
             return groups
-        # s + t is dominant iff each gap t_i - t_(i+1) covers s_(i+1) - s_i
         gaps = [(t, tuple(map(sub, t, t[1:]))) for t in tensors]
         exps = self.basis_d.monomials
         zero = (0,) * (par.n + 1)
+        targets = {}    # wedge sum -> [(group list, tensor), ...]
         for wedge in combinations(range(par.v), wedge_size):
-            s = zero
-            for i in wedge:
-                s = tuple(map(add, s, exps[i]))
-            need = tuple(map(sub, s[1:], s))
-            for t, gap in gaps:
-                if all(map(ge, gap, need)):
-                    groups.setdefault(tuple(map(add, s, t)), []).append((wedge, t))
+            s = tuple(map(sum, zip(zero, *[exps[i] for i in wedge])))
+            pairs = targets.get(s)
+            if pairs is None:
+                need = tuple(map(sub, s[1:], s))
+                pairs = targets[s] = [(groups.setdefault(tuple(map(add, s, t)), []), t)
+                                      for t, gap in gaps if all(map(ge, gap, need))]
+            for group, t in pairs:
+                group.append((wedge, t))
         return groups
 
     def _ensure_groups(self):
@@ -348,22 +362,28 @@ class KoszulCell:
         self._check_unreduced_composition(source, weight)
         full_mid, full_src = middle, source
         exps = self.basis_d.monomials
-        # (index, exponents) of the first degree-d monomial dividing x^weight
-        apex = next(((i, m) for i, m in enumerate(exps) if all(map(ge, weight, m))), None)
+        # the apex: the first degree-d monomial dividing x^weight.  With none
+        # the star is empty, and `top`, one above the weight in its first
+        # exponent, is a monomial that no tensor of the block (each at most
+        # the weight) reaches
+        apex = next((i for i, m in enumerate(exps) if all(map(ge, weight, m))), None)
+        top = exps[apex] if apex is not None else (weight[0] + 1,) + weight[1:]
 
-        def kept(wedge, tensor):
+        def kept(group):
             # outside the star: the apex is not in the wedge, nor divides the tensor
-            return apex is None or not (apex[0] in wedge or all(map(ge, tensor, apex[1])))
+            return [(wedge, t) for wedge, t in group
+                    if apex not in wedge and not all(map(ge, t, top))]
 
-        middle = [(wedge, t) for wedge, t in middle if kept(wedge, t)]
-        source = [(wedge, t) for wedge, t in source if kept(wedge, t)]
+        middle, source = kept(middle), kept(source)
         mid_index = {wedge: i for i, (wedge, _) in enumerate(middle)}
 
+        # a face of a kept element has no apex either: it is kept unless the
+        # apex divides its tensor x^t m_i
         target_index = {}
         out_entries = []
         for col, (wedge, t) in enumerate(middle):
             for i, face, sign in _faces(wedge):
-                if kept(face, tuple(map(add, t, exps[i]))):
+                if not all(map(ge, map(add, t, exps[i]), top)):
                     row = target_index.setdefault(face, len(target_index))
                     out_entries.append((row, col, sign))
         d_out = SparseMatrix(len(target_index), len(middle), tuple(out_entries))
@@ -371,11 +391,9 @@ class KoszulCell:
         in_entries = []
         in_columns = []
         for col, (wedge, t) in enumerate(source):
-            column = []
-            for i, face, sign in _faces(wedge):
-                if kept(face, tuple(map(add, t, exps[i]))):
-                    row = mid_index[face]  # weight preservation: must land in this block
-                    column.append((row, sign))
+            # weight preservation: every kept face must land in this block
+            column = [(mid_index[face], sign) for i, face, sign in _faces(wedge)
+                      if not all(map(ge, map(add, t, exps[i]), top))]
             in_columns.append(column)
             in_entries.extend((row, col, sign) for row, sign in column)
         d_in = SparseMatrix(len(middle), len(source), tuple(in_entries))

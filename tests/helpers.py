@@ -14,15 +14,18 @@ block build on full (wedge, tensor) keys is the build as it was before
 blocks were keyed by wedge alone, with the star taken from full keys, and
 full_complex and kpq_dim_unblocked at the end take the whole three-term
 complex, with no weight decomposition, through the package's term and
-exact-rank code.
+exact-rank code.  grouped_all_pairs is the dominant grouping as it was
+before it was indexed by wedge sum: every wedge against every tensor.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import add, ge, sub
 
 from syzlab import ENGINE_VERSION, betti
+from syzlab.arith import random_prime
 from syzlab.koszul import (
     DEFAULT_MEMORY_CAP,
     KoszulBlock,
@@ -33,6 +36,11 @@ from syzlab.koszul import (
 )
 from syzlab.linalg import SparseMatrix, rank_exact
 from syzlab.monomials import exponent_vectors
+
+
+def default_primes(count: int = 2, bits: int = betti.DEFAULT_PRIME_BITS) -> tuple:
+    """The engine's standard certification primes, seeds 0, 1, ..."""
+    return tuple(random_prime(bits, seed) for seed in range(count))
 
 
 def fraction_rank(dense) -> int:
@@ -195,6 +203,27 @@ class UnreducedCell(KoszulCell):
             target_dim=len(target_index), d_in=d_in, d_out=d_out,
             full_mid_dim=len(middle), full_src_dim=len(source), full_middle=middle,
         )
+
+
+def grouped_all_pairs(cell: KoszulCell, wedge_size: int, tensor_degree: int) -> dict:
+    """KoszulCell._grouped by testing every wedge against every tensor:
+    s + t is dominant iff each gap t_i - t_(i+1) covers s_(i+1) - s_i."""
+    par = cell.params
+    groups = {}
+    if wedge_size < 0 or wedge_size > par.v:
+        return groups
+    tensors = exponent_vectors(par.n, tensor_degree)
+    gaps = [(t, tuple(map(sub, t, t[1:]))) for t in tensors]
+    exps = cell.basis_d.monomials
+    for wedge in itertools.combinations(range(par.v), wedge_size):
+        s = (0,) * (par.n + 1)
+        for i in wedge:
+            s = tuple(map(add, s, exps[i]))
+        need = tuple(map(sub, s[1:], s))
+        for t, gap in gaps:
+            if all(map(ge, gap, need)):
+                groups.setdefault(tuple(map(add, s, t)), []).append((wedge, t))
+    return groups
 
 
 class AllWeightsCell(UnreducedCell):

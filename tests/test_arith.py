@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from syzlab.arith import PrimeField, binom_safe, default_primes, is_prime, random_prime
+from syzlab.arith import PrimeField, binom_safe, is_prime, random_prime
+
+from helpers import default_primes
 
 
 def test_binom_small_values():

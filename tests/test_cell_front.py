@@ -1,0 +1,78 @@
+"""The combinatorial front end of a cell: dominant grouping and route sizing.
+
+KoszulCell._grouped finds the tensors that make a wedge's weight dominant
+once per wedge sum; helpers.grouped_all_pairs tests every wedge against
+every tensor, as the engine did before.  Both must give the same groups,
+with the same key order and the same element lists.  KoszulBlock.full_sizes
+stops counting the rows of the unreduced d_out once its size is past the
+limit; every comparison the route makes must come out as with the full
+count, and the size must be exact whenever it is at most the limit.
+"""
+
+import pytest
+
+from syzlab.arith import binom_safe
+from syzlab.betti import default_q_lo
+from syzlab.koszul import KoszulCell, Parameters, _faces
+
+from helpers import grouped_all_pairs
+
+LIMITS = (0, 1, 16, 256, 10 ** 6)
+
+
+def table_params(n, b, d):
+    """Parameters of every cell (p, q) of the table, p = 0..v, q from the
+    lowest possible strand to n + 1."""
+    v = binom_safe(d + n, n)
+    return [Parameters(n, b, d, p, q)
+            for q in range(default_q_lo(b, d), n + 2) for p in range(v + 1)]
+
+
+def grouping_cases():
+    """(cell, wedge size, tensor degree): the middle and source space of
+    every cell of the small tables, and of (2,0,4) K_{6,1} and K_{11,2}."""
+    params = [par for nbd in [(1, 1, 4), (2, 0, 3), (2, 1, 3), (3, 0, 2)]
+              for par in table_params(*nbd)]
+    params += [Parameters(2, 0, 4, 6, 1), Parameters(2, 0, 4, 11, 2)]
+    cases = {}
+    for par in params:
+        nbd = f"{par.n}{par.b}{par.d}"
+        cases.setdefault(f"{nbd}-{par.p}-{par.middle_degree}", (par, par.p, par.middle_degree))
+        cases.setdefault(f"{nbd}-{par.p + 1}-{par.source_degree}",
+                         (par, par.p + 1, par.source_degree))
+    return [pytest.param(*case, id=name) for name, case in cases.items()]
+
+
+@pytest.mark.parametrize("par,wedge_size,tensor_degree", grouping_cases())
+def test_grouping_matches_all_pairs(par, wedge_size, tensor_degree):
+    cell = KoszulCell(par)
+    got = cell._grouped(wedge_size, tensor_degree)
+    want = grouped_all_pairs(cell, wedge_size, tensor_degree)
+    assert list(got.items()) == list(want.items())
+
+
+def full_out_size(block) -> int:
+    """rows * cols of the unreduced d_out from every one of its faces, 0 for
+    a zero map."""
+    rows = {face for wedge, _ in block.full_middle for _, face, _ in _faces(wedge)}
+    return len(rows) * block.full_mid_dim
+
+
+@pytest.mark.parametrize("nbd", [(2, 0, 3), (2, 1, 3), (3, 0, 2)],
+                         ids=lambda nbd: "".join(map(str, nbd)))
+def test_route_sizes_decide_as_the_full_count(nbd):
+    exits = 0
+    for par in table_params(*nbd):
+        for block in KoszulCell(par).iter_blocks():
+            size_out = full_out_size(block)
+            for limit in LIMITS:
+                got_in, got_out = block.full_sizes(limit)
+                where = (par, block.weight, limit)
+                assert got_in == block.full_mid_dim * block.full_src_dim, where
+                assert (got_out == 0) == (size_out == 0), where
+                assert (got_out <= limit) == (size_out <= limit), where
+                assert got_out <= size_out, where
+                if size_out <= limit:
+                    assert got_out == size_out, where
+                exits += got_out < size_out
+    assert exits       # the early exit is taken somewhere

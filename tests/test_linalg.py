@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from syzlab.arith import PrimeField, binom_safe, default_primes
+from syzlab.arith import PrimeField, binom_safe
 from syzlab.betti import default_q_lo
 from syzlab.koszul import KoszulCell, Parameters
 from syzlab.linalg import (
@@ -18,7 +18,7 @@ from syzlab.linalg import (
     rank_mod_p,
 )
 
-from helpers import UnreducedCell, fraction_rank
+from helpers import UnreducedCell, default_primes, fraction_rank
 
 FIELD = PrimeField(default_primes(1)[0])
 
