@@ -96,10 +96,8 @@ def make_config(
     memory_cap: int = EngineConfig.memory_cap,
 ) -> EngineConfig:
     """Config with reproducible primes drawn from the given seeds."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
     if prime_seeds is None:
-        prime_seeds = DEFAULT_PRIME_SEEDS[mode]
+        prime_seeds = DEFAULT_PRIME_SEEDS.get(mode, ())   # EngineConfig refuses a bad mode
     primes = tuple(random_prime(prime_bits, s) for s in prime_seeds)
     return EngineConfig(
         mode=mode, primes=primes, exact_threshold=exact_threshold,
@@ -224,10 +222,8 @@ def _compute_cell(n: int, b: int, d: int, p: int, q: int, config: EngineConfig) 
         max_block = max(max_block, block.full_mid_dim)
         all_exact = all_exact and exact
         all_agree = all_agree and agree
-    if all_exact:
-        level = LEVEL_EXACT
-    else:
-        level = LEVEL_TWO_PRIME if config.mode == LEVEL_TWO_PRIME else LEVEL_ONE_PRIME
+    # modes are named for their levels, and exact mode is always all-exact
+    level = LEVEL_EXACT if all_exact else config.mode
     return CellResult(
         n=n, b=b, d=d, p=p, q=q, dim=dim, level=level,
         agreement=all_agree, primes=config.primes,
@@ -245,9 +241,8 @@ class StoreConflictError(Exception):
 
 
 class ResultStore:
-    """Append-only JSONL store of cell results, keyed by parameters, primes,
-    exact threshold and engine version: every engine setting that can change
-    an answer or how it is known.
+    """Append-only JSONL store of cell results, keyed by the cell and every
+    engine setting that can change an answer or how it is known (see key_of).
 
     Keys are write-once: re-putting an identical result is a no-op, a
     conflicting result is an error (timing metadata is allowed to differ).
@@ -298,13 +293,15 @@ class ResultStore:
             self._torn_at = (unreadable[1], start)
 
     @staticmethod
-    def key_of(n, b, d, p, q, primes, exact_threshold=EngineConfig.exact_threshold,
-               engine_version=ENGINE_VERSION) -> str:
-        return json.dumps(
-            {"n": n, "b": b, "d": d, "p": p, "q": q, "primes": sorted(primes),
-             "exact_threshold": exact_threshold, "engine": engine_version},
-            sort_keys=True, separators=(",", ":"),
-        )
+    def key_of(n, b, d, p, q, config: EngineConfig) -> str:
+        """The key of a cell computed under `config`: the mode, the primes
+        (a result prints them), the exact threshold in two-prime mode, the
+        only mode whose answer it can change, and the engine version."""
+        key = {"n": n, "b": b, "d": d, "p": p, "q": q, "mode": config.mode,
+               "primes": sorted(config.primes), "engine": ENGINE_VERSION}
+        if config.mode == LEVEL_TWO_PRIME:
+            key["exact_threshold"] = config.exact_threshold
+        return json.dumps(key, sort_keys=True, separators=(",", ":"))
 
     @staticmethod
     def _crc(record: dict) -> int:
@@ -325,11 +322,7 @@ class ResultStore:
             raise CorruptRecordError(f"checksum mismatch for key {key}")
         return record
 
-    def put(self, record: dict) -> None:
-        key = self.key_of(
-            record["n"], record["b"], record["d"], record["p"], record["q"],
-            record["primes"], record["exact_threshold"], record["engine_version"],
-        )
+    def put(self, key: str, record: dict) -> None:
         with self._lock:
             hit = self._index.get(key)
             if hit is not None:
@@ -356,14 +349,14 @@ def cell_result(n, b, d, p, q, config: EngineConfig = None,
                 store: ResultStore = None) -> CellResult:
     """Compute (or fetch from the store) one cell."""
     config = config or make_config()
-    if store is not None:
-        key = ResultStore.key_of(n, b, d, p, q, config.primes, config.exact_threshold)
-        rec = store.get(key)
-        if rec is not None:
-            return CellResult.from_record(rec)
+    if store is None:
+        return _compute_cell(n, b, d, p, q, config)
+    key = ResultStore.key_of(n, b, d, p, q, config)
+    rec = store.get(key)
+    if rec is not None:
+        return CellResult.from_record(rec)
     res = _compute_cell(n, b, d, p, q, config)
-    if store is not None:
-        store.put(res.to_record())
+    store.put(key, res.to_record())
     return res
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import binom_safe
-from .betti import BettiTable, dual_b, dual_cell_coords
+from .betti import BettiTable
 
 REGIME_PROVED = "proved"
 REGIME_CONJECTURED = "conjectured"
@@ -171,17 +171,6 @@ def linearity_zero_oracle(n: int, d: int, p: int, q: int) -> bool:
     1 <= p <= d."""
     _check_nbd(n, 0, d)
     return q >= 2 and 1 <= p <= d
-
-
-def duality_pair(n: int, b: int, d: int, p: int, q: int) -> tuple:
-    """(p', q', b') with dim K_{p,q}(n, b; d) = dim K_{p',q'}(n, b'; d):
-
-    p' = r_d - p - n,  q' = n - q,  b' = d - n - 1 - b.
-
-    The identity needs b' >= 0, i.e. d >= b + n + 1.
-    """
-    p2, q2 = dual_cell_coords(n, b, d, p, q)
-    return p2, q2, dual_b(n, b, d)
 
 
 @dataclass

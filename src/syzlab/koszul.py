@@ -31,8 +31,8 @@ permuted weight by a signed permutation of both bases: the two integer
 complexes are isomorphic and have the same ranks over Q and over every F_p.
 A cell therefore stores only its dominant weights (non-increasing tuples,
 i.e. partitions padded to n+1 parts), one per orbit; each stands for
-distinct_permutations_count(w) blocks.  A block at any other weight is
-built by permuting the basis of its dominant rearrangement.
+distinct_permutations_count(w) blocks.  Only dominant blocks are built:
+KoszulCell.block refuses any other weight.
 
 A block is built and ranked as its quotient by a vertex star.  Its basis
 elements are the wedges F with sum F <= w (each with tensor factor
@@ -66,12 +66,7 @@ from operator import add, ge, sub
 
 from .arith import binom_safe
 from .linalg import InvariantError, SparseMatrix
-from .monomials import (
-    GradedPieceBasis,
-    distinct_permutations_count,
-    enumerate_basis,
-    exponent_vectors,
-)
+from .monomials import distinct_permutations_count, enumerate_basis, exponent_vectors
 
 DEFAULT_MEMORY_CAP = 2 << 30
 
@@ -152,25 +147,6 @@ def _delta_terms(wedge, tensor, monomials):
             for i, face, sign in _faces(wedge)]
 
 
-def differential(wedge, tensor, basis: GradedPieceBasis):
-    """Koszul differential of (basis wedge indices, tensor exponent tuple).
-
-    `wedge` must be strictly increasing indices into `basis` (the degree-d
-    monomials in canonical order); `tensor` is an exponent tuple in the same
-    variables.  Returns [((wedge', tensor'), sign), ...] with the j-th term
-    dropping the j-th wedge factor into the tensor with sign (-1)^(j-1).
-    """
-    for a, c in zip(wedge, wedge[1:]):
-        if a >= c:
-            raise ValueError(f"wedge indices must be strictly increasing, got {wedge}")
-    for i in wedge:
-        if not 0 <= i < len(basis):
-            raise ValueError(f"wedge index {i} out of range for {basis!r}")
-    if len(tensor) != basis.n + 1:
-        raise ValueError(f"tensor has {len(tensor)} variables, expected {basis.n + 1}")
-    return _delta_terms(tuple(wedge), tuple(tensor), basis.monomials)
-
-
 @dataclass(frozen=True)
 class KoszulBlock:
     """One torus-weight block as it is ranked: its quotient by a vertex star.
@@ -216,9 +192,9 @@ class KoszulCell:
 
     The middle and source spaces are enumerated once (wedges of basis indices
     times tensor monomials) and only the elements of dominant weight are
-    kept, grouped by weight; blocks are then built lazily per weight, each
-    as its star quotient.  Target rows are allocated on demand while
-    applying the differential, so the target space is never enumerated.
+    kept, grouped by weight; blocks are then built lazily per dominant
+    weight, each as its star quotient.  Target rows are allocated on demand
+    while applying the differential, so the target space is never enumerated.
     """
 
     def __init__(self, params: Parameters, memory_cap: int = DEFAULT_MEMORY_CAP):
@@ -301,44 +277,17 @@ class KoszulCell:
         assert all(sum(w) == total for w in ws)
         return ws
 
-    def middle_dim(self, weight) -> int:
-        """Dimension of the middle space at any weight."""
-        self._ensure_groups()
-        return len(self._middle.get(tuple(sorted(weight, reverse=True)), ()))
-
-    def total_middle_dim(self) -> int:
-        self._ensure_groups()
-        return _orbit_total(self._middle)
-
     def block(self, weight) -> KoszulBlock:
-        """The block at any weight, as ranked: its star quotient.  A
-        non-dominant one is built on the permuted basis of its dominant
-        rearrangement."""
-        self._ensure_groups()
+        """The block at a dominant weight, as ranked: its star quotient.
+
+        Any other weight raises ValueError; its block is isomorphic to its
+        dominant rearrangement's (see the module notes)."""
         weight = tuple(weight)
-        dominant = tuple(sorted(weight, reverse=True))
-        middle = self._middle.get(dominant, [])
-        source = self._source.get(dominant, [])
-        if weight != dominant:
-            middle = self._permuted(middle, weight)
-            source = self._permuted(source, weight)
-        return self._build(weight, middle, source)
-
-    def _permuted(self, group, weight) -> list:
-        """The elements of `group` with their variables permuted so that
-        their dominant weight becomes `weight`."""
-        if not group:
-            return []
-        order = sorted(range(len(weight)), key=lambda j: -weight[j])
-        src = [0] * len(weight)
-        for k, j in enumerate(order):
-            src[j] = k
-
-        def perm(e):
-            return tuple(e[k] for k in src)
-
-        image = [self.basis_d.index_of(perm(m)) for m in self.basis_d.monomials]
-        return [(tuple(sorted(image[i] for i in wedge)), perm(t)) for wedge, t in group]
+        if any(a < c for a, c in zip(weight, weight[1:])):
+            raise ValueError(f"weight {weight} is not dominant")
+        self._ensure_groups()
+        return self._build(weight, self._middle.get(weight, []),
+                           self._source.get(weight, []))
 
     def _check_cap(self, weight, middle, source):
         """Refuse a block whose unreduced bases and maps would exceed the cap."""
@@ -444,12 +393,3 @@ class KoszulCell:
 def _orbit_total(groups: dict) -> int:
     """Size of the whole space the dominant groups stand for."""
     return sum(distinct_permutations_count(w) * len(g) for w, g in groups.items())
-
-
-def enumerate_weights(params: Parameters, memory_cap: int = DEFAULT_MEMORY_CAP) -> list:
-    return KoszulCell(params, memory_cap).weights()
-
-
-def build_block(params: Parameters, weight, memory_cap: int = DEFAULT_MEMORY_CAP) -> KoszulBlock:
-    """Standalone single-block build (a fresh cell; fine for one-off use)."""
-    return KoszulCell(params, memory_cap).block(weight)

@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .betti import LEVEL_ONE_PRIME, EngineConfig, _block_dim, make_config, weight_blocks
-from .koszul import KoszulCell, Parameters
+from .betti import LEVEL_ONE_PRIME, EngineConfig, make_config, weight_blocks
 from .monomials import distinct_permutations_count
 
 
@@ -161,31 +160,6 @@ def weight_space_dims(n, b, d, p, q, config: EngineConfig = None) -> dict:
     return out
 
 
-def verify_weight_symmetry(n, b, d, p, q, samples: int = 3, seed: int = 0,
-                           config: EngineConfig = None) -> bool:
-    """Spot-check that permuting a weight leaves the block cohomology
-    dimension unchanged (the symmetric group acts on the complex), the
-    premise of counting each dominant block for its whole orbit.  The block
-    at the permuted weight is built and ranked on its own."""
-    import random
-
-    config = config or make_config()
-    params = Parameters(n=n, b=b, d=d, p=p, q=q)
-    cell = KoszulCell(params, config.memory_cap)
-    weights = [w for w in cell.weights() if len(set(w)) > 1]
-    rng = random.Random(seed)
-    for w in rng.sample(weights, min(samples, len(weights))):
-        perm = list(w)
-        while tuple(perm) == w:
-            rng.shuffle(perm)
-        block, twin = cell.block(w), cell.block(tuple(perm))
-        base = _certified(block, *_block_dim(block, config))
-        other = _certified(twin, *_block_dim(twin, config))
-        if base != other:
-            return False
-    return True
-
-
 @dataclass
 class SchurMultiplicities:
     n: int
@@ -241,38 +215,3 @@ def schur_multiplicities(n, b, d, p, q, config: EngineConfig = None) -> SchurMul
         )
     return SchurMultiplicities(n=n, b=b, d=d, p=p, q=q, entries=mult, total_dim=total)
 
-
-@dataclass
-class StabilityReport:
-    b: int
-    d: int
-    p: int
-    q: int
-    dims: dict               # n -> dim K_{p,q}(P^n, b; d)
-    stable_n: list           # the n >= p entries, where (non)vanishing agrees
-    consistent: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "b": self.b, "d": self.d, "p": self.p, "q": self.q,
-            "dims": {str(n): dim for n, dim in sorted(self.dims.items())},
-            "stable_n": self.stable_n, "consistent": self.consistent,
-        }
-
-
-def stability_check(b, d, p, q, n_list, config: EngineConfig = None) -> StabilityReport:
-    """Vanishing behaviour of K_{p,q} across ambient dimensions.
-
-    Once n >= p the answer to 'is K_{p,q} zero' no longer depends on n, so
-    the report flags any disagreement among those entries.
-    """
-    from .betti import kpq_dim
-
-    config = config or make_config()
-    dims = {n: kpq_dim(n, b, d, p, q, config) for n in n_list}
-    stable = sorted(n for n in dims if n >= p)
-    flags = {dims[n] > 0 for n in stable}
-    return StabilityReport(
-        b=b, d=d, p=p, q=q, dims=dims, stable_n=stable,
-        consistent=len(flags) <= 1,
-    )

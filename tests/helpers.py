@@ -6,8 +6,10 @@ order, no matrix layout and no rank code with the package: monomials come
 from combinations_with_replacement in ascending order, matrices are dense,
 ranks are Fraction-exact Gaussian elimination.  Slow but unarguable at tiny
 sizes.  The all-weights loop is the cell computation as it was before the
-orbit reduction, and UnreducedCell builds each whole weight block as the
-engine did before it ranked blocks on their star quotients; both share the
+orbit reduction, on whole blocks (AllWeightsCell) or on the star quotients
+the engine ranks (AllWeightsStarCell), and UnreducedCell builds each whole
+weight block as the engine did before it ranked blocks on their star
+quotients; they share the
 package's grouping, memory check and rank code on purpose, so that
 comparing against them tests the reduction and nothing else.  Likewise the
 block build on full (wedge, tensor) keys is the build as it was before
@@ -226,9 +228,9 @@ def grouped_all_pairs(cell: KoszulCell, wedge_size: int, tensor_degree: int) -> 
     return groups
 
 
-class AllWeightsCell(UnreducedCell):
-    """An UnreducedCell that groups and builds every weight, not only the
-    dominant ones."""
+class _AllWeights:
+    """Mixed in ahead of a cell class: groups and builds every weight, not
+    only the dominant ones."""
 
     def _grouped(self, wedge_size, tensor_degree):
         par = self.params
@@ -236,13 +238,13 @@ class AllWeightsCell(UnreducedCell):
         if wedge_size < 0 or wedge_size > par.v:
             return groups
         exps = self.basis_d.monomials
+        tensors = brute_monomials(par.n, tensor_degree)
         for wedge in itertools.combinations(range(par.v), wedge_size):
             s = (0,) * (par.n + 1)
             for i in wedge:
-                s = tuple(a + c for a, c in zip(s, exps[i]))
-            for t in brute_monomials(par.n, tensor_degree):
-                w = tuple(a + c for a, c in zip(s, t))
-                groups.setdefault(w, []).append((wedge, t))
+                s = tuple(map(add, s, exps[i]))
+            for t in tensors:
+                groups.setdefault(tuple(map(add, s, t)), []).append((wedge, t))
         return groups
 
     def _ensure_groups(self):
@@ -253,32 +255,44 @@ class AllWeightsCell(UnreducedCell):
 
     def block(self, weight):
         self._ensure_groups()
+        weight = tuple(weight)
         return self._build(weight, self._middle.get(weight, []),
                            self._source.get(weight, []))
 
 
+class AllWeightsCell(_AllWeights, UnreducedCell):
+    """Every weight block, each built whole."""
+
+
+class AllWeightsStarCell(_AllWeights, KoszulCell):
+    """Every weight block, each built as the engine builds a dominant one:
+    as its quotient by the star of its apex."""
+
+
 def all_weights_cell(n, b, d, p, q, config, cell_class=AllWeightsCell) -> dict:
     """(dim, level, agreement, block_count, max_block_dim) of a cell from
-    every weight block in turn, descending lex, as a dict."""
+    every weight block in turn, descending lex, as a dict.  Asserts the
+    premise of the orbit reduction on the way: each block's contribution and
+    flags are those of the block at its dominant rearrangement."""
     if betti._analytic_zero_reason(n, b, d, p, q) is not None:
         return {"dim": 0, "level": betti.LEVEL_EXACT, "agreement": True,
                 "block_count": 0, "max_block_dim": 0}
     cell = cell_class(Parameters(n=n, b=b, d=d, p=p, q=q), config.memory_cap)
     dim = block_count = max_block = 0
     all_exact = all_agree = True
+    dominant = {}    # dominant weight -> (contribution, exact, agreement)
     for block in cell.iter_blocks():
         r_in, r_out, exact, agree = betti._block_ranks(block, config)
         assert r_in + r_out <= block.mid_dim
-        dim += block.mid_dim - r_in - r_out
+        ranked = (block.mid_dim - r_in - r_out, exact, agree)
+        orbit = tuple(sorted(block.weight, reverse=True))
+        assert dominant.setdefault(orbit, ranked) == ranked, (block.weight, orbit)
+        dim += ranked[0]
         block_count += 1
-        max_block = max(max_block, block.mid_dim)
+        max_block = max(max_block, block.full_mid_dim)
         all_exact = all_exact and exact
         all_agree = all_agree and agree
-    if all_exact:
-        level = betti.LEVEL_EXACT
-    else:
-        level = (betti.LEVEL_TWO_PRIME if config.mode == betti.LEVEL_TWO_PRIME
-                 else betti.LEVEL_ONE_PRIME)
+    level = betti.LEVEL_EXACT if all_exact else config.mode
     return {"dim": dim, "level": level, "agreement": all_agree,
             "block_count": block_count, "max_block_dim": max_block}
 
@@ -291,12 +305,8 @@ def delta_terms_block(cell: KoszulCell, weight) -> tuple:
     its wedge holds the apex or the apex divides its tensor.  The bases are
     the cell's own, in its order, less the star."""
     cell._ensure_groups()
-    dominant = tuple(sorted(weight, reverse=True))
-    middle = cell._middle.get(dominant, [])
-    source = cell._source.get(dominant, [])
-    if tuple(weight) != dominant:
-        middle = cell._permuted(middle, weight)
-        source = cell._permuted(source, weight)
+    middle = cell._middle.get(tuple(weight), [])
+    source = cell._source.get(tuple(weight), [])
     exps = cell.basis_d.monomials
     apex = next((i for i, m in enumerate(exps)
                  if all(a >= c for a, c in zip(weight, m))), None)
@@ -327,8 +337,10 @@ def append_records(directory, q, count):
     """Put `count` made-up records with distinct keys (p = 0..count-1 at
     strand q) into the store at `directory`; a child-process target."""
     store = betti.ResultStore(directory)
+    config = betti.make_config(betti.LEVEL_EXACT)
     for p in range(count):
-        store.put({"n": 1, "b": 0, "d": 2, "p": p, "q": q, "dim": p, "level": "exact",
+        store.put(betti.ResultStore.key_of(1, 0, 2, p, q, config),
+                  {"n": 1, "b": 0, "d": 2, "p": p, "q": q, "dim": p, "level": "exact",
                    "agreement": True, "primes": [],
                    "exact_threshold": 256, "engine_version": ENGINE_VERSION,
                    "wall_time_ms": 0, "block_count": 1, "max_block_dim": 1,

@@ -35,14 +35,15 @@ from syzlab.bounds import (
 from syzlab.cli import main as cli_main
 from syzlab.cycles import build_kp0_cycle, verify_nonzero_class
 from syzlab.koszul import Parameters
-from syzlab.schur import (
-    schur_multiplicities,
-    stability_check,
-    verify_weight_symmetry,
-    weyl_dim,
-)
+from syzlab.schur import schur_multiplicities, weyl_dim
 
-from helpers import brute_hilbert_numerator, full_complex, kpq_dim_unblocked
+from helpers import (
+    AllWeightsStarCell,
+    all_weights_cell,
+    brute_hilbert_numerator,
+    full_complex,
+    kpq_dim_unblocked,
+)
 
 # every full table the criteria below share (memoized in the tables fixture)
 ACCEPTANCE_TABLES = [
@@ -175,10 +176,11 @@ def test_criterion_07_schur_plethysm():
                          for lam, v in dec.entries.items())
         assert recomposed == dec.total_dim == kpq_dim(n, b, d, p, q), \
             (n, b, d, p, q)
-    assert verify_weight_symmetry(2, 0, 2, 1, 1, samples=4)
-    rep = stability_check(0, 3, 2, 1, [2, 3, 4])
-    assert rep.dims == {2: 105, 3: 1200, 4: 7645}
-    assert rep.consistent
+    # every weight block contributes as its dominant rearrangement's (the
+    # all-weights oracle asserts it), and they add up to the Betti number
+    assert all_weights_cell(2, 0, 2, 1, 1, make_config(), AllWeightsStarCell)["dim"] == 6
+    # nonvanishing is stable in the ambient dimension n once n >= p
+    assert [kpq_dim(n, 0, 3, 2, 1) for n in (2, 3, 4)] == [105, 1200, 7645]
 
 
 def test_criterion_08_cycle_strand_sweep(session_store):
@@ -222,9 +224,12 @@ def test_criterion_09_metamorphic(tables, capsys):
     for (n, b, d, p, q) in [(1, 0, 3, 2, 1), (2, 0, 2, 1, 1),
                             (1, 1, 3, 1, 1), (2, 1, 2, 2, 1)]:
         assert kpq_dim(n, b, d, p, q) == kpq_dim_unblocked(n, b, d, p, q)
-    # permuting variables permutes weights without changing block dimensions
-    assert verify_weight_symmetry(2, 0, 2, 1, 1, samples=4)
-    assert verify_weight_symmetry(2, 1, 2, 2, 1, samples=3)
+    # permuting variables permutes weights without changing block dimensions:
+    # the all-weights oracle asserts it on every weight of these cells
+    config = make_config()
+    for cell in [(2, 0, 2, 1, 1), (2, 1, 2, 2, 1)]:
+        assert all_weights_cell(*cell, config, AllWeightsStarCell)["dim"] == \
+            kpq_dim(*cell, config), cell
     # both primes agreed on every cell of every acceptance table
     for nbd in ACCEPTANCE_TABLES:
         for cell in tables(*nbd).cells.values():

@@ -114,7 +114,7 @@ def test_cell_record_round_trip():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown mode 'three-prime'"):
         make_config("three-prime")
     with pytest.raises(ValueError):
         EngineConfig(mode=LEVEL_TWO_PRIME, primes=(7,), exact_threshold=0,
@@ -289,23 +289,24 @@ def test_store_round_trip(tmp_path):
     again = cell_result(1, 0, 2, 1, 1, TWO_PRIME, store)
     assert again == res  # including wall_time_ms: served from the store
     fresh = ResultStore(str(tmp_path / "cache"))
-    key = ResultStore.key_of(1, 0, 2, 1, 1, TWO_PRIME.primes)
+    key = ResultStore.key_of(1, 0, 2, 1, 1, TWO_PRIME)
     assert fresh.get(key) == res.to_record()
 
 
 def test_store_write_once_semantics(tmp_path):
     store = ResultStore(str(tmp_path))
+    key = ResultStore.key_of(1, 0, 2, 1, 1, TWO_PRIME)
     rec = cell_result(1, 0, 2, 1, 1, TWO_PRIME).to_record()
-    store.put(rec)
-    store.put(dict(rec, wall_time_ms=rec["wall_time_ms"] + 999))  # timing may differ
+    store.put(key, rec)
+    store.put(key, dict(rec, wall_time_ms=rec["wall_time_ms"] + 999))  # timing may differ
     with pytest.raises(StoreConflictError):
-        store.put(dict(rec, dim=rec["dim"] + 1))
+        store.put(key, dict(rec, dim=rec["dim"] + 1))
 
 
 def test_store_detects_corruption(tmp_path):
     store = ResultStore(str(tmp_path))
-    rec = cell_result(1, 0, 2, 1, 1, TWO_PRIME).to_record()
-    store.put(rec)
+    key = ResultStore.key_of(1, 0, 2, 1, 1, TWO_PRIME)
+    store.put(key, cell_result(1, 0, 2, 1, 1, TWO_PRIME).to_record())
     lines = []
     with open(store.path, encoding="utf-8") as fh:
         for line in fh:
@@ -315,23 +316,34 @@ def test_store_detects_corruption(tmp_path):
     with open(store.path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     reloaded = ResultStore(str(tmp_path))
-    key = ResultStore.key_of(1, 0, 2, 1, 1, TWO_PRIME.primes)
     with pytest.raises(CorruptRecordError):
         reloaded.get(key)
 
 
+def key_under(mode=LEVEL_TWO_PRIME, primes=(7, 11), **settings):
+    return ResultStore.key_of(1, 0, 2, 1, 1, EngineConfig(mode, primes, **settings))
+
+
 def test_store_key_depends_on_primes(tmp_path):
-    a = ResultStore.key_of(1, 0, 2, 1, 1, (7, 11))
-    b = ResultStore.key_of(1, 0, 2, 1, 1, (7, 13))
+    a = key_under(primes=(7, 11))
+    b = key_under(primes=(7, 13))
     assert a != b
-    assert a == ResultStore.key_of(1, 0, 2, 1, 1, (11, 7))  # order-free
+    assert a == key_under(primes=(11, 7))  # order-free
+    assert key_under(LEVEL_EXACT, ()) != key_under(LEVEL_EXACT, (7,))  # results print them
 
 
 def test_store_key_covers_exact_threshold():
-    primes = (7, 11)
-    base = ResultStore.key_of(1, 0, 2, 1, 1, primes, 256)
-    assert base == ResultStore.key_of(1, 0, 2, 1, 1, primes)
-    assert base != ResultStore.key_of(1, 0, 2, 1, 1, primes, 0)
+    base = key_under(exact_threshold=256)
+    assert base == key_under()
+    assert base != key_under(exact_threshold=0)
+    # the threshold changes no answer in exact or one-prime mode
+    for mode, primes in [(LEVEL_EXACT, ()), (LEVEL_ONE_PRIME, (7,))]:
+        assert key_under(mode, primes, exact_threshold=0) == key_under(mode, primes)
+
+
+def test_store_key_covers_the_mode():
+    assert key_under(LEVEL_EXACT, (7,)) != key_under(LEVEL_ONE_PRIME, (7,))
+    assert key_under(LEVEL_EXACT, (7, 11)) != key_under(LEVEL_TWO_PRIME, (7, 11))
 
 
 def test_store_never_serves_another_configs_result(tmp_path, monkeypatch):
@@ -372,7 +384,7 @@ def test_processes_appending_to_one_store_leave_every_line_whole(tmp_path):
     assert len(lines) == 400
     store = ResultStore(str(tmp_path))
     assert store._torn_at is None
-    records = [store.get(ResultStore.key_of(1, 0, 2, p, q, ()))
+    records = [store.get(ResultStore.key_of(1, 0, 2, p, q, EXACT))
                for p in range(100) for q in range(4)]
     assert None not in records
 
@@ -380,18 +392,20 @@ def test_processes_appending_to_one_store_leave_every_line_whole(tmp_path):
 def test_torn_line_is_cut_only_if_no_other_process_appended(tmp_path):
     first, second, third = (cell_result(1, 0, 3, p, 1, TWO_PRIME).to_record()
                             for p in (0, 1, 2))
-    ResultStore(str(tmp_path)).put(first)
+    def key(rec):
+        return ResultStore.key_of(1, 0, 3, rec["p"], 1, TWO_PRIME)
+
+    ResultStore(str(tmp_path)).put(key(first), first)
     path = tmp_path / ResultStore.FILENAME
     with open(path, "a", encoding="utf-8") as fh:
         fh.write('{"key": "torn')                      # crash mid-append
     late, early = ResultStore(str(tmp_path)), ResultStore(str(tmp_path))
-    early.put(second)      # cuts the torn line off, then appends
-    late.put(third)        # must not cut again: that would drop `second`
+    early.put(key(second), second)   # cuts the torn line off, then appends
+    late.put(key(third), third)      # must not cut again: that would drop `second`
     reloaded = ResultStore(str(tmp_path))
     assert reloaded._torn_at is None
     for rec in (first, second, third):
-        key = ResultStore.key_of(1, 0, 3, rec["p"], 1, TWO_PRIME.primes)
-        assert reloaded.get(key) == rec
+        assert reloaded.get(key(rec)) == rec
 
 
 # ------------------------------------------------------------------- plumbing

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from syzlab.betti import BettiTable, betti_table
+from syzlab.betti import BettiTable, betti_table, dual_b, dual_cell_coords
 from syzlab.bounds import (
     PredictedRange,
     REGIME_CONJECTURED,
@@ -12,7 +12,6 @@ from syzlab.bounds import (
     all_ranges,
     compare_report,
     direct_range,
-    duality_pair,
     kp0_exact,
     kpn1_exact,
     kpn_exact,
@@ -121,11 +120,6 @@ def test_linearity_zero_oracle():
     assert not linearity_zero_oracle(2, 5, 3, 1)
 
 
-def test_duality_pair():
-    assert duality_pair(2, 0, 3, 7, 2) == (0, 0, 0)
-    assert duality_pair(1, 0, 3, 1, 1) == (1, 0, 1)
-
-
 def test_duality_pair_involution_and_validity():
     rng = random.Random(56)
     for _ in range(200):
@@ -134,10 +128,13 @@ def test_duality_pair_involution_and_validity():
         d = rng.randrange(1, 12)
         p = rng.randrange(0, 10)
         q = rng.randrange(0, n + 1)
-        p2, q2, b2 = duality_pair(n, b, d, p, q)
+        b2 = dual_b(n, b, d)
+        # the dual twist is a twist exactly in the duality regime
         assert (b2 >= 0) == (d >= n + 1 + b)
         if b2 >= 0:
-            assert duality_pair(n, b2, d, p2, q2) == (p, q, b)
+            assert dual_b(n, b2, d) == b
+            p2, q2 = dual_cell_coords(n, b, d, p, q)
+            assert dual_cell_coords(n, b2, d, p2, q2) == (p, q)
 
 
 def test_range_validation_errors():

@@ -44,6 +44,25 @@ def test_cache_round_trip_is_byte_identical(capsys, tmp_path):
     assert os.path.exists(os.path.join(cache, "results.jsonl"))
 
 
+KPQ_253 = ("kpq", "--n", "2", "--b", "0", "--d", "3", "--p", "5", "--q", "1")
+
+
+@pytest.mark.parametrize("first,then", [
+    (("--mode", "one-prime"), ("--mode", "exact", "--prime-seeds", "0")),
+    ((), ("--mode", "exact", "--prime-seeds", "0", "1")),
+], ids=["one-prime-then-exact", "two-prime-then-exact"])
+def test_store_never_answers_one_mode_with_another(capsys, tmp_path, first, then):
+    # a request after another mode's run on the same store prints what it
+    # prints on a fresh store
+    cache = str(tmp_path / "cache")
+    code, fresh, _ = run(capsys, *KPQ_253, *then, "--cache-dir", cache)
+    assert code == EXIT_OK
+    assert json.loads(fresh)["result"]["level"] == "exact"
+    os.remove(os.path.join(cache, ResultStore.FILENAME))
+    assert run(capsys, *KPQ_253, *first, "--cache-dir", cache)[0] == EXIT_OK
+    assert run(capsys, *KPQ_253, *then, "--cache-dir", cache)[:2] == (EXIT_OK, fresh)
+
+
 def test_cache_dir_env_var(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "envcache"
     monkeypatch.setenv("SYZ_CACHE_DIR", str(cache))
@@ -143,7 +162,7 @@ def test_verify_fails_on_poisoned_cache(capsys, tmp_path):
     rec = cell_result(1, 0, 3, 1, 1, config).to_record()
     rec["dim"] = 7
     rec["wall_time_ms"] = 0
-    ResultStore(cache).put(rec)
+    ResultStore(cache).put(ResultStore.key_of(1, 0, 3, 1, 1, config), rec)
     code, out, err = run(capsys, "verify", "--n", "1", "--b", "0", "--d", "3",
                          "--cache-dir", cache)
     assert code == EXIT_VERIFY

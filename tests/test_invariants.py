@@ -16,7 +16,7 @@ import sys
 if __debug__:
     sys.exit("asserts are on: run with -O")
 from syzlab import betti, koszul, linalg, schur
-from syzlab.koszul import Parameters, build_block
+from syzlab.koszul import KoszulCell, Parameters
 
 
 def flat_faces(wedge):
@@ -40,7 +40,7 @@ WEYL = schur.weyl_dim
 EXACT_ROUTE = betti.make_config(exact_threshold=10 ** 6)
 cases = {
     "composition": (koszul, "_faces", flat_faces,
-                    lambda: build_block(Parameters(1, 0, 2, 1, 1), (2, 2))),
+                    lambda: KoszulCell(Parameters(1, 0, 2, 1, 1)).block((2, 2))),
     "rank_sum": (betti, "_block_ranks", too_large_ranks,
                  lambda: betti._compute_cell(1, 0, 2, 1, 1, betti.make_config())),
     "modular_le_exact": (linalg, "_rank_mod", one_above,

@@ -4,22 +4,21 @@ from itertools import permutations
 import pytest
 
 from syzlab.arith import binom_safe
-from syzlab.koszul import (
-    InfeasibleBlockError,
-    KoszulCell,
-    Parameters,
-    build_block,
-    differential,
-    enumerate_weights,
-)
+from syzlab.koszul import InfeasibleBlockError, KoszulCell, Parameters, _delta_terms
 from syzlab.monomials import distinct_permutations_count, enumerate_basis
 
-from helpers import UnreducedCell, delta_terms_block, fraction_rank, full_complex
+from helpers import (
+    AllWeightsCell,
+    AllWeightsStarCell,
+    UnreducedCell,
+    delta_terms_block,
+    fraction_rank,
+    full_complex,
+)
 
 
-def all_weights(cell):
-    """Every weight with a nonzero middle space: the orbits of the cell's
-    dominant weights, descending lex."""
+def orbits(cell):
+    """The orbits of the cell's dominant weights, descending lex."""
     return sorted({perm for w in cell.weights() for perm in permutations(w)},
                   reverse=True)
 
@@ -46,39 +45,35 @@ def test_parameters_validation():
 
 def test_differential_two_term_example():
     # basis of degree 2 in x, y: index 0 = x^2, 1 = xy, 2 = y^2
-    basis = enumerate_basis(1, 2)
-    terms = differential((0, 2), (1, 0), basis)
+    monomials = enumerate_basis(1, 2).monomials
+    terms = _delta_terms((0, 2), (1, 0), monomials)
     # delta(x^2 ^ y^2 (x) x) = y^2 (x) x^3  -  x^2 (x) x*y^2
     assert terms == [(((2,), (3, 0)), 1), (((0,), (1, 2)), -1)]
 
 
 def test_differential_single_factor_multiplies():
-    basis = enumerate_basis(1, 2)
-    assert differential((1,), (2, 1), basis) == [(((), (3, 2)), 1)]
-
-
-def test_differential_rejects_bad_input():
-    basis = enumerate_basis(1, 2)
-    with pytest.raises(ValueError):
-        differential((2, 0), (1, 0), basis)     # not increasing
-    with pytest.raises(ValueError):
-        differential((0, 0), (1, 0), basis)     # repeated factor
-    with pytest.raises(ValueError):
-        differential((0, 9), (1, 0), basis)     # index out of range
-    with pytest.raises(ValueError):
-        differential((0, 1), (1, 0, 0), basis)  # wrong variable count
+    monomials = enumerate_basis(1, 2).monomials
+    assert _delta_terms((1,), (2, 1), monomials) == [(((), (3, 2)), 1)]
 
 
 def test_enumerate_weights_example():
-    ws = enumerate_weights(Parameters(1, 0, 2, 1, 1))
-    assert ws == [(4, 0), (3, 1), (2, 2)]
-    assert all_weights(KoszulCell(Parameters(1, 0, 2, 1, 1))) == \
+    par = Parameters(1, 0, 2, 1, 1)
+    cell = KoszulCell(par)
+    assert cell.weights() == [(4, 0), (3, 1), (2, 2)]
+    assert orbits(cell) == AllWeightsCell(par).weights() == \
         [(4, 0), (3, 1), (2, 2), (1, 3), (0, 4)]
+
+
+def test_block_refuses_a_non_dominant_weight():
+    cell = KoszulCell(Parameters(1, 0, 2, 1, 1))
+    with pytest.raises(ValueError):
+        cell.block((1, 3))
+    assert cell.block((3, 1)).weight == (3, 1)
 
 
 def test_weights_sum_and_order():
     for par in [Parameters(1, 1, 3, 2, 1), Parameters(2, 0, 2, 1, 1)]:
-        ws = enumerate_weights(par)
+        ws = KoszulCell(par).weights()
         assert ws == sorted(ws, reverse=True)
         assert len(set(ws)) == len(ws)
         for w in ws:
@@ -99,18 +94,15 @@ def test_block_2_2_of_twisted_cubic_cell():
     assert fraction_rank(block.d_in.to_dense()) == 1
     # the engine ranks its quotient by the star of x^2, which leaves only
     # xy (x) xy: a cycle and no boundary, the block's one class
-    quotient = build_block(par, (2, 2))
+    quotient = KoszulCell(par).block((2, 2))
     assert (quotient.mid_dim, quotient.src_dim, quotient.target_dim) == (1, 0, 0)
     assert (quotient.full_mid_dim, quotient.full_src_dim) == (3, 1)
 
 
 def test_block_contributions_sum_to_one():
     # dim K_{1,1}(P^1, 0; 2) = 1, concentrated in the balanced weight
-    par = Parameters(1, 0, 2, 1, 1)
-    cell = KoszulCell(par)
     contributions = {}
-    for w in all_weights(cell):
-        block = cell.block(w)
+    for block in AllWeightsStarCell(Parameters(1, 0, 2, 1, 1)).iter_blocks():
         r_in = fraction_rank(block.d_in.to_dense())
         r_out = fraction_rank(block.d_out.to_dense())
         contributions[block.weight] = block.mid_dim - r_in - r_out
@@ -132,12 +124,12 @@ def test_total_middle_dim_formula():
         p = rng.randrange(0, 4)
         q = rng.randrange(0, 3)
         par = Parameters(n, b, d, p, q)
-        cell = KoszulCell(par)
+        cell, oracle = KoszulCell(par), AllWeightsCell(par)
         expect = binom_safe(par.v, p) * binom_safe(par.middle_degree + n, n)
-        assert cell.total_middle_dim() == expect
-        assert sum(cell.middle_dim(w) for w in all_weights(cell)) == expect
-        assert sum(distinct_permutations_count(w) * cell.middle_dim(w)
-                   for w in cell.weights()) == expect
+        assert orbits(cell) == oracle.weights()
+        assert sum(oracle.block(w).mid_dim for w in oracle.weights()) == expect
+        assert sum(distinct_permutations_count(b.weight) * b.full_mid_dim
+                   for b in cell.iter_blocks()) == expect
 
 
 def test_composition_is_zero_unblocked():
@@ -162,13 +154,13 @@ def test_block_ranks_match_unblocked_ranks():
         d_in, d_out, mid = full_complex(par)
         whole_in = fraction_rank(d_in.to_dense())
         whole_out = fraction_rank(d_out.to_dense())
-        cell = UnreducedCell(par)
-        blocks = [cell.block(w) for w in all_weights(cell)]
+        blocks = list(AllWeightsCell(par).iter_blocks())
         assert sum(b.mid_dim for b in blocks) == mid
         assert sum(fraction_rank(b.d_in.to_dense()) for b in blocks) == whole_in
         assert sum(fraction_rank(b.d_out.to_dense()) for b in blocks) == whole_out
         # the engine's count: dominant blocks only, each times its orbit
-        dominant = [(distinct_permutations_count(b.weight), b) for b in cell.iter_blocks()]
+        dominant = [(distinct_permutations_count(b.weight), b)
+                    for b in UnreducedCell(par).iter_blocks()]
         assert sum(o * fraction_rank(b.d_in.to_dense()) for o, b in dominant) == whole_in
         assert sum(o * fraction_rank(b.d_out.to_dense()) for o, b in dominant) == whole_out
 
@@ -176,11 +168,8 @@ def test_block_ranks_match_unblocked_ranks():
 def test_weight_permutation_symmetry():
     # permuting the variables permutes weights without changing the shape of
     # the unreduced block or the block's contribution
-    par = Parameters(2, 0, 2, 1, 1)
-    cell = KoszulCell(par)
     dims = {}
-    for w in all_weights(cell):
-        block = cell.block(w)
+    for block in AllWeightsStarCell(Parameters(2, 0, 2, 1, 1)).iter_blocks():
         r_in = fraction_rank(block.d_in.to_dense())
         r_out = fraction_rank(block.d_out.to_dense())
         dims[block.weight] = (block.full_mid_dim, block.full_src_dim,
@@ -198,9 +187,13 @@ def test_wedge_keyed_build_matches_delta_terms_build(params):
     cell = KoszulCell(Parameters(*params))
     weights = cell.weights()
     assert weights
-    for w in weights + [tuple(reversed(weights[len(weights) // 2]))]:
+    for w in weights:
         block = cell.block(w)
         assert (block.d_in, block.d_out) == delta_terms_block(cell, w), w
+    permuted = AllWeightsStarCell(Parameters(*params))
+    w = tuple(reversed(weights[len(weights) // 2]))
+    block = permuted.block(w)
+    assert (block.d_in, block.d_out) == delta_terms_block(permuted, w), w
 
 
 def test_memory_cap_raises_infeasible():
@@ -212,4 +205,4 @@ def test_memory_cap_raises_infeasible():
     assert err.middle_dim > 0
     assert err.weight is None  # refused before any block was attempted
     with pytest.raises(InfeasibleBlockError):
-        build_block(Parameters(1, 0, 2, 1, 1), (2, 2), memory_cap=1)
+        KoszulCell(Parameters(1, 0, 2, 1, 1), memory_cap=1).block((2, 2))

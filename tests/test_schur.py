@@ -11,13 +11,11 @@ from syzlab.schur import (
     kostka,
     partitions_of,
     schur_multiplicities,
-    stability_check,
-    verify_weight_symmetry,
     weight_space_dims,
     weyl_dim,
 )
 
-from helpers import brute_ssyt_count
+from helpers import AllWeightsStarCell, all_weights_cell, brute_ssyt_count
 
 
 def test_partitions_of():
@@ -122,8 +120,12 @@ def test_weight_space_refuses_one_prime():
 
 
 def test_weight_symmetry_spot_checks():
-    assert verify_weight_symmetry(2, 0, 2, 1, 1, samples=4)
-    assert verify_weight_symmetry(1, 0, 3, 2, 1, samples=3)
+    # on two cells, every weight block contributes as its dominant
+    # rearrangement's (the oracle asserts it) and the total is the engine's
+    config = make_config()
+    for cell in [(2, 0, 2, 1, 1), (1, 0, 3, 2, 1)]:
+        assert all_weights_cell(*cell, config, AllWeightsStarCell)["dim"] == \
+            kpq_dim(*cell, config), cell
 
 
 def test_schur_decomposition_frozen_values():
@@ -158,21 +160,10 @@ def test_schur_to_dict_layout():
 
 
 def test_stability_frozen_dims():
-    rep = stability_check(0, 3, 2, 1, [2, 3, 4])
-    assert rep.dims == {2: 105, 3: 1200, 4: 7645}
-    assert rep.stable_n == [2, 3, 4]
-    assert rep.consistent
+    # K_{2,1}(P^n, 0; 3) is nonzero for every n >= p = 2
+    assert [kpq_dim(n, 0, 3, 2, 1) for n in (2, 3, 4)] == [105, 1200, 7645]
 
 
 def test_stability_on_a_vanishing_cell():
     # K_{2,2} with b = 0, d = 3 vanishes for every ambient dimension
-    rep = stability_check(0, 3, 2, 2, [2, 3])
-    assert rep.dims == {2: 0, 3: 0}
-    assert rep.consistent
-
-
-def test_stability_ignores_unstable_range():
-    # n < p entries are reported but never counted against consistency
-    rep = stability_check(0, 3, 2, 1, [1, 2, 3])
-    assert rep.stable_n == [2, 3]
-    assert rep.consistent
+    assert [kpq_dim(n, 0, 3, 2, 2) for n in (2, 3)] == [0, 0]

@@ -16,7 +16,7 @@ from syzlab.betti import EngineConfig, default_q_lo, make_config
 from syzlab.koszul import KoszulCell, Parameters
 from syzlab.linalg import _rank_mod
 
-from helpers import UnreducedCell
+from helpers import AllWeightsCell, AllWeightsStarCell, UnreducedCell
 
 TABLES = [(1, 1, 4), (2, 0, 3), (2, 1, 3), (3, 0, 2), (2, 1, 2), (1, 2, 2)]
 PRIMES = [2, random_prime(31, 0)]
@@ -39,12 +39,15 @@ def test_quotient_contribution_matches_the_unreduced_block(nbd):
         params = Parameters(*nbd, p, q)
         cell, oracle = KoszulCell(params), UnreducedCell(params)
         weights = cell.weights()
-        for w in weights + [tuple(reversed(weights[len(weights) // 2]))]:
-            block, full = cell.block(w), oracle.block(w)
+        # every dominant block, and one permuted block from the all-weights cells
+        pairs = [(cell.block(w), oracle.block(w)) for w in weights]
+        w = tuple(reversed(weights[len(weights) // 2]))
+        pairs.append((AllWeightsStarCell(params).block(w), AllWeightsCell(params).block(w)))
+        for block, full in pairs:
             assert (block.full_mid_dim, block.full_src_dim) == (full.mid_dim, full.src_dim)
             for prime in PRIMES:
                 assert contribution(block, prime) == contribution(full, prime), \
-                    (nbd, p, q, w, prime)
+                    (nbd, p, q, block.weight, prime)
             shrunk += block.mid_dim < full.mid_dim
     assert shrunk
 
