@@ -1,12 +1,12 @@
 """Computing dim K_{p,q} cells and tables, with consistency checks and caching.
 
 A cell is computed blockwise: each torus-weight block contributes
-mid_dim - rank(d_in) - rank(d_out), ranks taken per the engine mode (exact
-rational, two-prime certified, or single-prime estimate).  Since modular
-ranks can only undercount, dimensions can only overcount; agreement of two
-independent 31-bit primes is the standard certification level.  Every mode
-ranks through linalg.certified_rank, and one pass over the weight blocks,
-weight_blocks, serves both the cells and schur's weight-space dimensions.
+mid_dim - rank(d_in) - rank(d_out), ranks taken per the engine mode: exact
+rational, or two-prime certified.  Since modular ranks can only undercount,
+dimensions can only overcount; agreement of two independent 31-bit primes
+is the standard certification level.  Both modes rank through
+linalg.certified_rank, and one pass over the weight blocks, weight_blocks,
+serves both the cells and schur's weight-space dimensions.
 
 Only the dominant weights are built and ranked, in descending lex order.
 The blocks at the permutations of a weight are isomorphic to it over the
@@ -20,7 +20,7 @@ has the same cohomology over every field: each rank of the block is the
 star's rank, the same in all fields, plus the quotient's.  What the result
 says about a block is still taken from the unreduced block.  Its middle
 dimension counts in block_count and max_block_dim, and its shapes pick the
-route of each map: zero, exact (rows*cols <= exact_threshold, with the
+route of each map: zero, exact (rows*cols <= EXACT_THRESHOLD, with the
 modular ranks checked against the exact one) or modular, and so the level.
 Routed by its own, smaller shape, the quotient of a map would often go to
 the exact route, or be zero, and the cell would report level exact where it
@@ -63,46 +63,43 @@ logger = logging.getLogger(__name__)
 
 LEVEL_EXACT = "exact"
 LEVEL_TWO_PRIME = "two-prime"
-LEVEL_ONE_PRIME = "one-prime"
 
-MODES = (LEVEL_EXACT, LEVEL_TWO_PRIME, LEVEL_ONE_PRIME)
-DEFAULT_PRIME_SEEDS = {LEVEL_EXACT: (), LEVEL_TWO_PRIME: (0, 1), LEVEL_ONE_PRIME: (0,)}
+MODES = (LEVEL_EXACT, LEVEL_TWO_PRIME)
+DEFAULT_PRIME_SEEDS = {LEVEL_EXACT: (), LEVEL_TWO_PRIME: (0, 1)}
 DEFAULT_PRIME_BITS = 31
+
+# In two-prime mode a map whose unreduced block has rows*cols at most this
+# takes the exact route.  No request needs another value, so it is a
+# constant; the store key still holds it (see ResultStore.key_of).
+EXACT_THRESHOLD = 256
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """How ranks are taken: mode, primes, exact threshold, memory cap."""
+    """How ranks are taken: mode, primes, memory cap."""
 
     mode: str = LEVEL_TWO_PRIME
     primes: tuple = ()
-    exact_threshold: int = 256
     memory_cap: int = DEFAULT_MEMORY_CAP
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == LEVEL_TWO_PRIME and len(self.primes) < 2:
-            raise ValueError("two-prime mode needs at least two primes")
-        if self.mode == LEVEL_ONE_PRIME and len(self.primes) != 1:
-            raise ValueError("one-prime mode needs exactly one prime")
+        # one prime given twice is one field, and certifies nothing
+        if self.mode == LEVEL_TWO_PRIME and len(set(self.primes)) < 2:
+            raise ValueError("two-prime mode needs at least two distinct primes")
 
 
 def make_config(
     mode: str = EngineConfig.mode,
     prime_seeds=None,
-    prime_bits: int = DEFAULT_PRIME_BITS,
-    exact_threshold: int = EngineConfig.exact_threshold,
     memory_cap: int = EngineConfig.memory_cap,
 ) -> EngineConfig:
     """Config with reproducible primes drawn from the given seeds."""
     if prime_seeds is None:
         prime_seeds = DEFAULT_PRIME_SEEDS.get(mode, ())   # EngineConfig refuses a bad mode
-    primes = tuple(random_prime(prime_bits, s) for s in prime_seeds)
-    return EngineConfig(
-        mode=mode, primes=primes, exact_threshold=exact_threshold,
-        memory_cap=memory_cap,
-    )
+    primes = tuple(random_prime(DEFAULT_PRIME_BITS, s) for s in prime_seeds)
+    return EngineConfig(mode=mode, primes=primes, memory_cap=memory_cap)
 
 
 @dataclass(frozen=True)
@@ -118,7 +115,6 @@ class CellResult:
     level: str
     agreement: bool
     primes: tuple
-    exact_threshold: int
     block_count: int
     max_block_dim: int
     wall_time_ms: int
@@ -129,7 +125,7 @@ class CellResult:
             "n": self.n, "b": self.b, "d": self.d, "p": self.p, "q": self.q,
             "dim": self.dim, "level": self.level, "agreement": self.agreement,
             "primes": list(self.primes),
-            "exact_threshold": self.exact_threshold, "engine_version": ENGINE_VERSION,
+            "exact_threshold": EXACT_THRESHOLD, "engine_version": ENGINE_VERSION,
             "wall_time_ms": self.wall_time_ms, "block_count": self.block_count,
             "max_block_dim": self.max_block_dim, "analytic": self.analytic,
         }
@@ -139,8 +135,7 @@ class CellResult:
         return CellResult(
             n=rec["n"], b=rec["b"], d=rec["d"], p=rec["p"], q=rec["q"],
             dim=rec["dim"], level=rec["level"], agreement=rec["agreement"],
-            primes=tuple(rec["primes"]),
-            exact_threshold=rec["exact_threshold"], block_count=rec["block_count"],
+            primes=tuple(rec["primes"]), block_count=rec["block_count"],
             max_block_dim=rec["max_block_dim"], wall_time_ms=rec["wall_time_ms"],
             analytic=rec.get("analytic", False),
         )
@@ -166,14 +161,16 @@ def _block_ranks(block, config: EngineConfig):
     """(rank_in, rank_out, exact, agreement) for one block under the config.
 
     The mode sets only the largest map that takes the exact route: any in
-    exact mode, which checks no primes, none in one-prime mode.  The ranks
-    are the quotient's, the block's own matrices; the route, and so `exact`,
-    is picked from the shapes of the unreduced block (see the module notes)."""
-    # sizes past zero matter only to two-prime mode's threshold
-    limit = config.exact_threshold if config.mode == LEVEL_TWO_PRIME else 0
-    threshold, primes = limit, config.primes
+    exact mode, which checks no primes, and EXACT_THRESHOLD in two-prime
+    mode.  The ranks are the quotient's, the block's own matrices; the
+    route, and so `exact`, is picked from the shapes of the unreduced block
+    (see the module notes)."""
     if config.mode == LEVEL_EXACT:
-        threshold, primes = float("inf"), ()
+        # every nonzero map is exact, so sizes past zero do not matter
+        limit, threshold, primes = 0, float("inf"), ()
+    else:
+        limit = threshold = EXACT_THRESHOLD
+        primes = config.primes
     size_in, size_out = block.full_sizes(limit)
     cert_in = certified_rank(block.d_in, primes, threshold, size_in)
     cert_out = certified_rank(block.d_out, primes, threshold, size_out)
@@ -206,8 +203,7 @@ def _compute_cell(n: int, b: int, d: int, p: int, q: int, config: EngineConfig) 
     if reason is not None:
         return CellResult(
             n=n, b=b, d=d, p=p, q=q, dim=0, level=LEVEL_EXACT, agreement=True,
-            primes=config.primes, exact_threshold=config.exact_threshold,
-            block_count=0, max_block_dim=0,
+            primes=config.primes, block_count=0, max_block_dim=0,
             wall_time_ms=int((time.monotonic() - t0) * 1000), analytic=True,
         )
     dim = 0
@@ -226,8 +222,7 @@ def _compute_cell(n: int, b: int, d: int, p: int, q: int, config: EngineConfig) 
     level = LEVEL_EXACT if all_exact else config.mode
     return CellResult(
         n=n, b=b, d=d, p=p, q=q, dim=dim, level=level,
-        agreement=all_agree, primes=config.primes,
-        exact_threshold=config.exact_threshold, block_count=block_count,
+        agreement=all_agree, primes=config.primes, block_count=block_count,
         max_block_dim=max_block, wall_time_ms=int((time.monotonic() - t0) * 1000),
     )
 
@@ -295,12 +290,12 @@ class ResultStore:
     @staticmethod
     def key_of(n, b, d, p, q, config: EngineConfig) -> str:
         """The key of a cell computed under `config`: the mode, the primes
-        (a result prints them), the exact threshold in two-prime mode, the
-        only mode whose answer it can change, and the engine version."""
+        (a result prints them), EXACT_THRESHOLD in two-prime mode, the only
+        mode whose answer it can change, and the engine version."""
         key = {"n": n, "b": b, "d": d, "p": p, "q": q, "mode": config.mode,
                "primes": sorted(config.primes), "engine": ENGINE_VERSION}
         if config.mode == LEVEL_TWO_PRIME:
-            key["exact_threshold"] = config.exact_threshold
+            key["exact_threshold"] = EXACT_THRESHOLD
         return json.dumps(key, sort_keys=True, separators=(",", ":"))
 
     @staticmethod

@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass
 from . import ENGINE_VERSION, SCHEMA
 from .arith import binom_safe
 from .betti import (
-    DEFAULT_PRIME_BITS,
     DEFAULT_PRIME_SEEDS,
     MODES,
     EngineConfig,
@@ -82,8 +81,6 @@ class RunConfig:
     d_max: int = None
     mode: str = EngineConfig.mode
     prime_seeds: tuple = DEFAULT_PRIME_SEEDS[EngineConfig.mode]
-    prime_bits: int = DEFAULT_PRIME_BITS
-    exact_threshold: int = EngineConfig.exact_threshold
     memory_cap_mb: int = DEFAULT_MEMORY_CAP >> 20
     cache_dir: str = None
     fmt: str = "json"
@@ -99,8 +96,6 @@ class RunConfig:
         return make_config(
             mode=self.mode,
             prime_seeds=self.prime_seeds,
-            prime_bits=self.prime_bits,
-            exact_threshold=self.exact_threshold,
             memory_cap=self.memory_cap_mb * (1 << 20),
         )
 
@@ -114,9 +109,6 @@ def _add_engine_flags(sp):
     sp.add_argument("--mode", choices=MODES, default=RunConfig.mode)
     sp.add_argument("--prime-seeds", type=int, nargs="+", default=None,
                     help="seeds for the certification primes (default: the mode's own)")
-    sp.add_argument("--prime-bits", type=int, default=RunConfig.prime_bits)
-    sp.add_argument("--exact-threshold", type=int, default=RunConfig.exact_threshold,
-                    help="blocks up to this rows*cols take the exact rational path")
     sp.add_argument("--memory-cap-mb", type=int, default=RunConfig.memory_cap_mb)
     sp.add_argument("--cache-dir", default=None)
     sp.add_argument("--no-cache", action="store_true")
@@ -195,8 +187,7 @@ def _resolve_cache(args) -> str:
 def config_from_args(args) -> RunConfig:
     fields = {"command": args.command}
     for name in ("n", "b", "d", "p", "q", "p_min", "p_max", "q_min", "q_max",
-                 "d_min", "d_max", "mode", "prime_bits", "exact_threshold",
-                 "memory_cap_mb", "fmt", "width_px", "out"):
+                 "d_min", "d_max", "mode", "memory_cap_mb", "fmt", "width_px", "out"):
         if hasattr(args, name):
             fields[name] = getattr(args, name)
     if hasattr(args, "prime_seeds"):

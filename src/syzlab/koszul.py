@@ -76,6 +76,14 @@ _BYTES_PER_ELEMENT = 120
 _BYTES_PER_ENTRY = 60
 
 
+def _estimate_bytes(middle: int, source: int, p: int) -> int:
+    """Feasibility estimate for `middle` basis elements of wedge size p and
+    `source` of size p + 1, with one map entry per face of each."""
+    return _BYTES_PER_ELEMENT * (middle + source) + _BYTES_PER_ENTRY * (
+        source * (p + 1) + middle * p
+    )
+
+
 class InfeasibleBlockError(Exception):
     """A block (or a whole cell) would exceed the configured memory cap."""
 
@@ -204,9 +212,7 @@ class KoszulCell:
         assert len(self.basis_d) == params.v
         mid = self.expected_middle_dim()
         src = self.expected_source_dim()
-        est = _BYTES_PER_ELEMENT * (mid + src) + _BYTES_PER_ENTRY * (
-            src * (params.p + 1) + mid * params.p
-        )
+        est = _estimate_bytes(mid, src, params.p)
         if est > memory_cap:
             raise InfeasibleBlockError(
                 f"cell {params} needs ~{est} bytes (middle {mid}, source {src}), "
@@ -291,10 +297,7 @@ class KoszulCell:
 
     def _check_cap(self, weight, middle, source):
         """Refuse a block whose unreduced bases and maps would exceed the cap."""
-        par = self.params
-        est = _BYTES_PER_ELEMENT * (len(middle) + len(source)) + _BYTES_PER_ENTRY * (
-            len(source) * (par.p + 1) + len(middle) * par.p
-        )
+        est = _estimate_bytes(len(middle), len(source), self.params.p)
         if est > self.memory_cap:
             raise InfeasibleBlockError(
                 f"block at weight {weight} needs ~{est} bytes, cap is {self.memory_cap}",

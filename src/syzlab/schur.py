@@ -13,8 +13,8 @@ is plain back-substitution:
 
 A negative M_lambda is mathematically impossible, so it is raised as a hard
 error (it would mean a rank was wrong).  Weight-space dimensions, read off
-the cell's own pass, demand exact or multi-prime-agreed ranks; single-prime
-estimates are refused.
+the cell's own pass, demand exact or multi-prime-agreed ranks; a block
+whose primes disagree is refused.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .betti import LEVEL_ONE_PRIME, EngineConfig, make_config, weight_blocks
+from .betti import EngineConfig, make_config, weight_blocks
 from .monomials import distinct_permutations_count
 
 
@@ -144,14 +144,9 @@ def weight_space_dims(n, b, d, p, q, config: EngineConfig = None) -> dict:
     Keys are all partitions of (p+q)d + b into at most n+1 parts, padded
     with zeros to n+1 entries; values can be 0.  The values are the
     contributions of the cell's own pass, so the ranks are the ones `kpq`
-    takes.  Refuses single-prime configurations outright.
+    takes.  A block whose primes disagree raises CertificationError.
     """
     config = config or make_config()
-    if config.mode == LEVEL_ONE_PRIME:
-        raise CertificationError(
-            "weight-space dimensions refuse one-prime estimates; "
-            "use exact or two-prime mode"
-        )
     blocks = weight_blocks(n, b, d, p, q, config)
     out = {lam + (0,) * (n + 1 - len(lam)): 0
            for lam in partitions_of((p + q) * d + b, n + 1)}

@@ -13,7 +13,6 @@ from syzlab.betti import (
     EngineConfig,
     IncompleteTableError,
     LEVEL_EXACT,
-    LEVEL_ONE_PRIME,
     LEVEL_TWO_PRIME,
     ResultStore,
     StoreConflictError,
@@ -34,7 +33,6 @@ from helpers import append_records, brute_hilbert_numerator, brute_kpq, kpq_dim_
 
 TWO_PRIME = make_config()
 EXACT = make_config("exact")
-ONE_PRIME = make_config("one-prime")
 
 
 # ---------------------------------------------------------------- single cells
@@ -68,7 +66,6 @@ def test_all_modes_agree():
     for (n, b, d, p, q) in [(1, 0, 3, 2, 1), (2, 0, 2, 1, 1), (1, 1, 4, 2, 1)]:
         base = kpq_dim(n, b, d, p, q, EXACT)
         assert kpq_dim(n, b, d, p, q, TWO_PRIME) == base
-        assert kpq_dim(n, b, d, p, q, ONE_PRIME) == base
 
 
 def test_analytic_zeros():
@@ -101,13 +98,6 @@ def test_cell_metadata():
     assert res.wall_time_ms >= 0
 
 
-def test_one_prime_level_is_visible():
-    res = cell_result(1, 0, 2, 1, 1, ONE_PRIME)
-    assert res.dim == 1
-    assert res.level == LEVEL_ONE_PRIME
-    assert res.agreement is False  # nothing to agree with
-
-
 def test_cell_record_round_trip():
     res = cell_result(1, 0, 2, 1, 1)
     assert CellResult.from_record(res.to_record()) == res
@@ -116,12 +106,17 @@ def test_cell_record_round_trip():
 def test_config_validation():
     with pytest.raises(ValueError, match="unknown mode 'three-prime'"):
         make_config("three-prime")
+    with pytest.raises(ValueError, match="unknown mode 'one-prime'"):
+        make_config("one-prime")
     with pytest.raises(ValueError):
-        EngineConfig(mode=LEVEL_TWO_PRIME, primes=(7,), exact_threshold=0,
-                     memory_cap=1 << 20)
-    with pytest.raises(ValueError):
-        make_config(LEVEL_ONE_PRIME, prime_seeds=(0, 1))
-    for retired in ("backend", "threads"):
+        EngineConfig(mode=LEVEL_TWO_PRIME, primes=(7,), memory_cap=1 << 20)
+    # one prime given twice, or drawn by two seeds, is one field
+    with pytest.raises(ValueError, match="two distinct primes"):
+        EngineConfig(mode=LEVEL_TWO_PRIME, primes=(7, 7))
+    with pytest.raises(ValueError, match="two distinct primes"):
+        make_config(prime_seeds=(5, 5))
+    assert EngineConfig(mode=LEVEL_EXACT, primes=(7, 7)).primes == (7, 7)
+    for retired in ("backend", "threads", "prime_bits", "exact_threshold"):
         with pytest.raises(TypeError):
             make_config(**{retired: 1})
 
@@ -320,8 +315,8 @@ def test_store_detects_corruption(tmp_path):
         reloaded.get(key)
 
 
-def key_under(mode=LEVEL_TWO_PRIME, primes=(7, 11), **settings):
-    return ResultStore.key_of(1, 0, 2, 1, 1, EngineConfig(mode, primes, **settings))
+def key_under(mode=LEVEL_TWO_PRIME, primes=(7, 11)):
+    return ResultStore.key_of(1, 0, 2, 1, 1, EngineConfig(mode, primes))
 
 
 def test_store_key_depends_on_primes(tmp_path):
@@ -332,22 +327,22 @@ def test_store_key_depends_on_primes(tmp_path):
     assert key_under(LEVEL_EXACT, ()) != key_under(LEVEL_EXACT, (7,))  # results print them
 
 
-def test_store_key_covers_exact_threshold():
-    base = key_under(exact_threshold=256)
-    assert base == key_under()
-    assert base != key_under(exact_threshold=0)
-    # the threshold changes no answer in exact or one-prime mode
-    for mode, primes in [(LEVEL_EXACT, ()), (LEVEL_ONE_PRIME, (7,))]:
-        assert key_under(mode, primes, exact_threshold=0) == key_under(mode, primes)
+def test_store_key_covers_exact_threshold(monkeypatch):
+    # the key holds the constant, so a store never serves a two-prime result
+    # computed under another value of it
+    base, exact = key_under(), key_under(LEVEL_EXACT, ())
+    assert json.loads(base)["exact_threshold"] == betti.EXACT_THRESHOLD == 256
+    monkeypatch.setattr(betti, "EXACT_THRESHOLD", 0)
+    assert key_under() != base
+    # the threshold changes no answer in exact mode
+    assert key_under(LEVEL_EXACT, ()) == exact
 
 
 def test_store_key_covers_the_mode():
-    assert key_under(LEVEL_EXACT, (7,)) != key_under(LEVEL_ONE_PRIME, (7,))
     assert key_under(LEVEL_EXACT, (7, 11)) != key_under(LEVEL_TWO_PRIME, (7, 11))
 
 
 def test_store_never_serves_another_configs_result(tmp_path, monkeypatch):
-    other = make_config(exact_threshold=0)
     store = ResultStore(str(tmp_path))
     computed = []
     compute = betti._compute_cell
@@ -358,11 +353,13 @@ def test_store_never_serves_another_configs_result(tmp_path, monkeypatch):
 
     monkeypatch.setattr(betti, "_compute_cell", counting)
     first = cell_result(1, 0, 3, 1, 1, TWO_PRIME, store)
-    second = cell_result(1, 0, 3, 1, 1, other, store)
-    assert len(computed) == 2                    # the second config ran afresh
-    assert second.exact_threshold == other.exact_threshold
-    assert second.dim == first.dim
-    assert cell_result(1, 0, 3, 1, 1, other, store) == second   # and is now stored
+    with monkeypatch.context() as patch:
+        patch.setattr(betti, "EXACT_THRESHOLD", 0)
+        second = cell_result(1, 0, 3, 1, 1, TWO_PRIME, store)
+        assert len(computed) == 2                # the other threshold ran afresh
+        assert second.dim == first.dim
+        assert second.level != first.level      # its maps took the modular route
+        assert cell_result(1, 0, 3, 1, 1, TWO_PRIME, store) == second   # now stored
     assert cell_result(1, 0, 3, 1, 1, TWO_PRIME, ResultStore(str(tmp_path))) == first
     assert len(computed) == 2
 

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from syzlab import SCHEMA
+from syzlab import SCHEMA, betti
 from syzlab.betti import ResultStore, cell_result, make_config
 from syzlab.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
@@ -47,20 +47,29 @@ def test_cache_round_trip_is_byte_identical(capsys, tmp_path):
 KPQ_253 = ("kpq", "--n", "2", "--b", "0", "--d", "3", "--p", "5", "--q", "1")
 
 
-@pytest.mark.parametrize("first,then", [
-    (("--mode", "one-prime"), ("--mode", "exact", "--prime-seeds", "0")),
-    ((), ("--mode", "exact", "--prime-seeds", "0", "1")),
-], ids=["one-prime-then-exact", "two-prime-then-exact"])
+EXACT_0_1 = ("--mode", "exact", "--prime-seeds", "0", "1")
+
+
+@pytest.mark.parametrize("first,then", [((), EXACT_0_1), (EXACT_0_1, ())],
+                         ids=["two-prime-then-exact", "exact-then-two-prime"])
 def test_store_never_answers_one_mode_with_another(capsys, tmp_path, first, then):
     # a request after another mode's run on the same store prints what it
-    # prints on a fresh store
+    # prints on a fresh store; the two modes print different levels here
     cache = str(tmp_path / "cache")
     code, fresh, _ = run(capsys, *KPQ_253, *then, "--cache-dir", cache)
     assert code == EXIT_OK
-    assert json.loads(fresh)["result"]["level"] == "exact"
     os.remove(os.path.join(cache, ResultStore.FILENAME))
-    assert run(capsys, *KPQ_253, *first, "--cache-dir", cache)[0] == EXIT_OK
+    code, other, _ = run(capsys, *KPQ_253, *first, "--cache-dir", cache)
+    assert code == EXIT_OK
+    assert json.loads(other)["result"]["level"] != json.loads(fresh)["result"]["level"]
     assert run(capsys, *KPQ_253, *then, "--cache-dir", cache)[:2] == (EXIT_OK, fresh)
+
+
+def test_two_prime_mode_refuses_a_repeated_prime(capsys):
+    # one prime listed twice is one field: it would certify nothing
+    code, out, err = run(capsys, *KPQ_253, "--prime-seeds", "5", "5", "--no-cache")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "two distinct primes" in err
 
 
 def test_cache_dir_env_var(capsys, tmp_path, monkeypatch):
@@ -121,12 +130,11 @@ def test_window_ends_not_given_are_the_full_tables(capsys):
     assert window.splitlines()[3].split() == ["-1", "1", ".", "."]
 
 
-@pytest.mark.parametrize("mode", ["one-prime", "two-prime"])
-def test_prime_is_checked_when_first_ranked_modulo(capsys, mode):
+def test_prime_is_checked_when_first_ranked_modulo(capsys, monkeypatch):
     # 20 bits is outside the 31-62 a prime field takes; every unreduced map
-    # of K_{0,0} is zero, so no map is ranked modulo the prime there
-    args = ("kpq", "--n", "1", "--b", "0", "--d", "2", "--mode", mode,
-            "--prime-bits", "20", "--no-cache")
+    # of K_{0,0} is zero, so no map is ranked modulo the primes there
+    monkeypatch.setattr(betti, "DEFAULT_PRIME_BITS", 20)
+    args = ("kpq", "--n", "1", "--b", "0", "--d", "2", "--no-cache")
     code, out, _ = run(capsys, *args, "--p", "0", "--q", "0")
     assert code == EXIT_OK
     assert json.loads(out)["result"]["dim"] == 1
@@ -260,14 +268,16 @@ def test_bad_parameter_is_usage_error(capsys):
 def test_retired_engine_flags_are_usage_errors(capsys):
     args = ("kpq", "--n", "1", "--b", "0", "--d", "3", "--p", "1", "--q", "1",
             "--no-cache")
-    for retired in (("--backend", "wiedemann"), ("--threads", "2")):
+    for retired in (("--backend", "wiedemann"), ("--threads", "2"),
+                    ("--exact-threshold", "0"), ("--prime-bits", "62"),
+                    ("--mode", "one-prime")):
         code, out, err = run(capsys, *args, *retired)
-        assert (code, out) == (EXIT_USAGE, "")
+        assert (code, out) == (EXIT_USAGE, ""), retired
         assert "usage error" in err
     code, out, _ = run(capsys, *args)
     config = json.loads(out)["config"]
     assert code == EXIT_OK and "mode" in config
-    assert not {"backend", "threads"} & set(config)
+    assert not {"backend", "threads", "exact_threshold", "prime_bits"} & set(config)
 
 
 def test_memory_cap_zero_is_infeasible(capsys):

@@ -26,18 +26,15 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_stdout
 CACHE = "{cache}"
 
 COMMANDS = [
-    # kpq: a store miss then a hit, each mode, both threshold extremes, a cap
+    # kpq: a store miss then a hit, each mode, a repeated prime, a cap
     "kpq --n 1 --b 0 --d 3 --p 2 --q 1 --cache-dir {cache}",
     "kpq --n 1 --b 0 --d 3 --p 2 --q 1 --cache-dir {cache}",
     "kpq --n 2 --b 0 --d 3 --p 5 --q 1 --no-cache",
     "kpq --n 2 --b 0 --d 3 --p 5 --q 1 --mode exact --no-cache",
-    "kpq --n 2 --b 0 --d 3 --p 5 --q 1 --mode one-prime --no-cache",
-    "kpq --n 2 --b 1 --d 3 --p 4 --q 1 --exact-threshold 0 --no-cache",
-    "kpq --n 2 --b 0 --d 3 --p 4 --q 1 --exact-threshold 100000 --no-cache",
     "kpq --n 2 --b 0 --d 2 --p 1 --q 1 --prime-seeds 5 5 --no-cache",
     "kpq --n 2 --b 0 --d 4 --p 6 --q 1 --no-cache",
     "kpq --n 2 --b 0 --d 4 --p 6 --q 1 --memory-cap-mb 1 --no-cache",
-    # betti: three formats on one store, several tables, modes and thresholds
+    # betti: three formats on one store, several tables, both modes
     "betti --n 1 --b 0 --d 3 --cache-dir {cache}",
     "betti --n 1 --b 0 --d 3 --format m2 --cache-dir {cache}",
     "betti --n 1 --b 0 --d 3 --format csv --cache-dir {cache}",
@@ -48,9 +45,6 @@ COMMANDS = [
     "betti --n 1 --b 2 --d 2 --format m2 --no-cache",
     "betti --n 2 --b 0 --d 2 --format m2 --mode exact --no-cache",
     "betti --n 1 --b 1 --d 4 --format csv --mode exact --no-cache",
-    "betti --n 2 --b 1 --d 2 --format csv --mode one-prime --no-cache",
-    "betti --n 2 --b 0 --d 3 --format csv --exact-threshold 0 --no-cache",
-    "betti --n 2 --b 1 --d 2 --format csv --exact-threshold 100000 --no-cache",
     "betti --n 2 --b 0 --d 4 --p-min 5 --p-max 7 --q-min 1 --q-max 1 --format m2 "
     "--memory-cap-mb 1 --no-cache",
     # verify: a curve, a surface, b >= d, a twisted table, exact mode
@@ -59,10 +53,9 @@ COMMANDS = [
     "verify --n 1 --b 2 --d 2 --no-cache",
     "verify --n 2 --b 1 --d 2 --no-cache",
     "verify --n 1 --b 1 --d 4 --mode exact --no-cache",
-    # schur: two-prime, exact, the one-prime refusal, a twisted cell
+    # schur: two-prime, exact, a twisted cell
     "schur --n 2 --b 0 --d 3 --p 2 --q 1 --no-cache",
     "schur --n 2 --b 0 --d 2 --p 1 --q 1 --mode exact --no-cache",
-    "schur --n 2 --b 0 --d 3 --p 2 --q 1 --mode one-prime --no-cache",
     "schur --n 2 --b 1 --d 3 --p 3 --q 1 --no-cache",
     # cycle and bounds
     "cycle --n 1 --b 2 --d 3 --p 2",

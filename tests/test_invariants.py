@@ -37,14 +37,13 @@ def weyl_plus_one(lam, m):
 
 
 WEYL = schur.weyl_dim
-EXACT_ROUTE = betti.make_config(exact_threshold=10 ** 6)
 cases = {
     "composition": (koszul, "_faces", flat_faces,
                     lambda: KoszulCell(Parameters(1, 0, 2, 1, 1)).block((2, 2))),
     "rank_sum": (betti, "_block_ranks", too_large_ranks,
                  lambda: betti._compute_cell(1, 0, 2, 1, 1, betti.make_config())),
     "modular_le_exact": (linalg, "_rank_mod", one_above,
-                         lambda: betti._compute_cell(1, 0, 2, 1, 1, EXACT_ROUTE)),
+                         lambda: betti._compute_cell(1, 0, 2, 1, 1, betti.make_config())),
     "schur_recomposition": (schur, "weyl_dim", weyl_plus_one,
                             lambda: schur.schur_multiplicities(2, 0, 2, 1, 1)),
 }

@@ -22,7 +22,7 @@ from helpers import AllWeightsCell, AllWeightsStarCell, all_weights_cell
 # whole blocks take exact mode minutes, it ranks the star quotients.
 TABLES = [(1, 1, 4), (2, 0, 3), (2, 1, 3), (3, 0, 2), (2, 1, 2)]
 WHOLE_BLOCKS = {(1, 1, 4), (2, 1, 2)}
-MODES = ["exact", "two-prime", "one-prime"]
+MODES = ["exact", "two-prime"]
 
 
 def table_cells(n, b, d):
@@ -55,7 +55,7 @@ def outcome(compute):
 
 
 def test_tiny_memory_cap_stops_both_at_the_cell():
-    config = make_config("one-prime", memory_cap=64)
+    config = make_config(memory_cap=64)
     for n, b, d, p, q in [(2, 0, 3, 4, 1), (2, 1, 3, 3, 1), (3, 0, 2, 5, 1)]:
         new = outcome(lambda: engine_cell(n, b, d, p, q, config))
         old = outcome(lambda: all_weights_cell(n, b, d, p, q, config))
@@ -81,7 +81,7 @@ def test_memory_cap_stops_both_at_the_same_block(monkeypatch):
     refused = set()
     for n, b, d, p, q in [(2, 0, 3, 4, 1), (2, 1, 3, 3, 1), (3, 0, 2, 5, 1)]:
         for cap in [1 << k for k in range(12, 22)]:
-            config = make_config("one-prime", memory_cap=cap)
+            config = make_config(memory_cap=cap)
             new = outcome(lambda: engine_cell(n, b, d, p, q, config))
             old = outcome(lambda: all_weights_cell(n, b, d, p, q, config, oracle_class))
             assert new == old, (n, b, d, p, q, cap)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from syzlab import betti
 from syzlab.betti import kpq_dim, make_config
 from syzlab.schur import (
     CertificationError,
@@ -112,11 +113,13 @@ def test_weight_space_dims_example():
     assert dims == {(4, 0, 0): 0, (3, 1, 0): 0, (2, 2, 0): 1, (2, 1, 1): 1}
 
 
-def test_weight_space_refuses_one_prime():
+def test_weight_space_refuses_uncertified_ranks(monkeypatch):
+    # a block whose primes disagree has no certified dimension
+    monkeypatch.setattr(betti, "_block_ranks", lambda block, config: (0, 0, False, False))
+    with pytest.raises(CertificationError, match="rank disagreement"):
+        weight_space_dims(2, 0, 2, 1, 1)
     with pytest.raises(CertificationError):
-        weight_space_dims(2, 0, 2, 1, 1, make_config("one-prime"))
-    with pytest.raises(CertificationError):
-        schur_multiplicities(2, 0, 2, 1, 1, make_config("one-prime"))
+        schur_multiplicities(2, 0, 2, 1, 1)
 
 
 def test_weight_symmetry_spot_checks():

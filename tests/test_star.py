@@ -52,13 +52,16 @@ def test_quotient_contribution_matches_the_unreduced_block(nbd):
     assert shrunk
 
 
+# name: (config, EXACT_THRESHOLD).  The two extremes of the threshold put
+# every nonzero map of a two-prime run on the modular route, or every one on
+# the exact route.  Under threshold 0 a map routed by its quotient's own
+# shape, often zero, would show in the level.
 CONFIGS = {
-    "two-prime": make_config(),
-    "exact": make_config("exact"),
-    "one-prime": make_config("one-prime"),
-    "threshold-0": make_config(exact_threshold=0),
-    "threshold-100000": make_config(exact_threshold=100000),
-    "primes-2-3": EngineConfig(primes=(2, 3)),
+    "two-prime": (make_config(), betti.EXACT_THRESHOLD),
+    "exact": (make_config("exact"), betti.EXACT_THRESHOLD),
+    "threshold-0": (make_config(), 0),
+    "threshold-100000": (make_config(), 100000),
+    "primes-2-3": (EngineConfig(primes=(2, 3)), betti.EXACT_THRESHOLD),
 }
 
 
@@ -78,13 +81,14 @@ def cell_fields(n, b, d, p, q, config):
 SMALL = [(1, 1, 4), (2, 1, 2), (1, 2, 2), (2, 0, 2)]
 CASES = [(nbd, name) for nbd in SMALL for name in sorted(CONFIGS)] + [
     (nbd, name) for nbd in [(2, 0, 3), (2, 1, 3), (3, 0, 2)]
-    for name in ["one-prime", "primes-2-3", "threshold-0", "two-prime"]]
+    for name in ["primes-2-3", "threshold-0", "two-prime"]]
 
 
 @pytest.mark.parametrize("nbd,name", CASES,
                          ids=["".join(map(str, nbd)) + "-" + name for nbd, name in CASES])
 def test_every_cell_matches_the_unreduced_engine(nbd, name, monkeypatch):
-    config = CONFIGS[name]
+    config, threshold = CONFIGS[name]
+    monkeypatch.setattr(betti, "EXACT_THRESHOLD", threshold)
     cells = table_cells(*nbd)
     new = [cell_fields(*nbd, p, q, config) for p, q in cells]
     monkeypatch.setattr(betti, "KoszulCell", UnreducedCell)
