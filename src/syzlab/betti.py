@@ -55,6 +55,7 @@ from .koszul import (
     InfeasibleBlockError,
     KoszulCell,
     Parameters,
+    check_nbd,
 )
 from .linalg import InvariantError, certified_rank
 from .monomials import distinct_permutations_count
@@ -342,7 +343,8 @@ class ResultStore:
 
 def cell_result(n, b, d, p, q, config: EngineConfig = None,
                 store: ResultStore = None) -> CellResult:
-    """Compute (or fetch from the store) one cell."""
+    """Compute (or fetch from the store) one cell; a bad (n, b, d) first raises."""
+    check_nbd(n, b, d)
     config = config or make_config()
     if store is None:
         return _compute_cell(n, b, d, p, q, config)
@@ -417,6 +419,7 @@ def betti_table(n, b, d, p_range=(None, None), q_range=(None, None),
     Infeasible cells are recorded per cell, not fatal; everything already in
     the store is reused.
     """
+    check_nbd(n, b, d)      # an empty window reaches no cell_result
     config = config or make_config()
     (p_lo, p_hi), (q_lo, q_hi) = p_range, q_range
     table = BettiTable(
@@ -483,13 +486,13 @@ def euler_check(table: BettiTable) -> EulerReport:
     degree p_max + n + 2, past the support of the resolution, so trailing
     junk would show up too.
     """
-    missing = table.missing_cells()
-    if missing:
-        raise IncompleteTableError(f"table is missing cells {missing}", missing)
     if table.failures:
         raise IncompleteTableError(
             f"table has infeasible cells {sorted(table.failures)}", sorted(table.failures)
         )
+    missing = table.missing_cells()
+    if missing:
+        raise IncompleteTableError(f"table is missing cells {missing}", missing)
     p_lo, p_hi = table.p_range
     q_lo, q_hi = table.q_range
     need_q_lo = default_q_lo(table.b, table.d)

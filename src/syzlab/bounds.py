@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 from .arith import binom_safe
 from .betti import BettiTable
+from .koszul import check_nbd
 
 REGIME_PROVED = "proved"
 REGIME_CONJECTURED = "conjectured"
@@ -62,18 +63,13 @@ class PredictedRange:
         }
 
 
-def _check_nbd(n, b, d):
-    if n < 1 or d < 1 or b < 0:
-        raise ValueError(f"need n >= 1, d >= 1, b >= 0; got n={n}, b={b}, d={d}")
-
-
 def sharp_range(n: int, b: int, d: int, q: int) -> PredictedRange:
     """The two-sided nonvanishing range for an interior strand 1 <= q <= n.
 
     lo = binom(d+q, q) - binom(d-b-1, q) - q
     hi = binom(d+n, n) - binom(d+n-q, n-q) + binom(n+b, n-q) - q - 1
     """
-    _check_nbd(n, b, d)
+    check_nbd(n, b, d)
     if not 1 <= q <= n:
         raise ValueError(f"sharp_range needs 1 <= q <= n, got q={q}")
     lo = binom_safe(d + q, q) - binom_safe(d - b - 1, q) - q
@@ -100,7 +96,7 @@ def direct_range(n: int, b: int, d: int, q: int) -> PredictedRange:
 
     for 2 <= q <= n, proved once d >= b + q + 1.
     """
-    _check_nbd(n, b, d)
+    check_nbd(n, b, d)
     if not 2 <= q <= n:
         raise ValueError(f"direct_range needs 2 <= q <= n, got q={q}")
     lo = binom_safe(d + q, q) - binom_safe(d - b - 1, q) - q
@@ -118,7 +114,7 @@ def direct_range(n: int, b: int, d: int, q: int) -> PredictedRange:
 def linear_strand_range(n: int, b: int, d: int) -> PredictedRange:
     """Nonvanishing range [b + 1, binom(d+n-1, n) - 1] of the q = 1 strand,
     proved for d >= b + 2."""
-    _check_nbd(n, b, d)
+    check_nbd(n, b, d)
     valid = d >= b + 2
     return PredictedRange("linear_strand", 1, b + 1, binom_safe(d + n - 1, n) - 1,
                           valid, REGIME_PROVED if valid else REGIME_OUTSIDE)
@@ -127,7 +123,7 @@ def linear_strand_range(n: int, b: int, d: int) -> PredictedRange:
 def kp0_exact(n: int, b: int, d: int) -> PredictedRange:
     """Exact q = 0 strand: K_{p,0} != 0 iff 0 <= p <= binom(n+b, n) - 1,
     valid for d >= b + 1."""
-    _check_nbd(n, b, d)
+    check_nbd(n, b, d)
     valid = d >= b + 1
     return PredictedRange("kp0", 0, 0, binom_safe(n + b, n) - 1,
                           valid, REGIME_PROVED if valid else REGIME_OUTSIDE)
@@ -138,7 +134,7 @@ def kpn_exact(n: int, b: int, d: int) -> PredictedRange:
 
     K_{p,n} != 0 iff binom(d+n, n) - binom(d-b-1, n) - n <= p <= binom(d+n, n) - n - 1.
     """
-    _check_nbd(n, b, d)
+    check_nbd(n, b, d)
     v = binom_safe(d + n, n)
     lo = v - binom_safe(d - b - 1, n) - n
     hi = v - n - 1
@@ -150,7 +146,7 @@ def kpn_exact(n: int, b: int, d: int) -> PredictedRange:
 def kpn1_exact(n: int, b: int, d: int) -> PredictedRange:
     """The q = n + 1 strand, which is empty for every b >= 0 once
     d >= b + n + 1 (the twisting sheaf dual to O(b) has no sections)."""
-    _check_nbd(n, b, d)
+    check_nbd(n, b, d)
     valid = d >= b + n + 1
     return PredictedRange("kpn1", n + 1, 0, -1, valid,
                           REGIME_PROVED if valid else REGIME_OUTSIDE)
@@ -169,7 +165,7 @@ def linearity_zero_oracle(n: int, d: int, p: int, q: int) -> bool:
     """True when K_{p,q}(P^n, 0; d) = 0 is forced because the resolution of
     the b = 0 section ring is linear through the first d steps: q >= 2 and
     1 <= p <= d."""
-    _check_nbd(n, 0, d)
+    check_nbd(n, 0, d)
     return q >= 2 and 1 <= p <= d
 
 

@@ -224,11 +224,20 @@ def cmd_kpq(cfg: RunConfig) -> tuple:
     return EXIT_OK, _emit_json(payload)
 
 
-def _table_for(cfg: RunConfig, n=None, b=None):
-    n = cfg.n if n is None else n
-    b = cfg.b if b is None else b
-    return betti_table(n, b, cfg.d, (cfg.p_min, cfg.p_max), (cfg.q_min, cfg.q_max),
+def _table_for(cfg: RunConfig, b: int):
+    return betti_table(cfg.n, b, cfg.d, (cfg.p_min, cfg.p_max), (cfg.q_min, cfg.q_max),
                        cfg.engine_config(), cfg.store())
+
+
+def _whole_table(cfg: RunConfig, b: int):
+    """The table of a command that reads every cell: cells the memory cap
+    refused stop it (exit 2), named, rather than be read as zeros."""
+    table = _table_for(cfg, b)
+    if table.failures:
+        raise InfeasibleBlockError(
+            f"the memory cap refused cells (p, q) = {sorted(table.failures)} "
+            f"of the table (n, b, d) = ({table.n}, {table.b}, {table.d})")
+    return table
 
 
 def _table_json(table) -> dict:
@@ -246,7 +255,7 @@ def _table_json(table) -> dict:
 
 
 def cmd_betti(cfg: RunConfig) -> tuple:
-    table = _table_for(cfg)
+    table = _table_for(cfg, cfg.b)
     if cfg.fmt == "m2":
         head = (f"-- schema: {SCHEMA}  engine: {ENGINE_VERSION}\n"
                 f"-- config: {json.dumps(cfg.to_dict(), sort_keys=True)}\n")
@@ -265,7 +274,7 @@ def cmd_betti(cfg: RunConfig) -> tuple:
 
 
 def cmd_verify(cfg: RunConfig) -> tuple:
-    table = _table_for(cfg)
+    table = _whole_table(cfg, cfg.b)
     report = {"euler": None, "duality": None, "bounds": None}
     euler = euler_check(table)
     report["euler"] = {"ok": euler.ok,
@@ -274,7 +283,7 @@ def cmd_verify(cfg: RunConfig) -> tuple:
     ok = euler.ok
     if cfg.d >= cfg.b + cfg.n + 1:
         b2 = dual_b(cfg.n, cfg.b, cfg.d)
-        companion = table if b2 == cfg.b else _table_for(cfg, b=b2)
+        companion = table if b2 == cfg.b else _whole_table(cfg, b2)
         dual = check_duality(table, companion)
         report["duality"] = {
             "ok": dual.ok, "b_dual": dual.b_dual,
@@ -348,7 +357,7 @@ def cmd_explore(cfg: RunConfig) -> tuple:
 
 
 def cmd_render(cfg: RunConfig) -> tuple:
-    table = _table_for(cfg)
+    table = _whole_table(cfg, cfg.b)
     comment = (f"schema: {SCHEMA} engine: {ENGINE_VERSION} "
                f"config: {json.dumps(cfg.to_dict(), sort_keys=True)}")
     svg = render_normalized_diagram(table, cfg.width_px, comment)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import binom_safe
-from .koszul import _delta_terms
+from .koszul import _delta_terms, check_nbd
 from .monomials import enumerate_basis, monomial_text, multiply
 
 
@@ -139,6 +139,7 @@ def build_kp0_cycle(n: int, b: int, d: int, p: int,
     no p+1 distinct degree-b monomials exist, matching the exact vanishing
     of the strand beyond that point).
     """
+    check_nbd(n, b, d)
     if d < b + 1:
         raise ValueError(f"need d >= b + 1, got b={b}, d={d}")
     count = binom_safe(n + b, n)

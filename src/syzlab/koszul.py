@@ -53,9 +53,11 @@ fixed by the dimensions of S alone, so it is the same in every field.  So
 mid - rank(d_in) - rank(d_out) is the same on the quotient as on the block,
 over Q and over every F_p, and two primes agree on the quotient exactly when
 they agree on the block.  If no degree-d monomial divides x^w the block is
-its own quotient.  The unreduced block is never built: its d_out . d_in = 0
-is checked from the source side, through the faces of the faces of each
-source wedge, and the quotient's matrices are checked as well.
+its own quotient.  The unreduced block is never built.  Its d_out . d_in = 0
+is checked once per cell, on the faces of the faces of the wedge (0, ..., p):
+their signs come from positions, never from values, and a source wedge has
+distinct entries, so relabelling carries its sum onto that one.  Every source
+wedge cancels as it does.  The quotient's matrices are checked per block.
 """
 
 from __future__ import annotations
@@ -97,6 +99,12 @@ class InfeasibleBlockError(Exception):
         self.cap = cap
 
 
+def check_nbd(n: int, b: int, d: int) -> None:
+    """Refuse an (n, b, d) outside the range of every computation."""
+    if n < 1 or d < 1 or b < 0:
+        raise ValueError(f"need n >= 1, d >= 1, b >= 0; got n={n}, b={b}, d={d}")
+
+
 @dataclass(frozen=True)
 class Parameters:
     """Cell coordinates (n, b, d, p, q) with the derived sizes v and r_d.
@@ -112,12 +120,7 @@ class Parameters:
     q: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.b < 0:
-            raise ValueError(f"b must be >= 0, got {self.b}")
+        check_nbd(self.n, self.b, self.d)
         if self.p < 0:
             raise ValueError(f"p must be >= 0, got {self.p}")
 
@@ -147,6 +150,17 @@ def _faces(wedge):
     j-th wedge factor, with sign (-1)^j counting j from 0."""
     return [(wedge[j], wedge[:j] + wedge[j + 1:], -1 if j & 1 else 1)
             for j in range(len(wedge))]
+
+
+def _check_faces_of_faces(size: int) -> None:
+    """d_out . d_in = 0 on every unreduced block with source wedges of `size`
+    factors: the faces of the faces of (0, ..., size - 1) cancel."""
+    acc = {}
+    for _, face, sign in _faces(tuple(range(size))):
+        for _, face2, sign2 in _faces(face):
+            acc[face2] = acc.get(face2, 0) + sign * sign2
+    if any(acc.values()):
+        raise InvariantError(f"d_out . d_in != 0 on the wedges of size {size}")
 
 
 def _delta_terms(wedge, tensor, monomials):
@@ -219,9 +233,10 @@ class KoszulCell:
                 f"cap is {memory_cap}",
                 middle_dim=mid, source_dim=src, estimated_bytes=est, cap=memory_cap,
             )
+        if src:     # no source element, no composite (and p + 1 may pass v)
+            _check_faces_of_faces(params.p + 1)
         self._middle = None
         self._source = None
-        self._checked = set()    # source wedges whose d_out . d_in is zero
 
     def expected_middle_dim(self) -> int:
         p = self.params
@@ -307,11 +322,10 @@ class KoszulCell:
 
     def _build(self, weight, middle, source) -> KoszulBlock:
         """Matrices of the block at `weight` on the quotient of the given
-        bases by the star of the apex.  The memory-cap estimate and the
-        d_out . d_in = 0 check of the unreduced block come first, the same
-        check on the quotient's matrices last."""
+        bases by the star of the apex.  The memory-cap estimate comes first,
+        the d_out . d_in = 0 check of the quotient's matrices last (that of
+        the unreduced block is made once per cell: see the module notes)."""
         self._check_cap(weight, middle, source)
-        self._check_unreduced_composition(source, weight)
         full_mid, full_src = middle, source
         exps = self.basis_d.monomials
         # the apex: the first degree-d monomial dividing x^weight.  With none
@@ -357,22 +371,6 @@ class KoszulCell:
             full_mid_dim=len(full_mid), full_src_dim=len(full_src),
             full_middle=full_mid,
         )
-
-    def _check_unreduced_composition(self, source, weight):
-        """d_out . d_in = 0 on the unreduced block, from the source side: the
-        faces of the faces of each source wedge cancel.  The column of the
-        composite at a source element depends on its wedge alone, so each
-        wedge is checked once per cell."""
-        for wedge, _ in source:
-            if wedge in self._checked:
-                continue
-            acc = {}
-            for _, face, sign in _faces(wedge):
-                for _, face2, sign2 in _faces(face):
-                    acc[face2] = acc.get(face2, 0) + sign * sign2
-            if any(acc.values()):
-                raise InvariantError(f"d_out . d_in != 0 at weight {weight}")
-            self._checked.add(wedge)
 
     @staticmethod
     def _check_composition_zero(d_out: SparseMatrix, in_columns, weight):

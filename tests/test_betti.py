@@ -203,9 +203,12 @@ def test_euler_rejects_partial_window():
 
 
 def test_euler_rejects_tables_with_failures():
+    # refused cells are named as refused, not as missing from the window
     table = betti_table(1, 0, 3, config=make_config(memory_cap=2000))
-    with pytest.raises(IncompleteTableError):
+    assert table.failures
+    with pytest.raises(IncompleteTableError, match="infeasible cells") as info:
         euler_check(table)
+    assert info.value.missing == sorted(table.failures)
 
 
 # -------------------------------------------------------------------- duality

@@ -288,6 +288,32 @@ def test_memory_cap_zero_is_infeasible(capsys):
     assert "infeasible" in err
 
 
+@pytest.mark.parametrize("n,b,d", [(0, 0, 1), (1, 0, 0), (1, -3, 2)])
+def test_out_of_range_nbd_is_refused_before_any_answer(capsys, tmp_path, n, b, d):
+    # q = 5 is above the top strand, so a vanishing theorem would answer 0;
+    # the range check comes first, and nothing reaches the store
+    cache = str(tmp_path / "cache")
+    code, out, err = run(capsys, "kpq", "--n", str(n), "--b", str(b), "--d", str(d),
+                         "--p", "0", "--q", "5", "--cache-dir", cache)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "need n >= 1, d >= 1, b >= 0" in err
+    # nor is an empty window of a table answered with no cell
+    code, out, _ = run(capsys, "betti", "--n", str(n), "--b", str(b), "--d", str(d),
+                       "--q-min", "5", "--q-max", "4", "--cache-dir", cache)
+    assert (code, out) == (EXIT_USAGE, "")
+    store = os.path.join(cache, "results.jsonl")
+    assert not os.path.exists(store) or os.path.getsize(store) == 0
+
+
+@pytest.mark.parametrize("command", ["verify", "render"])
+def test_refused_cells_stop_whole_table_commands(capsys, command):
+    # verify would misreport them as missing, render would draw them as zeros
+    code, out, err = run(capsys, command, "--n", "1", "--b", "0", "--d", "3",
+                         "--memory-cap-mb", "0", "--no-cache")
+    assert (code, out) == (EXIT_INFEASIBLE, "")
+    assert "infeasible: the memory cap refused cells (p, q) = [(0, 0), (0, 1)" in err
+
+
 def test_explore_without_degrees_is_usage_error(capsys):
     code, _, err = run(capsys, "explore", "--n", "1", "--b", "0", "--no-cache")
     assert code == EXIT_USAGE

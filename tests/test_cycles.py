@@ -74,6 +74,8 @@ def test_degenerate_choices_are_refused():
 
 
 def test_input_validation():
+    with pytest.raises(ValueError, match="need n >= 1"):
+        build_kp0_cycle(0, 0, 1, 0)                      # n < 1
     with pytest.raises(ValueError):
         build_kp0_cycle(1, 2, 2, 0)                      # d < b + 1
     with pytest.raises(ValueError):

@@ -3,8 +3,9 @@ from itertools import permutations
 
 import pytest
 
+from syzlab import koszul
 from syzlab.arith import binom_safe
-from syzlab.koszul import InfeasibleBlockError, KoszulCell, Parameters, _delta_terms
+from syzlab.koszul import InfeasibleBlockError, KoszulCell, Parameters, _delta_terms, _faces
 from syzlab.monomials import distinct_permutations_count, enumerate_basis
 
 from helpers import (
@@ -146,6 +147,44 @@ def test_composition_is_zero_unblocked():
         for i in range(d_out.rows):
             for j in range(d_in.cols):
                 assert sum(a[i][k] * bm[k][j] for k in range(mid)) == 0
+
+
+def _source_wedges(par):
+    """The distinct wedges of the cell's source elements of dominant weight."""
+    cell = KoszulCell(par)
+    cell._ensure_groups()
+    return {wedge for group in cell._source.values() for wedge, _ in group}
+
+
+def test_faces_of_faces_cancel_on_every_source_wedge():
+    # the cell checks one wedge per size; every wedge a block is built on
+    # must cancel as that one does, since signs depend on positions alone
+    cells = [Parameters(n, b, d, p, q)
+             for n, b, d in [(2, 0, 3), (2, 1, 3), (3, 0, 2)]
+             for p in range(binom_safe(d + n, n)) for q in range(n + 2)]
+    cells.append(Parameters(2, 0, 4, 6, 1))
+    walked = 0
+    for par in cells:
+        for wedge in _source_wedges(par):
+            assert len(wedge) == par.p + 1
+            acc = {}
+            for _, face, sign in _faces(wedge):
+                for _, face2, sign2 in _faces(face):
+                    acc[face2] = acc.get(face2, 0) + sign * sign2
+            assert not any(acc.values()), (par, wedge)
+            walked += 1
+    assert walked > 7_000           # 7,909 wedge walks over the 131 cells
+
+
+def test_unreduced_composition_is_checked_once_per_cell(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(koszul, "_check_faces_of_faces", sizes.append)
+    cell = KoszulCell(Parameters(2, 0, 3, 5, 1))
+    blocks = list(cell.iter_blocks())
+    assert len(blocks) > 1 and sum(b.full_src_dim for b in blocks) > 1
+    assert sizes == [6]
+    KoszulCell(Parameters(1, 0, 2, 5, 1))       # no source wedge: nothing to check
+    assert sizes == [6]
 
 
 def test_block_ranks_match_unblocked_ranks():
