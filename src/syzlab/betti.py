@@ -19,14 +19,17 @@ Each block is ranked on its quotient by a vertex star (see koszul), which
 has the same cohomology over every field: each rank of the block is the
 star's rank, the same in all fields, plus the quotient's.  What the result
 says about a block is still taken from the unreduced block.  Its middle
-dimension counts in block_count and max_block_dim, and its shapes pick the
-route of each map: zero, exact (rows*cols <= EXACT_THRESHOLD, with the
-modular ranks checked against the exact one) or modular, and so the level.
-Routed by its own, smaller shape, the quotient of a map would often go to
-the exact route, or be zero, and the cell would report level exact where it
-reported two-prime.  Only the ranks are the quotient's; they differ from the
-block's by the star's ranks, the same in every field, so the dimension is
-the same and the primes agree or disagree on a block as before.
+dimension counts in block_count and max_block_dim, and in two-prime mode
+its shapes pick the route of each map: zero, exact (rows*cols <=
+EXACT_THRESHOLD, with the modular ranks checked against the exact one) or
+modular, and so the level.  The route is picked here alone (_block_ranks);
+exact mode sizes no map.  Routed by its own, smaller shape, the quotient of
+a map would often go to the exact route, or be zero (an empty quotient of
+a map above the threshold still goes modular), and the cell would report
+level exact where it reported two-prime.  Only the ranks are the quotient's;
+they differ from the block's by the star's ranks, the same in every field,
+so the dimension is the same and the primes agree or disagree on a block as
+before.
 
 Two global consistency checks are provided.  The Euler check compares the
 alternating column sums of a complete table against the coefficients of
@@ -57,7 +60,7 @@ from .koszul import (
     Parameters,
     check_nbd,
 )
-from .linalg import InvariantError, certified_rank
+from .linalg import InvariantError, RankCertificate, certified_rank
 from .monomials import distinct_permutations_count
 
 logger = logging.getLogger(__name__)
@@ -161,20 +164,20 @@ def _analytic_zero_reason(n: int, b: int, d: int, p: int, q: int):
 def _block_ranks(block, config: EngineConfig):
     """(rank_in, rank_out, exact, agreement) for one block under the config.
 
-    The mode sets only the largest map that takes the exact route: any in
-    exact mode, which checks no primes, and EXACT_THRESHOLD in two-prime
-    mode.  The ranks are the quotient's, the block's own matrices; the
-    route, and so `exact`, is picked from the shapes of the unreduced block
-    (see the module notes)."""
+    The route of each map is picked here.  Exact mode sends every map to
+    the exact route and checks no primes.  Two-prime mode sizes the maps of
+    the unreduced block (see the module notes): a zero map has rank 0 and
+    checks no primes, one of rows*cols <= EXACT_THRESHOLD takes the exact
+    route and any other the modular route.  The ranks are the quotient's,
+    the block's own matrices."""
+    maps = (block.d_in, block.d_out)
     if config.mode == LEVEL_EXACT:
-        # every nonzero map is exact, so sizes past zero do not matter
-        limit, threshold, primes = 0, float("inf"), ()
+        certs = [certified_rank(m, (), True) for m in maps]
     else:
-        limit = threshold = EXACT_THRESHOLD
-        primes = config.primes
-    size_in, size_out = block.full_sizes(limit)
-    cert_in = certified_rank(block.d_in, primes, threshold, size_in)
-    cert_out = certified_rank(block.d_out, primes, threshold, size_out)
+        certs = [certified_rank(m, config.primes, size <= EXACT_THRESHOLD) if size
+                 else RankCertificate(0, config.primes, True, True)
+                 for m, size in zip(maps, block.full_sizes(EXACT_THRESHOLD))]
+    cert_in, cert_out = certs
     return (cert_in.rank, cert_out.rank, cert_in.exact and cert_out.exact,
             cert_in.agreement and cert_out.agreement)
 

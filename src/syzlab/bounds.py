@@ -53,9 +53,6 @@ class PredictedRange:
     def contains(self, p: int) -> bool:
         return self.lo <= p <= self.hi
 
-    def as_tuple(self) -> tuple:
-        return (self.lo, self.hi)
-
     def to_dict(self) -> dict:
         return {
             "source": self.source, "q": self.q, "lo": self.lo, "hi": self.hi,

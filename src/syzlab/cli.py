@@ -102,7 +102,10 @@ class RunConfig:
     def store(self):
         if self.cache_dir is None:
             return None
-        return ResultStore(self.cache_dir)
+        try:
+            return ResultStore(self.cache_dir)
+        except OSError as exc:
+            raise UsageFailure(f"cannot open store {self.cache_dir!r}: {exc.strerror}") from None
 
 
 def _add_engine_flags(sp):
@@ -362,8 +365,11 @@ def cmd_render(cfg: RunConfig) -> tuple:
                f"config: {json.dumps(cfg.to_dict(), sort_keys=True)}")
     svg = render_normalized_diagram(table, cfg.width_px, comment)
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(svg)
+        except OSError as exc:
+            raise UsageFailure(f"cannot write --out {cfg.out!r}: {exc.strerror}") from None
         digest = hashlib.sha256(svg.encode()).hexdigest()
         payload = _header(cfg)
         payload["render"] = {"out": cfg.out, "bytes": len(svg.encode()),

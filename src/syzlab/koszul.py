@@ -16,8 +16,9 @@ Every map is equivariant for the torus scaling the variables, so the complex
 splits into blocks indexed by the total exponent vector (the weight, summing
 to (p+q)d + b), and dim K_{p,q} is the sum over weights of
 mid_dim - rank(d_in) - rank(d_out).  Blocks are built as integer matrices
-with entries +-1 and the composite d_out . d_in is checked to vanish over
-the integers at build time.
+with entries +-1, as lists of columns: delta of each basis element of the
+source.  The composite d_out . d_in is checked to vanish over the integers
+at build time.
 
 Inside the block at weight w every basis element is m_F (x) x^(w - sum F),
 so its wedge F alone identifies it, in each of the three spaces.  A block's
@@ -58,10 +59,15 @@ is checked once per cell, on the faces of the faces of the wedge (0, ..., p):
 their signs come from positions, never from values, and a source wedge has
 distinct entries, so relabelling carries its sum onto that one.  Every source
 wedge cancels as it does.  The quotient's matrices are checked per block.
+On the small curves only the per-cell check catches a sign error: with
+every sign +1, no quotient block of a cell with n = 1, d <= 3, b <= 2,
+p <= 5, q <= 2 fails its own check, as (1, 0, 4, 2, 1) at weight (6, 6) and
+surface blocks such as (2, 0, 2, 2, 1) at (2, 2, 2) do.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import add, ge, sub
@@ -73,7 +79,7 @@ from .monomials import distinct_permutations_count, enumerate_basis, exponent_ve
 DEFAULT_MEMORY_CAP = 2 << 30
 
 # Coarse per-object costs (bytes) for the feasibility estimate: a basis
-# element is a couple of small tuples, a matrix entry a 3-tuple of ints.
+# element is a couple of small tuples, a matrix entry a (row, value) pair.
 _BYTES_PER_ELEMENT = 120
 _BYTES_PER_ENTRY = 60
 
@@ -175,20 +181,30 @@ class KoszulBlock:
 
     d_in has shape (mid_dim, src_dim), d_out (target_dim, mid_dim), and the
     block's contribution to dim K_{p,q} is mid_dim - rank(d_in) - rank(d_out).
-    These are the quotient's (see the module notes); full_mid_dim and
-    full_src_dim are the dimensions of the unreduced block, and
-    full_sizes() the shapes of its maps.
+    The three dimensions are read off the maps' shapes.  These are the
+    quotient's (see the module notes); full_mid_dim and full_src_dim are the
+    dimensions of the unreduced block, and full_sizes() the shapes of its
+    maps, which betti uses to pick each map's route.
     """
 
     weight: tuple
-    mid_dim: int
-    src_dim: int
-    target_dim: int
     d_in: SparseMatrix
     d_out: SparseMatrix
     full_mid_dim: int
     full_src_dim: int
     full_middle: list = field(repr=False, compare=False)  # unreduced (wedge, t)
+
+    @property
+    def mid_dim(self) -> int:
+        return self.d_in.rows
+
+    @property
+    def src_dim(self) -> int:
+        return self.d_in.cols
+
+    @property
+    def target_dim(self) -> int:
+        return self.d_out.rows
 
     def full_sizes(self, limit: int) -> tuple:
         """(size of d_in, size of d_out) of the unreduced block, a size being
@@ -341,46 +357,35 @@ class KoszulCell:
                     if apex not in wedge and not all(map(ge, t, top))]
 
         middle, source = kept(middle), kept(source)
+
+        def columns(elements, row_of):
+            # one column per element, one entry per kept face: a face of a
+            # kept element has no apex either, so it is kept unless the apex
+            # divides its tensor x^t m_i
+            return tuple([tuple([(row_of[face], sign) for i, face, sign in _faces(wedge)
+                                 if not all(map(ge, map(add, t, exps[i]), top))])
+                          for wedge, t in elements])
+
+        target_index = defaultdict()     # numbers the faces 0, 1, ... as met
+        target_index.default_factory = target_index.__len__
+        out_columns = columns(middle, target_index)
+        d_out = SparseMatrix(len(target_index), len(middle), out_columns)
+        # weight preservation: every kept face of a source element is a kept
+        # middle element of this block
         mid_index = {wedge: i for i, (wedge, _) in enumerate(middle)}
-
-        # a face of a kept element has no apex either: it is kept unless the
-        # apex divides its tensor x^t m_i
-        target_index = {}
-        out_entries = []
-        for col, (wedge, t) in enumerate(middle):
-            for i, face, sign in _faces(wedge):
-                if not all(map(ge, map(add, t, exps[i]), top)):
-                    row = target_index.setdefault(face, len(target_index))
-                    out_entries.append((row, col, sign))
-        d_out = SparseMatrix(len(target_index), len(middle), tuple(out_entries))
-
-        in_entries = []
-        in_columns = []
-        for col, (wedge, t) in enumerate(source):
-            # weight preservation: every kept face must land in this block
-            column = [(mid_index[face], sign) for i, face, sign in _faces(wedge)
-                      if not all(map(ge, map(add, t, exps[i]), top))]
-            in_columns.append(column)
-            in_entries.extend((row, col, sign) for row, sign in column)
-        d_in = SparseMatrix(len(middle), len(source), tuple(in_entries))
-
-        self._check_composition_zero(d_out, in_columns, weight)
-        return KoszulBlock(
-            weight=weight, mid_dim=len(middle), src_dim=len(source),
-            target_dim=len(target_index), d_in=d_in, d_out=d_out,
-            full_mid_dim=len(full_mid), full_src_dim=len(full_src),
-            full_middle=full_mid,
-        )
+        d_in = SparseMatrix(len(middle), len(source), columns(source, mid_index))
+        self._check_composition_zero(d_out, d_in, weight)
+        return KoszulBlock(weight=weight, d_in=d_in, d_out=d_out,
+                           full_mid_dim=len(full_mid), full_src_dim=len(full_src),
+                           full_middle=full_mid)
 
     @staticmethod
-    def _check_composition_zero(d_out: SparseMatrix, in_columns, weight):
-        out_cols = {}
-        for r, c, v in d_out.entries:
-            out_cols.setdefault(c, []).append((r, v))
-        for column in in_columns:
+    def _check_composition_zero(d_out: SparseMatrix, d_in: SparseMatrix, weight):
+        """d_out . d_in = 0, one column of d_in at a time."""
+        for column in d_in.columns:
             acc = {}
             for mid_row, sign_in in column:
-                for tgt_row, sign_out in out_cols.get(mid_row, ()):
+                for tgt_row, sign_out in d_out.columns[mid_row]:
                     acc[tgt_row] = acc.get(tgt_row, 0) + sign_in * sign_out
             if any(acc.values()):
                 raise InvariantError(f"d_out . d_in != 0 at weight {weight}")

@@ -1,5 +1,9 @@
 """Sparse exact rank computation, modular and rational.
 
+A matrix is its list of columns, each a tuple of (row, value) pairs, as
+koszul builds every map.  Both kernels eliminate the columns as rows: the
+transpose has the same rank over Q and over every field.
+
 The Koszul differentials have +-1 entries and very low fill, so the default
 rank engine is sparse Gaussian elimination over a prime field with Markowitz
 pivoting (pick the nonzero entry minimizing (row_nnz-1)*(col_nnz-1), ties
@@ -12,7 +16,7 @@ minor), never overcount.  Rank certification therefore computes ranks at
 several independent primes and takes the maximum; agreement across primes is
 recorded and disagreement is logged, since cohomology dimensions built from
 undercounted ranks can only overcount.  One call, `certified_rank`, serves
-every engine mode, whatever its number of primes.
+every engine mode, whatever its number of primes; betti picks its route.
 
 The elimination kernel runs over Z/N for any modulus N, and certification
 runs it once with N the product of the distinct primes.  By the Chinese
@@ -52,44 +56,34 @@ class NonUnitPivot(ArithmeticError):
 
 @dataclass(frozen=True)
 class SparseMatrix:
-    """Immutable coordinate-format matrix over the integers.
+    """Immutable matrix over the integers, stored as its list of columns.
 
-    Entries are (row, col, value) with value != 0, indices in range, and no
-    duplicate positions.  Zero rows and columns are representable simply by
-    absence.
+    columns[c] is a tuple of (row, value) pairs with value != 0, every row
+    in range and none repeated within the column; there are `cols` columns.
+    Zero rows and columns are representable simply by absence.
     """
 
     rows: int
     cols: int
-    entries: tuple
+    columns: tuple
 
     def __post_init__(self):
-        assert self.rows >= 0 and self.cols >= 0
-        seen = set()
-        for r, c, v in self.entries:
-            assert 0 <= r < self.rows and 0 <= c < self.cols, (r, c, self.rows, self.cols)
-            assert v != 0, f"explicit zero entry at {(r, c)}"
-            assert (r, c) not in seen, f"duplicate entry at {(r, c)}"
-            seen.add((r, c))
+        assert self.rows >= 0 and self.cols == len(self.columns), (self.rows, self.cols)
+        for c, column in enumerate(self.columns):
+            # an entry out of range or zero is dropped, a repeated row merged
+            assert len({r for r, v in column if v and 0 <= r < self.rows}) == len(column), \
+                f"column {c} of a {self.rows}-row matrix: {column}"
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self.columns))
 
     def to_dense(self) -> list:
         a = [[0] * self.cols for _ in range(self.rows)]
-        for r, c, v in self.entries:
-            a[r][c] = v
+        for c, column in enumerate(self.columns):
+            for r, v in column:
+                a[r][c] = v
         return a
-
-    @staticmethod
-    def from_dense(a) -> "SparseMatrix":
-        rows = len(a)
-        cols = len(a[0]) if rows else 0
-        entries = tuple(
-            (r, c, a[r][c]) for r in range(rows) for c in range(cols) if a[r][c]
-        )
-        return SparseMatrix(rows, cols, entries)
 
 
 def rank_mod_p(m: SparseMatrix, field: PrimeField) -> int:
@@ -100,20 +94,22 @@ def rank_mod_p(m: SparseMatrix, field: PrimeField) -> int:
 def _rank_mod(m: SparseMatrix, modulus: int) -> int:
     """Pivot count of sparse elimination of m over Z/modulus.
 
-    The pivot row is the sparsest remaining row (ties by row id, kept in a
-    heap); within it the entry minimizing the Markowitz fill estimate
-    (row_nnz - 1) * (col_nnz - 1) is chosen, ties by column id.  Restricting
-    the candidate search to one minimal row keeps pivoting near-linear while
-    retaining the fill behaviour of the full search on these +-1 incidence
-    matrices.  Fully deterministic for a given matrix and modulus.  For a
-    prime modulus this is the rank; for a composite one it raises
-    NonUnitPivot when a chosen pivot is not a unit (see the module notes).
+    The elimination runs on the transpose: each column of m is one of its
+    rows, and the rank is the same.  The pivot row is the sparsest remaining
+    row (ties by row id, kept in a heap); within it the entry minimizing the
+    Markowitz fill estimate (row_nnz - 1) * (col_nnz - 1) is chosen, ties by
+    column id.  Restricting the candidate search to one minimal row keeps
+    pivoting near-linear while retaining the fill behaviour of the full
+    search on these +-1 incidence matrices.  Fully deterministic for a given
+    matrix and modulus.  For a prime modulus this is the rank; for a
+    composite one it raises NonUnitPivot when a chosen pivot is not a unit
+    (see the module notes).
     """
     rows = {}
-    for r, c, v in m.entries:
-        v %= modulus
-        if v:
-            rows.setdefault(r, {})[c] = v
+    for r, column in enumerate(m.columns):
+        row = {c: v % modulus for c, v in column if v % modulus}
+        if row:
+            rows[r] = row
     col_rows = {}
     for r, cols in rows.items():
         for c in cols:
@@ -168,16 +164,19 @@ def _rank_mod(m: SparseMatrix, modulus: int) -> int:
 
 
 def rank_exact(m: SparseMatrix) -> int:
-    """Rank over the rationals via Bareiss fraction-free elimination.
+    """Rank over the rationals via Bareiss fraction-free elimination of the
+    transpose, one row per column of m.
 
     All intermediate entries are minors of the original integer matrix, so
     divisions are exact and no rounding can occur.
     """
-    a = m.to_dense()
-    nrows, ncols = m.rows, m.cols
-    rank = 0
+    a = [[0] * m.rows for _ in m.columns]
+    for row, column in zip(a, m.columns):
+        for r, v in column:
+            row[r] = v
+    nrows, ncols = m.cols, m.rows
     prev = 1
-    r = 0
+    r = 0       # the rank so far
     for c in range(ncols):
         if r == nrows:
             break
@@ -195,8 +194,7 @@ def rank_exact(m: SparseMatrix) -> int:
             row_i[c] = 0
         prev = pivot
         r += 1
-        rank += 1
-    return rank
+    return r
 
 
 @dataclass(frozen=True)
@@ -235,40 +233,30 @@ def _modular_ranks(m: SparseMatrix, primes: tuple) -> list:
     return [rank] * len(primes)
 
 
-def certified_rank(m: SparseMatrix, primes, exact_threshold: int = 0,
-                   size: int = None) -> RankCertificate:
-    """Rank with a certification level, for any number of primes.
+def certified_rank(m: SparseMatrix, primes, exact: bool) -> RankCertificate:
+    """Rank of m with a certification level, for any number of primes.
 
-    Matrices with rows*cols <= exact_threshold take the rational path, and
-    each prime's modular rank is checked against it (modular can never
-    exceed exact).  Others get modular ranks only, and `agreement` needs two
-    primes or more that agree, so a one-prime estimate is never certified.
-
-    `size` is the rows*cols (0 if zero) that picks the route, by default m's
-    own.  A caller ranking m as the quotient of a larger matrix whose rank
-    exceeds m's by the same amount over every field passes the larger one's,
-    so the route, and with it `exact`, is the larger matrix's; `agreement`
-    is already the same for both.
+    The caller picks the route.  On the exact route the rational rank is
+    computed outright, and each prime's modular rank is checked against it
+    (modular can never exceed exact).  On the modular route there are
+    modular ranks only, and `agreement` needs two primes or more that agree,
+    so a one-prime estimate is never certified.
     """
     primes = tuple(primes)
-    if size is None:
-        size = m.rows * m.cols if m.nnz else 0
-    if size == 0:
-        return RankCertificate(0, primes, True, True)
-    if size <= exact_threshold:
-        exact = rank_exact(m)
+    if exact:
+        rank = rank_exact(m)
         for p, modular in zip(primes, _modular_ranks(m, primes) if primes else ()):
-            if modular > exact:
+            if modular > rank:
                 raise InvariantError(
-                    f"rank mod {p} is {modular}, above the exact rank {exact} "
+                    f"rank mod {p} is {modular}, above the exact rank {rank} "
                     f"of a {m.rows}x{m.cols} block"
                 )
-            if modular < exact:
+            if modular < rank:
                 logger.warning(
                     "prime %d undercounts rank (%d < %d) on a %dx%d block",
-                    p, modular, exact, m.rows, m.cols,
+                    p, modular, rank, m.rows, m.cols,
                 )
-        return RankCertificate(exact, primes, True, True)
+        return RankCertificate(rank, primes, True, True)
     ranks = _modular_ranks(m, primes)
     agreement = len(set(ranks)) == 1
     if not agreement:

@@ -54,10 +54,6 @@ def multiply(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(a + b for a, b in zip(m1, m2))
 
 
-def degree(m: Monomial) -> int:
-    return sum(m)
-
-
 class GradedPieceBasis:
     """Ordered monomial basis of H^0(O(e)) on P^n, with O(1) index lookup."""
 

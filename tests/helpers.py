@@ -45,6 +45,19 @@ def default_primes(count: int = 2, bits: int = betti.DEFAULT_PRIME_BITS) -> tupl
     return tuple(random_prime(bits, seed) for seed in range(count))
 
 
+def from_dense(a) -> SparseMatrix:
+    """The SparseMatrix of a dense list of rows."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    return SparseMatrix(rows, cols, tuple(
+        tuple((r, a[r][c]) for r in range(rows) if a[r][c]) for c in range(cols)))
+
+
+def lo_hi(predicted) -> tuple:
+    """(lo, hi) of a bounds.PredictedRange."""
+    return (predicted.lo, predicted.hi)
+
+
 def fraction_rank(dense) -> int:
     rows = [[Fraction(x) for x in row] for row in dense]
     if not rows:
@@ -188,21 +201,17 @@ class UnreducedCell(KoszulCell):
         self._check_cap(weight, middle, source)
         mid_index = {wedge: i for i, (wedge, _) in enumerate(middle)}
         target_index = {}
-        out_entries = []
-        for col, (wedge, _) in enumerate(middle):
-            for _, face, sign in _faces(wedge):
-                row = target_index.setdefault(face, len(target_index))
-                out_entries.append((row, col, sign))
-        d_out = SparseMatrix(len(target_index), len(middle), tuple(out_entries))
-        in_columns = [[(mid_index[face], sign) for _, face, sign in _faces(wedge)]
-                      for wedge, _ in source]
+        out_columns = tuple(
+            tuple((target_index.setdefault(face, len(target_index)), sign)
+                  for _, face, sign in _faces(wedge))
+            for wedge, _ in middle)
+        d_out = SparseMatrix(len(target_index), len(middle), out_columns)
         d_in = SparseMatrix(len(middle), len(source), tuple(
-            (row, col, sign) for col, column in enumerate(in_columns)
-            for row, sign in column))
-        self._check_composition_zero(d_out, in_columns, weight)
+            tuple((mid_index[face], sign) for _, face, sign in _faces(wedge))
+            for wedge, _ in source))
+        self._check_composition_zero(d_out, d_in, weight)
         return KoszulBlock(
-            weight=weight, mid_dim=len(middle), src_dim=len(source),
-            target_dim=len(target_index), d_in=d_in, d_out=d_out,
+            weight=weight, d_in=d_in, d_out=d_out,
             full_mid_dim=len(middle), full_src_dim=len(source), full_middle=middle,
         )
 
@@ -320,17 +329,16 @@ def delta_terms_block(cell: KoszulCell, weight) -> tuple:
     source = [elem for elem in source if kept(elem)]
     mid_index = {elem: i for i, elem in enumerate(middle)}
     target_index = {}
-    out_entries = []
-    for col, (wedge, tensor) in enumerate(middle):
-        for key, sign in _delta_terms(wedge, tensor, exps):
-            if kept(key):
-                out_entries.append((target_index.setdefault(key, len(target_index)),
-                                    col, sign))
-    in_entries = [(mid_index[key], col, sign)
-                  for col, (wedge, tensor) in enumerate(source)
-                  for key, sign in _delta_terms(wedge, tensor, exps) if kept(key)]
-    return (SparseMatrix(len(middle), len(source), tuple(in_entries)),
-            SparseMatrix(len(target_index), len(middle), tuple(out_entries)))
+    out_columns = tuple(
+        tuple((target_index.setdefault(key, len(target_index)), sign)
+              for key, sign in _delta_terms(wedge, tensor, exps) if kept(key))
+        for wedge, tensor in middle)
+    in_columns = tuple(
+        tuple((mid_index[key], sign)
+              for key, sign in _delta_terms(wedge, tensor, exps) if kept(key))
+        for wedge, tensor in source)
+    return (SparseMatrix(len(middle), len(source), in_columns),
+            SparseMatrix(len(target_index), len(middle), out_columns))
 
 
 def append_records(directory, q, count):
@@ -372,18 +380,15 @@ def full_complex(params: Parameters, memory_cap: int = DEFAULT_MEMORY_CAP):
     mid_index = {elem: i for i, elem in enumerate(middle)}
 
     target_index = {}
-    out_entries = []
-    for col, (wedge, tensor) in enumerate(middle):
-        for key, sign in _delta_terms(wedge, tensor, exps):
-            row = target_index.setdefault(key, len(target_index))
-            out_entries.append((row, col, sign))
-    d_out = SparseMatrix(len(target_index), len(middle), tuple(out_entries))
+    out_columns = tuple(
+        tuple((target_index.setdefault(key, len(target_index)), sign)
+              for key, sign in _delta_terms(wedge, tensor, exps))
+        for wedge, tensor in middle)
+    d_out = SparseMatrix(len(target_index), len(middle), out_columns)
 
-    in_entries = []
-    for col, (wedge, tensor) in enumerate(source):
-        for key, sign in _delta_terms(wedge, tensor, exps):
-            in_entries.append((mid_index[key], col, sign))
-    d_in = SparseMatrix(len(middle), len(source), tuple(in_entries))
+    d_in = SparseMatrix(len(middle), len(source), tuple(
+        tuple((mid_index[key], sign) for key, sign in _delta_terms(wedge, tensor, exps))
+        for wedge, tensor in source))
     return d_in, d_out, len(middle)
 
 

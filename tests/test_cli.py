@@ -247,6 +247,30 @@ def test_render_to_file(capsys, tmp_path):
     assert status["sha256"] == hashlib.sha256(blob).hexdigest()
 
 
+def test_unwritable_out_is_usage_error(capsys, tmp_path):
+    target = str(tmp_path / "missing" / "diagram.svg")
+    code, out, err = run(capsys, "render", "--n", "1", "--b", "0", "--d", "3",
+                         "--out", target, "--no-cache")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("syzlab: usage error: ") and err.count("\n") == 1
+    assert target in err
+
+
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_store_path_that_is_a_file_is_usage_error(capsys, tmp_path, monkeypatch, how):
+    path = tmp_path / "not-a-directory"
+    path.write_text("")
+    args = ["kpq", "--n", "1", "--b", "0", "--d", "3", "--p", "1", "--q", "1"]
+    if how == "flag":
+        args += ["--cache-dir", str(path)]
+    else:
+        monkeypatch.setenv("SYZ_CACHE_DIR", str(path))
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("syzlab: usage error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
 def test_missing_required_flag_is_usage_error(capsys):
     code, _, err = run(capsys, "kpq", "--n", "1", "--b", "0", "--d", "3",
                        "--p", "1")

@@ -50,6 +50,9 @@ cases = {
     # quotient's matrices are checked on their own (no curve's quotient has
     # a composite for flat signs to spoil, so this block is a surface's)
     "faces_of_faces": ([(koszul, "_faces", flat_faces)], block_222),
+    # on a curve the cell's check is the only one a sign error can trip
+    "curve_faces_of_faces": ([(koszul, "_faces", flat_faces)],
+                             lambda: KoszulCell(Parameters(1, 0, 3, 2, 1))),
     "composition": ([(koszul, "_faces", flat_faces),
                      (koszul, "_check_faces_of_faces", no_check)], block_222),
     "rank_sum": ([(betti, "_block_ranks", too_large_ranks)],
@@ -81,6 +84,8 @@ def test_result_guards_hold_under_python_O():
     assert proc.returncode == 0, proc.stderr
     lines = dict(line.split(" ", 1) for line in proc.stdout.splitlines())
     assert lines["faces_of_faces"].startswith(
+        "InvariantError d_out . d_in != 0 on the wedges of size 3")
+    assert lines["curve_faces_of_faces"].startswith(
         "InvariantError d_out . d_in != 0 on the wedges of size 3")
     assert lines["composition"].startswith(
         "InvariantError d_out . d_in != 0 at weight (2, 2, 2)")

@@ -90,7 +90,7 @@ def test_block_2_2_of_twisted_cubic_cell():
     # source basis: x^2 ^ y^2 (x) 1 only
     assert block.src_dim == 1
     assert block.d_in.rows == 3 and block.d_in.cols == 1
-    assert sorted(v for _, _, v in block.d_in.entries) == [-1, 1]
+    assert sorted(v for column in block.d_in.columns for _, v in column) == [-1, 1]
     assert fraction_rank(block.d_out.to_dense()) == 1
     assert fraction_rank(block.d_in.to_dense()) == 1
     # the engine ranks its quotient by the star of x^2, which leaves only

@@ -18,49 +18,51 @@ from syzlab.linalg import (
     rank_mod_p,
 )
 
-from helpers import UnreducedCell, default_primes, fraction_rank
+from helpers import UnreducedCell, default_primes, fraction_rank, from_dense
 
 FIELD = PrimeField(default_primes(1)[0])
 
 
 def random_sparse(rng, rows, cols, fill=0.3, lo=-5, hi=5):
-    entries = []
-    for r in range(rows):
-        for c in range(cols):
+    columns = []
+    for c in range(cols):
+        column = []
+        for r in range(rows):
             if rng.random() < fill:
                 val = 0
                 while val == 0:
                     val = rng.randrange(lo, hi + 1)
-                entries.append((r, c, val))
-    return SparseMatrix(rows, cols, tuple(entries))
+                column.append((r, val))
+        columns.append(tuple(column))
+    return SparseMatrix(rows, cols, tuple(columns))
 
 
 def test_sparse_matrix_validation():
-    SparseMatrix(2, 2, ((0, 0, 1), (1, 1, -1)))  # fine
+    SparseMatrix(2, 2, (((0, 1),), ((1, -1),)))      # fine
     with pytest.raises(AssertionError):
-        SparseMatrix(2, 2, ((0, 0, 1), (0, 0, 2)))   # duplicate position
+        SparseMatrix(2, 2, (((0, 1), (0, 2)), ()))   # duplicate position
     with pytest.raises(AssertionError):
-        SparseMatrix(2, 2, ((0, 0, 0),))             # explicit zero
+        SparseMatrix(2, 2, (((0, 0),), ()))          # explicit zero
     with pytest.raises(AssertionError):
-        SparseMatrix(2, 2, ((2, 0, 1),))             # row out of range
+        SparseMatrix(2, 2, (((2, 1),), ()))          # row out of range
     with pytest.raises(AssertionError):
-        SparseMatrix(2, 2, ((0, -1, 1),))            # col out of range
+        SparseMatrix(2, 2, (((0, 1),),))             # col out of range: one column of two
 
 
 def test_dense_round_trip():
     dense = [[1, 0, -2], [0, 0, 3]]
-    m = SparseMatrix.from_dense(dense)
+    m = from_dense(dense)
     assert m.rows == 2 and m.cols == 3 and m.nnz == 3
     assert m.to_dense() == dense
 
 
 def test_rank_basics():
-    ident = SparseMatrix.from_dense([[1 if i == j else 0 for j in range(5)] for i in range(5)])
+    ident = from_dense([[1 if i == j else 0 for j in range(5)] for i in range(5)])
     assert rank_mod_p(ident, FIELD) == 5
-    zero = SparseMatrix(4, 7, ())
+    zero = SparseMatrix(4, 7, ((),) * 7)
     assert rank_mod_p(zero, FIELD) == 0
     assert rank_exact(zero) == 0
-    dep = SparseMatrix.from_dense([[1, 2], [2, 4]])
+    dep = from_dense([[1, 2], [2, 4]])
     assert rank_mod_p(dep, FIELD) == 1
     assert rank_exact(dep) == 1
     empty = SparseMatrix(0, 0, ())
@@ -88,21 +90,21 @@ def test_block_diagonal_rank_is_additive():
     rng = random.Random(104)
     a = random_sparse(rng, 5, 6, fill=0.5)
     b = random_sparse(rng, 4, 3, fill=0.5)
-    entries = list(a.entries) + [(r + 5, c + 6, v) for r, c, v in b.entries]
-    big = SparseMatrix(9, 9, tuple(entries))
+    shifted = tuple(tuple((r + 5, v) for r, v in column) for column in b.columns)
+    big = SparseMatrix(9, 9, a.columns + shifted)
     assert rank_mod_p(big, FIELD) == rank_mod_p(a, FIELD) + rank_mod_p(b, FIELD)
 
 
 def test_certified_rank_exact_route():
-    m = SparseMatrix.from_dense([[1, 2], [2, 4], [0, 1]])
-    cert = certified_rank(m, default_primes(2), exact_threshold=100)
+    m = from_dense([[1, 2], [2, 4], [0, 1]])
+    cert = certified_rank(m, default_primes(2), True)
     assert cert == RankCertificate(2, tuple(default_primes(2)), True, True)
 
 
 def test_certified_rank_modular_route():
     rng = random.Random(105)
     m = random_sparse(rng, 12, 12, fill=0.3)
-    cert = certified_rank(m, default_primes(2), exact_threshold=0)
+    cert = certified_rank(m, default_primes(2), False)
     assert cert.rank == fraction_rank(m.to_dense())
     assert cert.agreement is True
     assert cert.exact is False
@@ -110,33 +112,38 @@ def test_certified_rank_modular_route():
 
 def test_certified_rank_with_one_prime_never_agrees():
     primes = tuple(default_primes(1))
-    m = SparseMatrix.from_dense([[1, 2], [2, 4], [0, 1]])
-    assert certified_rank(m, primes) == RankCertificate(2, primes, False, False)
-    assert certified_rank(m, primes, exact_threshold=100) == \
-        RankCertificate(2, primes, True, True)
-    assert certified_rank(SparseMatrix(3, 3, ()), primes) == \
-        RankCertificate(0, primes, True, True)
+    m = from_dense([[1, 2], [2, 4], [0, 1]])
+    assert certified_rank(m, primes, False) == RankCertificate(2, primes, False, False)
+    assert certified_rank(m, primes, True) == RankCertificate(2, primes, True, True)
+    zero = SparseMatrix(3, 3, ((),) * 3)
+    assert certified_rank(zero, primes, False) == RankCertificate(0, primes, False, False)
+    assert certified_rank(zero, primes, True) == RankCertificate(0, primes, True, True)
 
 
 def test_certified_rank_without_primes_is_rank_exact():
     rng = random.Random(111)
     for _ in range(20):
         m = random_sparse(rng, rng.randrange(0, 9), rng.randrange(0, 9))
-        assert certified_rank(m, (), float("inf")) == \
+        assert certified_rank(m, (), True) == \
             RankCertificate(rank_exact(m), (), True, True)
 
 
 def test_certified_rank_zero_matrix_fast_path():
-    cert = certified_rank(SparseMatrix(5, 5, ()), default_primes(2))
+    # the route is the caller's: no shortcut reports a zero matrix exact, and
+    # on the modular route two primes agree on it
+    zero = SparseMatrix(5, 5, ((),) * 5)
+    cert = certified_rank(zero, default_primes(2), True)
     assert cert.rank == 0 and cert.exact is True
+    cert = certified_rank(zero, default_primes(2), False)
+    assert cert.rank == 0 and cert.exact is False and cert.agreement is True
 
 
 def test_bad_prime_undercount_is_reported(caplog):
     # entries divisible by one prime: that prime sees rank 0, the other 1
     p1, p2 = default_primes(2)
-    m = SparseMatrix.from_dense([[p1]])
+    m = from_dense([[p1]])
     with caplog.at_level(logging.WARNING, logger="syzlab.linalg"):
-        cert = certified_rank(m, (p1, p2), exact_threshold=0)
+        cert = certified_rank(m, (p1, p2), False)
     assert cert.rank == 1
     assert cert.agreement is False
     assert any("disagree" in r.message or "undercount" in r.message
@@ -145,9 +152,9 @@ def test_bad_prime_undercount_is_reported(caplog):
 
 def test_bad_prime_vs_exact_route(caplog):
     p1, p2 = default_primes(2)
-    m = SparseMatrix.from_dense([[p1]])
+    m = from_dense([[p1]])
     with caplog.at_level(logging.WARNING, logger="syzlab.linalg"):
-        cert = certified_rank(m, (p1, p2), exact_threshold=10)
+        cert = certified_rank(m, (p1, p2), True)
     # the rational path wins and flags the lying prime
     assert cert.rank == 1 and cert.exact is True
     assert any("undercount" in r.message for r in caplog.records)
@@ -187,26 +194,26 @@ def test_non_unit_pivot_after_fill_in_falls_back_per_prime(caplog):
     # the first pivot is 1; eliminating it leaves p1 in the corner, which is
     # nonzero mod p1 * p2 but no unit: rank 1 mod p1, rank 2 mod p2
     p1, p2 = default_primes(2)
-    m = SparseMatrix.from_dense([[1, 1], [1, 1 + p1]])
+    m = from_dense([[1, 1], [1, 1 + p1]])
     with pytest.raises(NonUnitPivot):
         _rank_mod(m, p1 * p2)
     assert _modular_ranks(m, (p1, p2)) == [1, 2]
     with caplog.at_level(logging.WARNING, logger="syzlab.linalg"):
-        cert = certified_rank(m, (p1, p2), exact_threshold=0)
+        cert = certified_rank(m, (p1, p2), False)
     assert cert == RankCertificate(2, (p1, p2), False, False)
     assert any("disagree" in r.message for r in caplog.records)
     with caplog.at_level(logging.WARNING, logger="syzlab.linalg"):
-        cert = certified_rank(m, (p1, p2), exact_threshold=10)
+        cert = certified_rank(m, (p1, p2), True)
     assert cert == RankCertificate(2, (p1, p2), True, True)
     assert any("undercount" in r.message for r in caplog.records)
 
 
 def test_duplicate_primes_give_the_per_prime_ranks():
     p1, p2 = default_primes(2)
-    m = SparseMatrix.from_dense([[1, 1], [1, 1 + p1]])
+    m = from_dense([[1, 1], [1, 1 + p1]])
     assert _modular_ranks(m, (p1, p1)) == [1, 1]
     assert _modular_ranks(m, (p1, p2, p1)) == [1, 2, 1]
-    assert certified_rank(m, (p1, p1)) == RankCertificate(1, (p1, p1), True, False)
+    assert certified_rank(m, (p1, p1), False) == RankCertificate(1, (p1, p1), True, False)
     rng = random.Random(109)
     for trial in range(20):
         m = random_sparse(rng, 10, 12, fill=0.3, lo=-1, hi=1)
@@ -215,10 +222,10 @@ def test_duplicate_primes_give_the_per_prime_ranks():
 
 
 def test_certified_rank_checks_its_primes():
-    m = SparseMatrix.from_dense([[1, 1], [1, 2]])
+    m = from_dense([[1, 1], [1, 2]])
     p1 = default_primes(1)[0]
     with pytest.raises(ValueError, match="not prime"):
-        certified_rank(m, (p1, p1 + 2))
+        certified_rank(m, (p1, p1 + 2), False)
 
 
 def test_large_random_cross_backend_agreement():

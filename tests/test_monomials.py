@@ -5,7 +5,6 @@ import pytest
 from syzlab.arith import binom_safe
 from syzlab.monomials import (
     GradedPieceBasis,
-    degree,
     enumerate_basis,
     exponent_vectors,
     monomial_text,
@@ -54,7 +53,7 @@ def test_enumeration_is_deterministic():
 
 def test_multiply():
     assert multiply((2, 1, 0), (0, 1, 2)) == (2, 2, 2)
-    assert degree(multiply((2, 1, 0), (0, 1, 2))) == 6
+    assert sum(multiply((2, 1, 0), (0, 1, 2))) == 6
     with pytest.raises(ValueError):
         multiply((1, 0), (1, 0, 0))
 
