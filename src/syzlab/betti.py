@@ -31,6 +31,22 @@ they differ from the block's by the star's ranks, the same in every field,
 so the dimension is the same and the primes agree or disagree on a block as
 before.
 
+betti_table computes its window one antidiagonal j = p + q at a time, in
+descending q, so each cell (p, q) comes right after (p - 1, q + 1).  At
+every weight the two cells share a space and a map: the source of
+(p - 1, q + 1) is the middle of (p, q), and its d_in is the d_out of (p, q),
+on the same star quotient, since the apex depends on the weight alone.  So
+(p, q) takes its middle groups from the cell below, and each block takes
+its d_out from the d_in kept there, with that map's rank certificates (see
+KoszulCell).  A cell keeps its d_in maps only when the table pass will
+compute (p + 1, q - 1) next, and each map is dropped at its second use.
+Each role of a map is still routed by its own unreduced shape: where the
+two routes differ, the second certificate is computed as before, so every
+level and agreement flag is what the cell alone gives.  A cell the store
+or a vanishing theorem answers, or the memory cap refuses, breaks the
+chain, and the next cell builds its own d_out.  kpq, schur and explore
+compute each cell alone and keep nothing.
+
 Two global consistency checks are provided.  The Euler check compares the
 alternating column sums of a complete table against the coefficients of
 H_R(t) * (1-t)^v, where H_R(t) = sum_m binom(md+b+n, n) t^m is the Hilbert
@@ -161,6 +177,11 @@ def _analytic_zero_reason(n: int, b: int, d: int, p: int, q: int):
     return None
 
 
+def _route(size: int) -> str:
+    """The two-prime route of a map whose unreduced block has this size."""
+    return "zero" if not size else "exact" if size <= EXACT_THRESHOLD else "modular"
+
+
 def _block_ranks(block, config: EngineConfig):
     """(rank_in, rank_out, exact, agreement) for one block under the config.
 
@@ -169,14 +190,20 @@ def _block_ranks(block, config: EngineConfig):
     the unreduced block (see the module notes): a zero map has rank 0 and
     checks no primes, one of rows*cols <= EXACT_THRESHOLD takes the exact
     route and any other the modular route.  The ranks are the quotient's,
-    the block's own matrices."""
-    maps = (block.d_in, block.d_out)
+    the block's own matrices.  Each certificate is kept in the map's dict
+    under its route, and one already there is reused: a d_out handed over
+    by the cell below brings those of its d_in role."""
     if config.mode == LEVEL_EXACT:
-        certs = [certified_rank(m, (), True) for m in maps]
+        routes, primes = ("exact", "exact"), ()
     else:
-        certs = [certified_rank(m, config.primes, size <= EXACT_THRESHOLD) if size
-                 else RankCertificate(0, config.primes, True, True)
-                 for m, size in zip(maps, block.full_sizes(EXACT_THRESHOLD))]
+        routes, primes = map(_route, block.full_sizes(EXACT_THRESHOLD)), config.primes
+    certs = []
+    for m, known, route in zip((block.d_in, block.d_out),
+                               (block.in_ranks, block.out_ranks), routes):
+        if route not in known:
+            known[route] = (certified_rank(m, primes, route == "exact") if route != "zero"
+                            else RankCertificate(0, primes, True, True))
+        certs.append(known[route])
     cert_in, cert_out = certs
     return (cert_in.rank, cert_out.rank, cert_in.exact and cert_out.exact,
             cert_in.agreement and cert_out.agreement)
@@ -193,15 +220,19 @@ def _block_dim(block, config: EngineConfig):
     return block.mid_dim - r_in - r_out, exact, agree
 
 
-def weight_blocks(n: int, b: int, d: int, p: int, q: int, config: EngineConfig):
+def weight_blocks(n: int, b: int, d: int, p: int, q: int, config: EngineConfig,
+                  cell: KoszulCell = None):
     """(block, contribution, exact, agreement) at each dominant weight of the
-    cell, in descending lex order.  The cell's parameters and memory cap are
-    checked before the first block is asked for."""
-    cell = KoszulCell(Parameters(n=n, b=b, d=d, p=p, q=q), config.memory_cap)
+    cell, in descending lex order, from `cell` if given, else from a new
+    KoszulCell.  The cell's parameters and memory cap are checked before the
+    first block is asked for."""
+    if cell is None:
+        cell = KoszulCell(Parameters(n=n, b=b, d=d, p=p, q=q), config.memory_cap)
     return ((block, *_block_dim(block, config)) for block in cell.iter_blocks())
 
 
-def _compute_cell(n: int, b: int, d: int, p: int, q: int, config: EngineConfig) -> CellResult:
+def _compute_cell(n: int, b: int, d: int, p: int, q: int, config: EngineConfig,
+                  cell: KoszulCell = None) -> CellResult:
     t0 = time.monotonic()
     reason = _analytic_zero_reason(n, b, d, p, q)
     if reason is not None:
@@ -215,7 +246,7 @@ def _compute_cell(n: int, b: int, d: int, p: int, q: int, config: EngineConfig) 
     max_block = 0
     all_exact = True
     all_agree = True
-    for block, block_dim, exact, agree in weight_blocks(n, b, d, p, q, config):
+    for block, block_dim, exact, agree in weight_blocks(n, b, d, p, q, config, cell):
         orbit = distinct_permutations_count(block.weight)
         dim += orbit * block_dim
         block_count += orbit
@@ -349,15 +380,38 @@ def cell_result(n, b, d, p, q, config: EngineConfig = None,
     """Compute (or fetch from the store) one cell; a bad (n, b, d) first raises."""
     check_nbd(n, b, d)
     config = config or make_config()
+    return _stored(n, b, d, p, q, config, store,
+                   lambda: _compute_cell(n, b, d, p, q, config))
+
+
+def _stored(n, b, d, p, q, config: EngineConfig, store, compute) -> CellResult:
+    """The store's record of the cell, or else compute(), stored."""
     if store is None:
-        return _compute_cell(n, b, d, p, q, config)
+        return compute()
     key = ResultStore.key_of(n, b, d, p, q, config)
     rec = store.get(key)
     if rec is not None:
         return CellResult.from_record(rec)
-    res = _compute_cell(n, b, d, p, q, config)
+    res = compute()
     store.put(key, res.to_record())
     return res
+
+
+def _table_cell(n, b, d, p, q, config: EngineConfig, store, below, keep) -> tuple:
+    """(result, cell) for one cell of betti_table's pass: the result as
+    cell_result gives it, computed on a KoszulCell made with `below` and
+    `keep`, and that cell, or None when the store or a vanishing theorem
+    answered."""
+    cell = None
+
+    def compute():
+        nonlocal cell
+        if _analytic_zero_reason(n, b, d, p, q) is None:
+            cell = KoszulCell(Parameters(n=n, b=b, d=d, p=p, q=q), config.memory_cap,
+                              below=below, keep=keep)
+        return _compute_cell(n, b, d, p, q, config, cell)
+
+    return _stored(n, b, d, p, q, config, store, compute), cell
 
 
 def kpq_dim(n, b, d, p, q, config: EngineConfig = None,
@@ -420,7 +474,8 @@ def betti_table(n, b, d, p_range=(None, None), q_range=(None, None),
     full table, which holds every possibly-nonzero cell.
 
     Infeasible cells are recorded per cell, not fatal; everything already in
-    the store is reused.
+    the store is reused.  The cells are computed one antidiagonal at a time
+    (see the module notes); both dicts of the table are in window order.
     """
     check_nbd(n, b, d)      # an empty window reaches no cell_result
     config = config or make_config()
@@ -432,11 +487,22 @@ def betti_table(n, b, d, p_range=(None, None), q_range=(None, None),
         q_range=(default_q_lo(b, d) if q_lo is None else q_lo,
                  n + 1 if q_hi is None else q_hi),
     )
-    for p, q in table.window_cells():
-        try:
-            table.cells[(p, q)] = cell_result(n, b, d, p, q, config, store)
-        except InfeasibleBlockError as exc:
-            table.failures[(p, q)] = str(exc)
+    (p_lo, p_hi), (q_lo, q_hi) = table.p_range, table.q_range
+    cells, failures = {}, {}
+    for j in range(p_lo + q_lo, p_hi + q_hi + 1):
+        below = None    # the cell (p - 1, q + 1), if computed just before
+        for q in range(min(q_hi, j - p_lo), max(q_lo, j - p_hi) - 1, -1):
+            p = j - q
+            keep = (p < p_hi and q > q_lo
+                    and _analytic_zero_reason(n, b, d, p + 1, q - 1) is None)
+            try:
+                cells[(p, q)], below = _table_cell(n, b, d, p, q, config, store,
+                                                   below, keep)
+            except InfeasibleBlockError as exc:
+                failures[(p, q)], below = str(exc), None
+    order = table.window_cells()
+    table.cells = {pq: cells[pq] for pq in order if pq in cells}
+    table.failures = {pq: failures[pq] for pq in order if pq in failures}
     return table
 
 

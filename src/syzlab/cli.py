@@ -11,6 +11,7 @@ in a JSONL store under --cache-dir, defaulting to $SYZ_CACHE_DIR or
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -359,7 +360,26 @@ def cmd_explore(cfg: RunConfig) -> tuple:
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out that cannot be written before any cell is computed:
+    its directory is missing or not writable, or it is a directory."""
+    directory = os.path.dirname(path) or os.curdir
+    if not os.path.exists(directory):
+        reason = errno.ENOENT
+    elif not os.path.isdir(directory):
+        reason = errno.ENOTDIR
+    elif not os.access(directory, os.W_OK | os.X_OK):
+        reason = errno.EACCES
+    elif os.path.isdir(path):
+        reason = errno.EISDIR
+    else:
+        return
+    raise UsageFailure(f"cannot write --out {path!r}: {os.strerror(reason)}")
+
+
 def cmd_render(cfg: RunConfig) -> tuple:
+    if cfg.out:
+        _check_out(cfg.out)
     table = _whole_table(cfg, cfg.b)
     comment = (f"schema: {SCHEMA} engine: {ENGINE_VERSION} "
                f"config: {json.dumps(cfg.to_dict(), sort_keys=True)}")

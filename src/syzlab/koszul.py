@@ -63,6 +63,16 @@ On the small curves only the per-cell check catches a sign error: with
 every sign +1, no quotient block of a cell with n = 1, d <= 3, b <= 2,
 p <= 5, q <= 2 fails its own check, as (1, 0, 4, 2, 1) at weight (6, 6) and
 surface blocks such as (2, 0, 2, 2, 1) at (2, 2, 2) do.
+
+Neighbouring cells on an antidiagonal share their work.  The source space
+of (p - 1, q + 1), Wedge^p V (x) H(qd + b), is the middle space of (p, q),
+grouped by the same call, and at each weight the d_in of (p - 1, q + 1) is
+the d_out of (p, q) on the same quotient.  A KoszulCell given the cell
+below it, `below`, takes those groups and pops each kept d_in as its d_out.
+The handed-over map's rows are the whole kept middle of (p - 1, q + 1), not
+only the faces this block reaches: its target_dim counts those zero rows
+too, its rank is unchanged.  The cap estimate still comes first in each
+block, and the d_out . d_in = 0 check still runs, on the map handed over.
 """
 
 from __future__ import annotations
@@ -184,7 +194,9 @@ class KoszulBlock:
     The three dimensions are read off the maps' shapes.  These are the
     quotient's (see the module notes); full_mid_dim and full_src_dim are the
     dimensions of the unreduced block, and full_sizes() the shapes of its
-    maps, which betti uses to pick each map's route.
+    maps, which betti uses to pick each map's route.  The target_dim of a
+    d_out handed over by the cell below also counts zero rows (see the
+    module notes).
     """
 
     weight: tuple
@@ -193,6 +205,10 @@ class KoszulBlock:
     full_mid_dim: int
     full_src_dim: int
     full_middle: list = field(repr=False, compare=False)  # unreduced (wedge, t)
+    # each map's rank certificates, keyed by route: betti fills them, and a
+    # d_in kept for the cell (p + 1, q - 1) takes its dict along as d_out's
+    in_ranks: dict = field(default_factory=dict, repr=False, compare=False)
+    out_ranks: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def mid_dim(self) -> int:
@@ -233,9 +249,22 @@ class KoszulCell:
     kept, grouped by weight; blocks are then built lazily per dominant
     weight, each as its star quotient.  Target rows are allocated on demand
     while applying the differential, so the target space is never enumerated.
+
+    `below`, if given, is the computed cell (p - 1, q + 1) of the same
+    (n, b, d).  The middle groups are taken from it, and each block pops the
+    d_in that `below` kept at its weight, with its rank certificates, as its
+    d_out (see the module notes); where none was kept, d_out is built.
+    `below` keeps none of its groups or maps after that, so they are freed
+    as soon as this cell is done with them.  With `keep`, each d_in built is
+    kept for the cell (p + 1, q - 1).
     """
 
-    def __init__(self, params: Parameters, memory_cap: int = DEFAULT_MEMORY_CAP):
+    def __init__(self, params: Parameters, memory_cap: int = DEFAULT_MEMORY_CAP,
+                 below: "KoszulCell" = None, keep: bool = False):
+        if below is not None and below.params != Parameters(
+                params.n, params.b, params.d, params.p - 1, params.q + 1):
+            raise ValueError(f"cell below {params} must be (p - 1, q + 1) of the "
+                             f"same (n, b, d), got {below.params}")
         self.params = params
         self.memory_cap = memory_cap
         self.basis_d = enumerate_basis(params.n, params.d)
@@ -251,8 +280,13 @@ class KoszulCell:
             )
         if src:     # no source element, no composite (and p + 1 may pass v)
             _check_faces_of_faces(params.p + 1)
-        self._middle = None
-        self._source = None
+        self._middle = self._source = None
+        self._handed = {}           # dominant weight -> (d_out, its certificates)
+        self._kept = {} if keep else None
+        if below is not None:   # take over what it holds, and free the rest
+            below._ensure_groups()
+            self._middle, self._handed = below._source, below._kept or {}
+            below._middle = below._source = below._kept = None
 
     def expected_middle_dim(self) -> int:
         p = self.params
@@ -295,9 +329,10 @@ class KoszulCell:
         return groups
 
     def _ensure_groups(self):
-        if self._middle is None:
+        if self._source is None:
             par = self.params
-            self._middle = self._grouped(par.p, par.middle_degree)
+            if self._middle is None:
+                self._middle = self._grouped(par.p, par.middle_degree)
             self._source = self._grouped(par.p + 1, par.source_degree)
             assert _orbit_total(self._middle) == self.expected_middle_dim()
             assert _orbit_total(self._source) == self.expected_source_dim()
@@ -338,9 +373,10 @@ class KoszulCell:
 
     def _build(self, weight, middle, source) -> KoszulBlock:
         """Matrices of the block at `weight` on the quotient of the given
-        bases by the star of the apex.  The memory-cap estimate comes first,
-        the d_out . d_in = 0 check of the quotient's matrices last (that of
-        the unreduced block is made once per cell: see the module notes)."""
+        bases by the star of the apex, d_out taken from the cell below where
+        it kept one.  The memory-cap estimate comes first, the d_out . d_in = 0
+        check of the quotient's matrices last (that of the unreduced block is
+        made once per cell: see the module notes)."""
         self._check_cap(weight, middle, source)
         full_mid, full_src = middle, source
         exps = self.basis_d.monomials
@@ -366,18 +402,27 @@ class KoszulCell:
                                  if not all(map(ge, map(add, t, exps[i]), top))])
                           for wedge, t in elements])
 
-        target_index = defaultdict()     # numbers the faces 0, 1, ... as met
-        target_index.default_factory = target_index.__len__
-        out_columns = columns(middle, target_index)
-        d_out = SparseMatrix(len(target_index), len(middle), out_columns)
+        handed = self._handed.pop(weight, None)
+        if handed is None:
+            target_index = defaultdict()     # numbers the faces 0, 1, ... as met
+            target_index.default_factory = target_index.__len__
+            out_columns = columns(middle, target_index)
+            handed = SparseMatrix(len(target_index), len(middle), out_columns), {}
+        d_out, out_ranks = handed
+        if d_out.cols != len(middle):
+            raise InvariantError(f"d_out at weight {weight} has {d_out.cols} columns, "
+                                 f"the kept middle {len(middle)} elements")
         # weight preservation: every kept face of a source element is a kept
         # middle element of this block
         mid_index = {wedge: i for i, (wedge, _) in enumerate(middle)}
         d_in = SparseMatrix(len(middle), len(source), columns(source, mid_index))
         self._check_composition_zero(d_out, d_in, weight)
-        return KoszulBlock(weight=weight, d_in=d_in, d_out=d_out,
-                           full_mid_dim=len(full_mid), full_src_dim=len(full_src),
-                           full_middle=full_mid)
+        block = KoszulBlock(weight=weight, d_in=d_in, d_out=d_out,
+                            full_mid_dim=len(full_mid), full_src_dim=len(full_src),
+                            full_middle=full_mid, out_ranks=out_ranks)
+        if self._kept is not None and full_src:  # else (p + 1, q - 1) has no block here
+            self._kept[weight] = d_in, block.in_ranks
+        return block
 
     @staticmethod
     def _check_composition_zero(d_out: SparseMatrix, d_in: SparseMatrix, weight):

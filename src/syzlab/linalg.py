@@ -107,7 +107,7 @@ def _rank_mod(m: SparseMatrix, modulus: int) -> int:
     """
     rows = {}
     for r, column in enumerate(m.columns):
-        row = {c: v % modulus for c, v in column if v % modulus}
+        row = {c: residue for c, v in column if (residue := v % modulus)}
         if row:
             rows[r] = row
     col_rows = {}

@@ -256,6 +256,25 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path):
     assert target in err
 
 
+@pytest.mark.parametrize("where", ["missing/diagram.svg", "file/diagram.svg", "."])
+def test_unwritable_out_is_refused_before_any_cell(capsys, tmp_path, where):
+    # the store gains no line: no cell of the table was computed
+    cache = str(tmp_path / "store")
+    (tmp_path / "file").write_text("")
+    run(capsys, "kpq", "--n", "1", "--b", "0", "--d", "3", "--p", "1", "--q", "1",
+        "--cache-dir", cache)
+    store_file = os.path.join(cache, ResultStore.FILENAME)
+    with open(store_file, "rb") as fh:
+        before = fh.read()
+    target = str(tmp_path / where)
+    code, out, err = run(capsys, "render", "--n", "1", "--b", "0", "--d", "3",
+                         "--out", target, "--cache-dir", cache)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"syzlab: usage error: cannot write --out {target!r}: ")
+    with open(store_file, "rb") as fh:
+        assert fh.read() == before
+
+
 @pytest.mark.parametrize("how", ["flag", "env"])
 def test_store_path_that_is_a_file_is_usage_error(capsys, tmp_path, monkeypatch, how):
     path = tmp_path / "not-a-directory"
