@@ -103,6 +103,26 @@ def test_cell_record_round_trip():
     assert CellResult.from_record(res.to_record()) == res
 
 
+def test_cell_record_holds_every_field_and_the_engine_settings():
+    rec = cell_result(1, 0, 3, 2, 1).to_record()
+    assert rec.pop("wall_time_ms") >= 0
+    assert rec == {
+        "n": 1, "b": 0, "d": 3, "p": 2, "q": 1, "dim": 2, "level": "exact",
+        "agreement": True, "primes": [1315212539, 1118872889],
+        "exact_threshold": 256, "engine_version": "0.1.0",
+        "block_count": 8, "max_block_dim": 5, "analytic": False,
+    }
+
+
+def test_record_without_analytic_loads_as_not_analytic():
+    # stores written before the flag existed hold no "analytic" key
+    res = cell_result(1, 0, 3, 2, 1)
+    rec = res.to_record()
+    del rec["analytic"]
+    assert CellResult.from_record(rec) == res
+    assert CellResult.from_record(rec).analytic is False
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="unknown mode 'three-prime'"):
         make_config("three-prime")

@@ -1,7 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
+
+import syzlab
 
 from syzlab import SCHEMA, betti
 from syzlab.betti import ResultStore, cell_result, make_config
@@ -79,6 +83,54 @@ def test_cache_dir_env_var(capsys, tmp_path, monkeypatch):
                        "--p", "1", "--q", "1")
     assert code == EXIT_OK
     assert (cache / "results.jsonl").exists()
+
+
+KPQ_121 = ("kpq", "--n", "1", "--b", "0", "--d", "2", "--p", "1", "--q", "1")
+
+
+@pytest.mark.parametrize("flags,env,resolved", [
+    (("--no-cache", "--cache-dir", "flag"), "env", None),
+    (("--cache-dir", "flag"), "env", "flag"),
+    ((), "env", "env"),
+    ((), None, ".syzcache"),
+], ids=["no-cache", "flag", "env", "default"])
+def test_cache_dir_precedence_and_echo(capsys, tmp_path, monkeypatch, flags, env, resolved):
+    # --no-cache beats --cache-dir, which beats $SYZ_CACHE_DIR, which beats
+    # ./.syzcache; the echo holds the directory used, and none under --no-cache
+    monkeypatch.chdir(tmp_path)
+    where = {"flag": str(tmp_path / "flag"), "env": str(tmp_path / "env"),
+             ".syzcache": ".syzcache", None: None}
+    if env is None:
+        monkeypatch.delenv("SYZ_CACHE_DIR", raising=False)
+    else:
+        monkeypatch.setenv("SYZ_CACHE_DIR", where[env])
+    code, out, _ = run(capsys, *KPQ_121, *(where.get(f, f) for f in flags))
+    assert code == EXIT_OK
+    config = json.loads(out)["config"]
+    assert config.get("cache_dir") == where[resolved]
+    assert "no_cache" not in config
+    made = sorted(os.listdir(tmp_path))
+    assert made == ([] if resolved is None else [os.path.basename(where[resolved])])
+    if resolved is not None:
+        assert os.path.exists(os.path.join(where[resolved], ResultStore.FILENAME))
+
+
+def _run_module(*argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(syzlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-m", "syzlab.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_exits_with_the_command_code(capsys):
+    proc = _run_module(*KPQ_253, "--prime-seeds", "5", "5", "--no-cache")
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+    assert "two distinct primes" in proc.stderr
+    args = ("bounds", "--n", "1", "--b", "0", "--d", "3")
+    proc = _run_module(*args)
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout == run(capsys, *args)[1]
 
 
 def test_betti_table_json(capsys):

@@ -61,6 +61,15 @@ COMMANDS = [
     "cycle --n 1 --b 2 --d 3 --p 2",
     "cycle --n 2 --b 1 --d 2 --p 2",
     "bounds --n 2 --b 0 --d 3",
+    # every config echo: render and explore, a strand filter, a window, and
+    # explicit seeds and cap
+    "render --n 1 --b 0 --d 3 --width-px 320 --cache-dir {cache}",
+    "explore --n 1 --b 0 --d 3 --no-cache",
+    "explore --n 1 --b 1 --d-min 2 --d-max 4 --q-min 0 --cache-dir {cache}",
+    "bounds --n 2 --b 0 --d 3 --q 1",
+    "betti --n 2 --b 0 --d 3 --p-min 2 --p-max 5 --q-min 1 --q-max 2 --no-cache",
+    "betti --n 1 --b 0 --d 4 --format csv --prime-seeds 3 4 --memory-cap-mb 64 "
+    "--no-cache",
 ]
 
 
