@@ -44,8 +44,10 @@ Each role of a map is still routed by its own unreduced shape: where the
 two routes differ, the second certificate is computed as before, so every
 level and agreement flag is what the cell alone gives.  A cell the store
 or a vanishing theorem answers, or the memory cap refuses, breaks the
-chain, and the next cell builds its own d_out.  kpq, schur and explore
-compute each cell alone and keep nothing.
+chain, and the next cell builds its own d_out.  One function, _table_cell,
+fetches, computes and stores every cell: chained in betti_table, or alone
+(no cell below, nothing kept) for cell_result, and so for kpq and explore.
+schur computes its weight blocks alone and stores nothing.
 
 Two global consistency checks are provided.  The Euler check compares the
 alternating column sums of a complete table against the coefficients of
@@ -65,7 +67,7 @@ import os
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import ENGINE_VERSION
 from .arith import binom_safe, random_prime
@@ -141,24 +143,18 @@ class CellResult:
     analytic: bool = False
 
     def to_record(self) -> dict:
-        return {
-            "n": self.n, "b": self.b, "d": self.d, "p": self.p, "q": self.q,
-            "dim": self.dim, "level": self.level, "agreement": self.agreement,
-            "primes": list(self.primes),
-            "exact_threshold": EXACT_THRESHOLD, "engine_version": ENGINE_VERSION,
-            "wall_time_ms": self.wall_time_ms, "block_count": self.block_count,
-            "max_block_dim": self.max_block_dim, "analytic": self.analytic,
-        }
+        """Every field, tuples as the lists JSON reads back, and the engine
+        settings the result was computed under."""
+        rec = {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
+        rec.update(exact_threshold=EXACT_THRESHOLD, engine_version=ENGINE_VERSION)
+        return rec
 
-    @staticmethod
-    def from_record(rec: dict) -> "CellResult":
-        return CellResult(
-            n=rec["n"], b=rec["b"], d=rec["d"], p=rec["p"], q=rec["q"],
-            dim=rec["dim"], level=rec["level"], agreement=rec["agreement"],
-            primes=tuple(rec["primes"]), block_count=rec["block_count"],
-            max_block_dim=rec["max_block_dim"], wall_time_ms=rec["wall_time_ms"],
-            analytic=rec.get("analytic", False),
-        )
+    @classmethod
+    def from_record(cls, rec: dict) -> "CellResult":
+        """The result a record holds; a field it lacks, as older stores lack
+        `analytic`, takes its default."""
+        held = {f.name: rec[f.name] for f in fields(cls) if f.name in rec}
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in held.items()})
 
 
 def _analytic_zero_reason(n: int, b: int, d: int, p: int, q: int):
@@ -379,39 +375,28 @@ def cell_result(n, b, d, p, q, config: EngineConfig = None,
                 store: ResultStore = None) -> CellResult:
     """Compute (or fetch from the store) one cell; a bad (n, b, d) first raises."""
     check_nbd(n, b, d)
-    config = config or make_config()
-    return _stored(n, b, d, p, q, config, store,
-                   lambda: _compute_cell(n, b, d, p, q, config))
+    return _table_cell(n, b, d, p, q, config or make_config(), store)[0]
 
 
-def _stored(n, b, d, p, q, config: EngineConfig, store, compute) -> CellResult:
-    """The store's record of the cell, or else compute(), stored."""
-    if store is None:
-        return compute()
-    key = ResultStore.key_of(n, b, d, p, q, config)
-    rec = store.get(key)
-    if rec is not None:
-        return CellResult.from_record(rec)
-    res = compute()
-    store.put(key, res.to_record())
-    return res
-
-
-def _table_cell(n, b, d, p, q, config: EngineConfig, store, below, keep) -> tuple:
-    """(result, cell) for one cell of betti_table's pass: the result as
-    cell_result gives it, computed on a KoszulCell made with `below` and
-    `keep`, and that cell, or None when the store or a vanishing theorem
-    answered."""
-    cell = None
-
-    def compute():
-        nonlocal cell
-        if _analytic_zero_reason(n, b, d, p, q) is None:
-            cell = KoszulCell(Parameters(n=n, b=b, d=d, p=p, q=q), config.memory_cap,
-                              below=below, keep=keep)
-        return _compute_cell(n, b, d, p, q, config, cell)
-
-    return _stored(n, b, d, p, q, config, store, compute), cell
+def _table_cell(n, b, d, p, q, config: EngineConfig, store,
+                below: KoszulCell = None, keep: bool = False) -> tuple:
+    """(result, cell) for one cell, alone or in betti_table's pass: the
+    store's record of the cell, or else the result computed on a KoszulCell
+    made with `below` and `keep`, stored; and that KoszulCell, or None when
+    the store or a vanishing theorem answered."""
+    key = cell = None
+    if store is not None:
+        key = ResultStore.key_of(n, b, d, p, q, config)
+        rec = store.get(key)
+        if rec is not None:
+            return CellResult.from_record(rec), None
+    if _analytic_zero_reason(n, b, d, p, q) is None:
+        cell = KoszulCell(Parameters(n=n, b=b, d=d, p=p, q=q), config.memory_cap,
+                          below=below, keep=keep)
+    res = _compute_cell(n, b, d, p, q, config, cell)
+    if store is not None:
+        store.put(key, res.to_record())
+    return res, cell
 
 
 def kpq_dim(n, b, d, p, q, config: EngineConfig = None,

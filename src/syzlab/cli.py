@@ -6,6 +6,11 @@ byte-reproducible for a fixed invocation (sorted keys, no timestamps);
 timing diagnostics go to stderr.  Results of cell computations are cached
 in a JSONL store under --cache-dir, defaulting to $SYZ_CACHE_DIR or
 ./.syzcache.
+
+The run config is the parsed argparse namespace itself, completed by
+config_from_args.  Every output embeds it as its config echo: each field
+that is not None, with mode, prime_seeds, memory_cap_mb, fmt and width_px
+for every command, also one without those flags.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 from . import ENGINE_VERSION, SCHEMA
 from .arith import binom_safe
@@ -64,56 +68,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageFailure(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved invocation, embedded verbatim in every output."""
-
-    command: str
-    n: int = None
-    b: int = None
-    d: int = None
-    p: int = None
-    q: int = None
-    p_min: int = None
-    p_max: int = None
-    q_min: int = None
-    q_max: int = None
-    d_min: int = None
-    d_max: int = None
-    mode: str = EngineConfig.mode
-    prime_seeds: tuple = DEFAULT_PRIME_SEEDS[EngineConfig.mode]
-    memory_cap_mb: int = DEFAULT_MEMORY_CAP >> 20
-    cache_dir: str = None
-    fmt: str = "json"
-    width_px: int = 640
-    out: str = None
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["prime_seeds"] = list(self.prime_seeds)
-        return {k: v for k, v in d.items() if v is not None}
-
-    def engine_config(self) -> EngineConfig:
-        return make_config(
-            mode=self.mode,
-            prime_seeds=self.prime_seeds,
-            memory_cap=self.memory_cap_mb * (1 << 20),
-        )
-
-    def store(self):
-        if self.cache_dir is None:
-            return None
-        try:
-            return ResultStore(self.cache_dir)
-        except OSError as exc:
-            raise UsageFailure(f"cannot open store {self.cache_dir!r}: {exc.strerror}") from None
+# Fields of every run config, also of a command without the flag, and the
+# parser's defaults.  Every config echo prints those that are not None, so
+# old outputs stay byte-stable; the window ends are None unless given.
+ECHOED = {
+    "mode": EngineConfig.mode,
+    "prime_seeds": None,    # the mode's own, resolved by config_from_args
+    "memory_cap_mb": DEFAULT_MEMORY_CAP >> 20,
+    "fmt": "json",
+    "width_px": 640,
+    "p_min": None, "p_max": None, "q_min": None, "q_max": None,
+}
 
 
 def _add_engine_flags(sp):
-    sp.add_argument("--mode", choices=MODES, default=RunConfig.mode)
-    sp.add_argument("--prime-seeds", type=int, nargs="+", default=None,
+    sp.add_argument("--mode", choices=MODES, default=ECHOED["mode"])
+    sp.add_argument("--prime-seeds", type=int, nargs="+", default=ECHOED["prime_seeds"],
                     help="seeds for the certification primes (default: the mode's own)")
-    sp.add_argument("--memory-cap-mb", type=int, default=RunConfig.memory_cap_mb)
+    sp.add_argument("--memory-cap-mb", type=int, default=ECHOED["memory_cap_mb"])
     sp.add_argument("--cache-dir", default=None)
     sp.add_argument("--no-cache", action="store_true")
 
@@ -136,12 +108,12 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("betti", help="a window of the Betti table")
     _add_nbd(sp)
-    sp.add_argument("--p-min", type=int, default=None)
-    sp.add_argument("--p-max", type=int, default=None)
-    sp.add_argument("--q-min", type=int, default=None)
-    sp.add_argument("--q-max", type=int, default=None)
+    sp.add_argument("--p-min", type=int, default=ECHOED["p_min"])
+    sp.add_argument("--p-max", type=int, default=ECHOED["p_max"])
+    sp.add_argument("--q-min", type=int, default=ECHOED["q_min"])
+    sp.add_argument("--q-max", type=int, default=ECHOED["q_max"])
     sp.add_argument("--format", dest="fmt", choices=["json", "m2", "csv"],
-                    default="json")
+                    default=ECHOED["fmt"])
     _add_engine_flags(sp)
 
     sp = sub.add_parser("verify", help="Euler, duality and bound checks on a full table")
@@ -174,37 +146,54 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("render", help="normalized Betti diagram as SVG")
     _add_nbd(sp)
-    sp.add_argument("--width-px", type=int, default=640)
+    sp.add_argument("--width-px", type=int, default=ECHOED["width_px"])
     sp.add_argument("--out", default=None, help="write SVG here instead of stdout")
     _add_engine_flags(sp)
     return parser
 
 
-def _resolve_cache(args) -> str:
-    if getattr(args, "no_cache", False):
+def config_from_args(args) -> argparse.Namespace:
+    """The run config: the parsed arguments with every ECHOED field, the
+    prime seeds and the store directory resolved, and no_cache dropped.
+    --no-cache beats --cache-dir, which beats $SYZ_CACHE_DIR and ./.syzcache."""
+    for name, value in ECHOED.items():
+        vars(args).setdefault(name, value)
+    if args.prime_seeds is None:
+        args.prime_seeds = DEFAULT_PRIME_SEEDS[args.mode]
+    if vars(args).pop("no_cache", True):
+        args.cache_dir = None
+    elif not args.cache_dir:
+        args.cache_dir = os.environ.get("SYZ_CACHE_DIR", DEFAULT_CACHE_DIR)
+    return args
+
+
+def _echo(cfg) -> dict:
+    """The config every output embeds: its fields that are not None."""
+    return {k: v for k, v in vars(cfg).items() if v is not None}
+
+
+def _header(cfg) -> dict:
+    return {"schema": SCHEMA, "engine_version": ENGINE_VERSION, "config": _echo(cfg)}
+
+
+def _text_head(cfg, mark: str) -> list:
+    """The schema and config lines that open a text output, each after `mark`."""
+    return [f"{mark} schema: {SCHEMA}  engine: {ENGINE_VERSION}",
+            f"{mark} config: {json.dumps(_echo(cfg), sort_keys=True)}"]
+
+
+def _engine(cfg) -> EngineConfig:
+    return make_config(mode=cfg.mode, prime_seeds=cfg.prime_seeds,
+                       memory_cap=cfg.memory_cap_mb * (1 << 20))
+
+
+def _store(cfg):
+    if cfg.cache_dir is None:
         return None
-    if getattr(args, "cache_dir", None):
-        return args.cache_dir
-    return os.environ.get("SYZ_CACHE_DIR", DEFAULT_CACHE_DIR)
-
-
-def config_from_args(args) -> RunConfig:
-    fields = {"command": args.command}
-    for name in ("n", "b", "d", "p", "q", "p_min", "p_max", "q_min", "q_max",
-                 "d_min", "d_max", "mode", "memory_cap_mb", "fmt", "width_px", "out"):
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
-    if hasattr(args, "prime_seeds"):
-        fields["prime_seeds"] = (DEFAULT_PRIME_SEEDS[args.mode] if args.prime_seeds is None
-                                 else tuple(args.prime_seeds))
-    if hasattr(args, "cache_dir"):
-        fields["cache_dir"] = _resolve_cache(args)
-    return RunConfig(**fields)
-
-
-def _header(cfg: RunConfig) -> dict:
-    return {"schema": SCHEMA, "engine_version": ENGINE_VERSION,
-            "config": cfg.to_dict()}
+    try:
+        return ResultStore(cfg.cache_dir)
+    except OSError as exc:
+        raise UsageFailure(f"cannot open store {cfg.cache_dir!r}: {exc.strerror}") from None
 
 
 def _emit_json(payload: dict) -> str:
@@ -212,28 +201,23 @@ def _emit_json(payload: dict) -> str:
 
 
 def _cell_json(res) -> dict:
-    return {
-        "n": res.n, "b": res.b, "d": res.d, "p": res.p, "q": res.q,
-        "dim": res.dim, "level": res.level, "agreement": res.agreement,
-        "primes": list(res.primes), "block_count": res.block_count,
-        "max_block_dim": res.max_block_dim, "analytic": res.analytic,
-    }
+    """Every field of the result but its timing, as the store compares it."""
+    return ResultStore._payload(vars(res))
 
 
-def cmd_kpq(cfg: RunConfig) -> tuple:
-    res = cell_result(cfg.n, cfg.b, cfg.d, cfg.p, cfg.q,
-                      cfg.engine_config(), cfg.store())
+def cmd_kpq(cfg) -> tuple:
+    res = cell_result(cfg.n, cfg.b, cfg.d, cfg.p, cfg.q, _engine(cfg), _store(cfg))
     payload = _header(cfg)
     payload["result"] = _cell_json(res)
     return EXIT_OK, _emit_json(payload)
 
 
-def _table_for(cfg: RunConfig, b: int):
+def _table_for(cfg, b: int):
     return betti_table(cfg.n, b, cfg.d, (cfg.p_min, cfg.p_max), (cfg.q_min, cfg.q_max),
-                       cfg.engine_config(), cfg.store())
+                       _engine(cfg), _store(cfg))
 
 
-def _whole_table(cfg: RunConfig, b: int):
+def _whole_table(cfg, b: int):
     """The table of a command that reads every cell: cells the memory cap
     refused stop it (exit 2), named, rather than be read as zeros."""
     table = _table_for(cfg, b)
@@ -258,16 +242,12 @@ def _table_json(table) -> dict:
     }
 
 
-def cmd_betti(cfg: RunConfig) -> tuple:
+def cmd_betti(cfg) -> tuple:
     table = _table_for(cfg, cfg.b)
     if cfg.fmt == "m2":
-        head = (f"-- schema: {SCHEMA}  engine: {ENGINE_VERSION}\n"
-                f"-- config: {json.dumps(cfg.to_dict(), sort_keys=True)}\n")
-        return EXIT_OK, head + m2_text(table) + "\n"
+        return EXIT_OK, "\n".join(_text_head(cfg, "--") + [m2_text(table)]) + "\n"
     if cfg.fmt == "csv":
-        lines = [f"# schema: {SCHEMA}  engine: {ENGINE_VERSION}",
-                 f"# config: {json.dumps(cfg.to_dict(), sort_keys=True)}",
-                 "p,q,dim,level,agreement"]
+        lines = _text_head(cfg, "#") + ["p,q,dim,level,agreement"]
         for pq in sorted(table.cells):
             c = table.cells[pq]
             lines.append(f"{c.p},{c.q},{c.dim},{c.level},{str(c.agreement).lower()}")
@@ -277,7 +257,7 @@ def cmd_betti(cfg: RunConfig) -> tuple:
     return EXIT_OK, _emit_json(payload)
 
 
-def cmd_verify(cfg: RunConfig) -> tuple:
+def cmd_verify(cfg) -> tuple:
     table = _whole_table(cfg, cfg.b)
     report = {"euler": None, "duality": None, "bounds": None}
     euler = euler_check(table)
@@ -305,7 +285,7 @@ def cmd_verify(cfg: RunConfig) -> tuple:
     return (EXIT_OK if ok else EXIT_VERIFY), _emit_json(payload)
 
 
-def cmd_bounds(cfg: RunConfig) -> tuple:
+def cmd_bounds(cfg) -> tuple:
     ranges = all_ranges(cfg.n, cfg.b, cfg.d)
     if cfg.q is not None:
         ranges = [r for r in ranges if r.q == cfg.q]
@@ -314,15 +294,14 @@ def cmd_bounds(cfg: RunConfig) -> tuple:
     return EXIT_OK, _emit_json(payload)
 
 
-def cmd_schur(cfg: RunConfig) -> tuple:
-    table = schur_multiplicities(cfg.n, cfg.b, cfg.d, cfg.p, cfg.q,
-                                 cfg.engine_config())
+def cmd_schur(cfg) -> tuple:
+    table = schur_multiplicities(cfg.n, cfg.b, cfg.d, cfg.p, cfg.q, _engine(cfg))
     payload = _header(cfg)
     payload["schur"] = table.to_dict()
     return EXIT_OK, _emit_json(payload)
 
 
-def cmd_cycle(cfg: RunConfig) -> tuple:
+def cmd_cycle(cfg) -> tuple:
     chain = build_kp0_cycle(cfg.n, cfg.b, cfg.d, cfg.p)
     rep = verify_nonzero_class(chain)
     payload = _header(cfg)
@@ -337,17 +316,15 @@ def cmd_cycle(cfg: RunConfig) -> tuple:
     return code, _emit_json(payload)
 
 
-def cmd_explore(cfg: RunConfig) -> tuple:
-    engine = cfg.engine_config()
-    store = cfg.store()
+def cmd_explore(cfg) -> tuple:
+    engine = _engine(cfg)
+    store = _store(cfg)
     d_lo = cfg.d_min if cfg.d_min is not None else cfg.d
     d_hi = cfg.d_max if cfg.d_max is not None else cfg.d
     if d_lo is None or d_hi is None:
         raise UsageFailure("explore needs --d or both --d-min and --d-max")
     q_hi = cfg.q_max if cfg.q_max is not None else cfg.n
-    lines = [f"# schema: {SCHEMA}  engine: {ENGINE_VERSION}",
-             f"# config: {json.dumps(cfg.to_dict(), sort_keys=True)}",
-             "q,d,min_nonzero_p,r_d"]
+    lines = _text_head(cfg, "#") + ["q,d,min_nonzero_p,r_d"]
     for q in range(cfg.q_min, q_hi + 1):
         for d in range(d_lo, d_hi + 1):
             r_d = binom_safe(d + cfg.n, cfg.n) - 1
@@ -377,12 +354,12 @@ def _check_out(path: str) -> None:
     raise UsageFailure(f"cannot write --out {path!r}: {os.strerror(reason)}")
 
 
-def cmd_render(cfg: RunConfig) -> tuple:
+def cmd_render(cfg) -> tuple:
     if cfg.out:
         _check_out(cfg.out)
     table = _whole_table(cfg, cfg.b)
     comment = (f"schema: {SCHEMA} engine: {ENGINE_VERSION} "
-               f"config: {json.dumps(cfg.to_dict(), sort_keys=True)}")
+               f"config: {json.dumps(_echo(cfg), sort_keys=True)}")
     svg = render_normalized_diagram(table, cfg.width_px, comment)
     if cfg.out:
         try:

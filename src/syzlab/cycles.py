@@ -96,9 +96,6 @@ class KoszulChain:
             and self.terms == other.terms
         )
 
-    def __repr__(self):
-        return f"KoszulChain(n={self.n}, d={self.d}, terms={len(self.terms)})"
-
     def text(self) -> str:
         if not self.terms:
             return "0"

@@ -78,13 +78,6 @@ class SparseMatrix:
     def nnz(self) -> int:
         return sum(map(len, self.columns))
 
-    def to_dense(self) -> list:
-        a = [[0] * self.cols for _ in range(self.rows)]
-        for c, column in enumerate(self.columns):
-            for r, v in column:
-                a[r][c] = v
-        return a
-
 
 def rank_mod_p(m: SparseMatrix, field: PrimeField) -> int:
     """Rank of m over F_p by sparse elimination with Markowitz pivoting."""

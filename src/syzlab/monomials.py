@@ -11,7 +11,6 @@ and torus weights are just exponent tuples again (of larger total degree).
 from __future__ import annotations
 
 from math import factorial
-from typing import Iterator
 
 from .arith import binom_safe
 
@@ -70,22 +69,6 @@ class GradedPieceBasis:
 
     def __getitem__(self, i: int) -> Monomial:
         return self.monomials[i]
-
-    def __iter__(self) -> Iterator[Monomial]:
-        return iter(self.monomials)
-
-    def __contains__(self, m) -> bool:
-        return m in self._index
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GradedPieceBasis)
-            and self.n == other.n
-            and self.e == other.e
-        )
-
-    def __repr__(self):
-        return f"GradedPieceBasis(n={self.n}, e={self.e}, size={len(self)})"
 
     def index_of(self, m: Monomial) -> int:
         """Position of m in canonical (descending lex) order."""

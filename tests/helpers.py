@@ -53,6 +53,15 @@ def from_dense(a) -> SparseMatrix:
         tuple((r, a[r][c]) for r in range(rows) if a[r][c]) for c in range(cols)))
 
 
+def to_dense(m: SparseMatrix) -> list:
+    """The dense list of rows of a SparseMatrix."""
+    a = [[0] * m.cols for _ in range(m.rows)]
+    for c, column in enumerate(m.columns):
+        for r, v in column:
+            a[r][c] = v
+    return a
+
+
 def lo_hi(predicted) -> tuple:
     """(lo, hi) of a bounds.PredictedRange."""
     return (predicted.lo, predicted.hi)

@@ -44,6 +44,7 @@ from helpers import (
     full_complex,
     kpq_dim_unblocked,
     lo_hi,
+    to_dense,
 )
 
 # every full table the criteria below share (memoized in the tables fixture)
@@ -217,7 +218,7 @@ def test_criterion_09_metamorphic(tables, capsys):
         par = Parameters(n, rng.randrange(0, 2), rng.randrange(1, 3),
                          rng.randrange(0, 3), rng.randrange(0, 3))
         d_in, d_out, mid = full_complex(par)
-        a, bm = d_out.to_dense(), d_in.to_dense()
+        a, bm = to_dense(d_out), to_dense(d_in)
         for i in range(d_out.rows):
             for j in range(d_in.cols):
                 assert sum(a[i][k] * bm[k][j] for k in range(mid)) == 0, par

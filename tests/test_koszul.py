@@ -15,6 +15,7 @@ from helpers import (
     delta_terms_block,
     fraction_rank,
     full_complex,
+    to_dense,
 )
 
 
@@ -91,8 +92,8 @@ def test_block_2_2_of_twisted_cubic_cell():
     assert block.src_dim == 1
     assert block.d_in.rows == 3 and block.d_in.cols == 1
     assert sorted(v for column in block.d_in.columns for _, v in column) == [-1, 1]
-    assert fraction_rank(block.d_out.to_dense()) == 1
-    assert fraction_rank(block.d_in.to_dense()) == 1
+    assert fraction_rank(to_dense(block.d_out)) == 1
+    assert fraction_rank(to_dense(block.d_in)) == 1
     # the engine ranks its quotient by the star of x^2, which leaves only
     # xy (x) xy: a cycle and no boundary, the block's one class
     quotient = KoszulCell(par).block((2, 2))
@@ -104,8 +105,8 @@ def test_block_contributions_sum_to_one():
     # dim K_{1,1}(P^1, 0; 2) = 1, concentrated in the balanced weight
     contributions = {}
     for block in AllWeightsStarCell(Parameters(1, 0, 2, 1, 1)).iter_blocks():
-        r_in = fraction_rank(block.d_in.to_dense())
-        r_out = fraction_rank(block.d_out.to_dense())
+        r_in = fraction_rank(to_dense(block.d_in))
+        r_out = fraction_rank(to_dense(block.d_out))
         contributions[block.weight] = block.mid_dim - r_in - r_out
     assert contributions == {(4, 0): 0, (3, 1): 0, (2, 2): 1, (1, 3): 0, (0, 4): 0}
 
@@ -141,8 +142,8 @@ def test_composition_is_zero_unblocked():
         par = Parameters(n, rng.randrange(0, 2), rng.randrange(1, 3),
                          rng.randrange(0, 3), rng.randrange(0, 3))
         d_in, d_out, mid = full_complex(par)
-        a = d_out.to_dense()
-        bm = d_in.to_dense()
+        a = to_dense(d_out)
+        bm = to_dense(d_in)
         assert d_in.rows == mid and d_out.cols == mid
         for i in range(d_out.rows):
             for j in range(d_in.cols):
@@ -191,17 +192,17 @@ def test_block_ranks_match_unblocked_ranks():
     for par in [Parameters(1, 0, 2, 1, 1), Parameters(1, 1, 2, 2, 1),
                 Parameters(2, 0, 2, 1, 1)]:
         d_in, d_out, mid = full_complex(par)
-        whole_in = fraction_rank(d_in.to_dense())
-        whole_out = fraction_rank(d_out.to_dense())
+        whole_in = fraction_rank(to_dense(d_in))
+        whole_out = fraction_rank(to_dense(d_out))
         blocks = list(AllWeightsCell(par).iter_blocks())
         assert sum(b.mid_dim for b in blocks) == mid
-        assert sum(fraction_rank(b.d_in.to_dense()) for b in blocks) == whole_in
-        assert sum(fraction_rank(b.d_out.to_dense()) for b in blocks) == whole_out
+        assert sum(fraction_rank(to_dense(b.d_in)) for b in blocks) == whole_in
+        assert sum(fraction_rank(to_dense(b.d_out)) for b in blocks) == whole_out
         # the engine's count: dominant blocks only, each times its orbit
         dominant = [(distinct_permutations_count(b.weight), b)
                     for b in UnreducedCell(par).iter_blocks()]
-        assert sum(o * fraction_rank(b.d_in.to_dense()) for o, b in dominant) == whole_in
-        assert sum(o * fraction_rank(b.d_out.to_dense()) for o, b in dominant) == whole_out
+        assert sum(o * fraction_rank(to_dense(b.d_in)) for o, b in dominant) == whole_in
+        assert sum(o * fraction_rank(to_dense(b.d_out)) for o, b in dominant) == whole_out
 
 
 def test_weight_permutation_symmetry():
@@ -209,8 +210,8 @@ def test_weight_permutation_symmetry():
     # the unreduced block or the block's contribution
     dims = {}
     for block in AllWeightsStarCell(Parameters(2, 0, 2, 1, 1)).iter_blocks():
-        r_in = fraction_rank(block.d_in.to_dense())
-        r_out = fraction_rank(block.d_out.to_dense())
+        r_in = fraction_rank(to_dense(block.d_in))
+        r_out = fraction_rank(to_dense(block.d_out))
         dims[block.weight] = (block.full_mid_dim, block.full_src_dim,
                               block.mid_dim - r_in - r_out)
     for w in dims:
