@@ -64,6 +64,11 @@ every sign +1, no quotient block of a cell with n = 1, d <= 3, b <= 2,
 p <= 5, q <= 2 fails its own check, as (1, 0, 4, 2, 1) at weight (6, 6) and
 surface blocks such as (2, 0, 2, 2, 1) at (2, 2, 2) do.
 
+The dominant elements are grouped by their wedge sums (KoszulCell._grouped).
+Each degree-d monomial is packed into one int, a bit field per variable, so
+a wedge sum is a sum of ints, and whether a tensor makes it dominant is one
+subtraction and one mask on packed gaps.  Each distinct sum is decoded once.
+
 Neighbouring cells on an antidiagonal share their work.  The source space
 of (p - 1, q + 1), Wedge^p V (x) H(qd + b), is the middle space of (p, q),
 grouped by the same call, and at each weight the d_in of (p - 1, q + 1) is
@@ -80,7 +85,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
-from operator import add, ge, sub
+from operator import add, ge
 
 from .arith import binom_safe
 from .linalg import InvariantError, SparseMatrix
@@ -233,9 +238,10 @@ class KoszulBlock:
         if not self.full_middle or not self.full_middle[0][0]:
             return size_in, 0                  # no middle space, or p = 0
         enough = limit // self.full_mid_dim
+        faces = len(self.full_middle[0][0]) - 1
         rows = set()
         for wedge, _ in self.full_middle:
-            rows.update(face for _, face, _ in _faces(wedge))
+            rows.update(combinations(wedge, faces))
             if len(rows) > enough:
                 break
         return size_in, len(rows) * self.full_mid_dim
@@ -305,7 +311,13 @@ class KoszulCell:
         s_(i+1) - s_i of the wedge sum s.  All wedge sums have the same
         total, so the need fixes s; the tensors covering it, and the groups
         they send s to, are found once per distinct sum and reused by every
-        wedge with that sum."""
+        wedge with that sum.
+
+        Exponent vectors are packed one `width`-bit field per variable, so
+        no wedge sum carries out of a field.  Each tensor's gaps are packed
+        once, offset by `bound`, with each field's top (guard) bit set; less
+        a need packed with the same offset, a field keeps its guard bit iff
+        the gap covers the need."""
         par = self.params
         groups = {}
         if wedge_size < 0 or wedge_size > par.v:
@@ -313,17 +325,27 @@ class KoszulCell:
         tensors = exponent_vectors(par.n, tensor_degree)
         if not tensors:
             return groups
-        gaps = [(t, tuple(map(sub, t, t[1:]))) for t in tensors]
-        exps = self.basis_d.monomials
-        zero = (0,) * (par.n + 1)
-        targets = {}    # wedge sum -> [(group list, tensor), ...]
-        for wedge in combinations(range(par.v), wedge_size):
-            s = tuple(map(sum, zip(zero, *[exps[i] for i in wedge])))
-            pairs = targets.get(s)
+        bound = wedge_size * par.d + tensor_degree   # of every |gap - need|
+        width = bound.bit_length() + 2
+        mask, guard = (1 << width) - 1, 1 << (width - 1)
+        shifts = range(0, width * (par.n + 1), width)  # one field per variable
+
+        def pack(fields):
+            return sum(f << k for f, k in zip(fields, shifts))
+
+        guards = pack([guard] * par.n)
+        gaps = [(t, pack([t[i] - t[i + 1] + bound + guard for i in range(par.n)]))
+                for t in tensors]
+        enc = [pack(m) for m in self.basis_d.monomials]
+        targets = {}    # packed wedge sum -> [(group list, tensor), ...]
+        for wedge, key in zip(combinations(range(par.v), wedge_size),
+                              map(sum, combinations(enc, wedge_size))):
+            pairs = targets.get(key)
             if pairs is None:
-                need = tuple(map(sub, s[1:], s))
-                pairs = targets[s] = [(groups.setdefault(tuple(map(add, s, t)), []), t)
-                                      for t, gap in gaps if all(map(ge, gap, need))]
+                s = tuple([(key >> k) & mask for k in shifts])
+                need = pack([s[i + 1] - s[i] + bound for i in range(par.n)])
+                pairs = targets[key] = [(groups.setdefault(tuple(map(add, s, t)), []), t)
+                                        for t, gap in gaps if (gap - need) & guards == guards]
             for group, t in pairs:
                 group.append((wedge, t))
         return groups
@@ -334,8 +356,11 @@ class KoszulCell:
             if self._middle is None:
                 self._middle = self._grouped(par.p, par.middle_degree)
             self._source = self._grouped(par.p + 1, par.source_degree)
-            assert _orbit_total(self._middle) == self.expected_middle_dim()
-            assert _orbit_total(self._source) == self.expected_source_dim()
+            for groups, expected in ((self._middle, self.expected_middle_dim()),
+                                     (self._source, self.expected_source_dim())):
+                if (total := _orbit_total(groups)) != expected:
+                    raise InvariantError(f"orbit total {total} of the dominant groups "
+                                         f"of {par}, not {expected}")
 
     def weights(self) -> list:
         """Dominant weights with nonzero middle space, descending lex.

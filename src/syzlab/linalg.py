@@ -17,6 +17,10 @@ several independent primes and takes the maximum; agreement across primes is
 recorded and disagreement is logged, since cohomology dimensions built from
 undercounted ranks can only overcount.  One call, `certified_rank`, serves
 every engine mode, whatever its number of primes; betti picks its route.
+A map without entries has rank 0 over Q and over every field, and most
+quotient maps koszul builds are of this kind (the star of the apex is often
+the whole block): certified_rank checks the primes and returns its
+certificate without eliminating.
 
 The elimination kernel runs over Z/N for any modulus N, and certification
 runs it once with N the product of the distinct primes.  By the Chinese
@@ -233,9 +237,14 @@ def certified_rank(m: SparseMatrix, primes, exact: bool) -> RankCertificate:
     computed outright, and each prime's modular rank is checked against it
     (modular can never exceed exact).  On the modular route there are
     modular ranks only, and `agreement` needs two primes or more that agree,
-    so a one-prime estimate is never certified.
+    so a one-prime estimate is never certified.  A map without entries is
+    not eliminated, but its primes are still checked.
     """
     primes = tuple(primes)
+    if not any(m.columns):      # no entries: rank 0 over Q and every field
+        for p in primes:
+            _field(p)
+        return RankCertificate(0, primes, exact or len(primes) > 1, exact)
     if exact:
         rank = rank_exact(m)
         for p, modular in zip(primes, _modular_ranks(m, primes) if primes else ()):

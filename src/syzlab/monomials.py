@@ -10,6 +10,7 @@ and torus weights are just exponent tuples again (of larger total degree).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
 
 from .arith import binom_safe
@@ -34,6 +35,7 @@ def exponent_vectors(n: int, e: int) -> list:
     return out
 
 
+@lru_cache(maxsize=None)
 def distinct_permutations_count(weight: tuple) -> int:
     """Number of distinct rearrangements of an exponent tuple: the size of
     its orbit under permutations of the variables."""

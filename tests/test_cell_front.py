@@ -30,9 +30,13 @@ def table_params(n, b, d):
 
 def grouping_cases():
     """(cell, wedge size, tensor degree): the middle and source space of
-    every cell of the small tables, and of (2,0,4) K_{6,1} and K_{11,2}."""
-    params = [par for nbd in [(1, 1, 4), (2, 0, 3), (2, 1, 3), (3, 0, 2)]
-              for par in table_params(*nbd)]
+    every cell of the small tables, and of (2,0,4) K_{6,1} and K_{11,2}.
+    (4,0,2) packs five fields; its cells with q > 3 exceed the memory cap.
+    (1,0,8) and its dual (1,6,8) have the widest wedge sums of the
+    surface-tables benchmark."""
+    params = [par for nbd in [(1, 1, 4), (2, 0, 3), (2, 1, 3), (3, 0, 2), (4, 0, 2),
+                              (1, 0, 8), (1, 6, 8)]
+              for par in table_params(*nbd) if par.n < 4 or par.q <= 3]
     params += [Parameters(2, 0, 4, 6, 1), Parameters(2, 0, 4, 11, 2)]
     cases = {}
     for par in params:

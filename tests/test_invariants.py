@@ -40,6 +40,10 @@ def no_check(size):
     pass
 
 
+def drop_last_tensor(n, e):
+    return EXPONENTS(n, e)[:-1]
+
+
 def block_222():
     return KoszulCell(Parameters(2, 0, 2, 2, 1)).block((2, 2, 2))
 
@@ -55,6 +59,7 @@ def wide_handoff():
 
 
 WEYL = schur.weyl_dim
+EXPONENTS = koszul.exponent_vectors
 cases = {
     # the cell's check on one wedge per size trips first; with it off, the
     # quotient's matrices are checked on their own (no curve's quotient has
@@ -68,8 +73,13 @@ cases = {
     "handoff_width": ([], wide_handoff),
     "rank_sum": ([(betti, "_block_ranks", too_large_ranks)],
                  lambda: betti._compute_cell(1, 0, 2, 1, 1, betti.make_config())),
+    # every quotient map of (1, 0, 2, 1, 1) has no entries and is never
+    # eliminated; (1, 0, 3, 1, 1) has one 2x1 map on the exact route
     "modular_le_exact": ([(linalg, "_rank_mod", one_above)],
-                         lambda: betti._compute_cell(1, 0, 2, 1, 1, betti.make_config())),
+                         lambda: betti._compute_cell(1, 0, 3, 1, 1, betti.make_config())),
+    # the grouping loses elements: the orbits no longer fill the space
+    "orbit_total": ([(koszul, "exponent_vectors", drop_last_tensor)],
+                    lambda: KoszulCell(Parameters(1, 0, 2, 1, 1)).weights()),
     "schur_recomposition": ([(schur, "weyl_dim", weyl_plus_one)],
                             lambda: schur.schur_multiplicities(2, 0, 2, 1, 1)),
 }
@@ -103,4 +113,5 @@ def test_result_guards_hold_under_python_O():
     assert lines["handoff_width"].startswith("InvariantError d_out at weight")
     assert lines["rank_sum"].startswith("InvariantError ranks")
     assert lines["modular_le_exact"].startswith("InvariantError rank mod ")
+    assert lines["orbit_total"].startswith("InvariantError orbit total ")
     assert lines["schur_recomposition"].startswith("SchurSolveError irreducibles recompose")

@@ -4,7 +4,8 @@ from itertools import product
 
 import pytest
 
-from syzlab.arith import PrimeField, binom_safe
+from syzlab import linalg
+from syzlab.arith import PrimeField, binom_safe, random_prime
 from syzlab.betti import default_q_lo
 from syzlab.koszul import KoszulCell, Parameters
 from syzlab.linalg import (
@@ -226,6 +227,38 @@ def test_certified_rank_checks_its_primes():
     p1 = default_primes(1)[0]
     with pytest.raises(ValueError, match="not prime"):
         certified_rank(m, (p1, p1 + 2), False)
+
+
+ENTRYLESS = [SparseMatrix(0, 0, ()), SparseMatrix(3, 0, ()), SparseMatrix(0, 3, ((),) * 3),
+             SparseMatrix(4, 5, ((),) * 5)]
+
+
+def eliminated_certificate(m, primes, exact):
+    """The certificate the elimination kernels give on m."""
+    if exact:
+        return RankCertificate(rank_exact(m), primes, True, True)
+    ranks = _modular_ranks(m, primes)
+    return RankCertificate(max(ranks), primes, len(set(ranks)) == 1 and len(ranks) > 1, False)
+
+
+@pytest.mark.parametrize("m", ENTRYLESS, ids=lambda m: f"{m.rows}x{m.cols}")
+def test_certified_rank_without_entries_eliminates_nothing(m, monkeypatch):
+    p1, p2 = default_primes(2)
+    routes = [(primes, exact) for primes in ((p1,), (p1, p2), (p1, p1))
+              for exact in (True, False)] + [((), True)]
+    want = [eliminated_certificate(m, primes, exact) for primes, exact in routes]
+
+    def no_elimination(*args):
+        raise AssertionError("a map without entries was eliminated")
+
+    monkeypatch.setattr(linalg, "rank_exact", no_elimination)
+    monkeypatch.setattr(linalg, "_rank_mod", no_elimination)
+    assert [certified_rank(m, primes, exact) for primes, exact in routes] == want
+    # each prime is still checked, on both routes
+    for bad in (2, random_prime(20, 0)):
+        for exact in (True, False):
+            with pytest.raises(ValueError, match="31-62 bits"):
+                certified_rank(m, (p1, bad), exact)
 
 
 def test_large_random_cross_backend_agreement():
