@@ -68,6 +68,12 @@ The dominant elements are grouped by their wedge sums (KoszulCell._grouped).
 Each degree-d monomial is packed into one int, a bit field per variable, so
 a wedge sum is a sum of ints, and whether a tensor makes it dominant is one
 subtraction and one mask on packed gaps.  Each distinct sum is decoded once.
+The star tests are packed too, and set up once per cell: the degree-d
+monomials, and each tensor as it is first met, with a guard bit in each
+field.  Per block only `top`, the apex's monomial, is new.  Then t >= top
+componentwise iff packed t less packed top keeps every guard bit, and the
+same test on that difference plus a packed m_i places the face that drops
+m_i.
 
 Neighbouring cells on an antidiagonal share their work.  The source space
 of (p - 1, q + 1), Wedge^p V (x) H(qd + b), is the middle space of (p, q),
@@ -190,6 +196,29 @@ def _delta_terms(wedge, tensor, monomials):
             for i, face, sign in _faces(wedge)]
 
 
+def _pack(fields, width: int) -> int:
+    """Nonnegative fields packed into one int, `width` bits each, the first
+    field lowest."""
+    packed = 0
+    for f in reversed(fields):
+        packed = packed << width | f
+    return packed
+
+
+class _PackedTensors(dict):
+    """{tensor: the tensor packed, with every field's guard bit set}, filled
+    as tensors are met.  Less a packed top, a field keeps its guard bit iff
+    the tensor's exponent is at least top's."""
+
+    def __init__(self, width: int, guards: int):
+        super().__init__()
+        self.width, self.guards = width, guards
+
+    def __missing__(self, tensor):
+        packed = self[tensor] = _pack(tensor, self.width) + self.guards
+        return packed
+
+
 @dataclass(frozen=True)
 class KoszulBlock:
     """One torus-weight block as it is ranked: its quotient by a vertex star.
@@ -286,6 +315,17 @@ class KoszulCell:
             )
         if src:     # no source element, no composite (and p + 1 may pass v)
             _check_faces_of_faces(params.p + 1)
+        # star tests on packed exponents (see the module notes).  Every
+        # exponent a test meets, of a tensor, a tensor times a degree-d
+        # monomial or a block's top, is at most weight_total + d, below the
+        # guard bit, so no field of a test borrows from the next
+        width = (params.weight_total + params.d).bit_length() + 1
+        guards = _pack([1 << (width - 1)] * (params.n + 1), width)
+        self._star = (width, guards, _PackedTensors(width, guards),
+                      [_pack(m, width) for m in self.basis_d.monomials])
+        # the sign of each face of a wedge, by the position of the factor it
+        # drops: a middle wedge's p faces take the first p
+        self._signs = [sign for _, _, sign in _faces(tuple(range(params.p + 1)))]
         self._middle = self._source = None
         self._handed = {}           # dominant weight -> (d_out, its certificates)
         self._kept = {} if keep else None
@@ -329,21 +369,17 @@ class KoszulCell:
         width = bound.bit_length() + 2
         mask, guard = (1 << width) - 1, 1 << (width - 1)
         shifts = range(0, width * (par.n + 1), width)  # one field per variable
-
-        def pack(fields):
-            return sum(f << k for f, k in zip(fields, shifts))
-
-        guards = pack([guard] * par.n)
-        gaps = [(t, pack([t[i] - t[i + 1] + bound + guard for i in range(par.n)]))
+        guards = _pack([guard] * par.n, width)
+        gaps = [(t, _pack([t[i] - t[i + 1] + bound + guard for i in range(par.n)], width))
                 for t in tensors]
-        enc = [pack(m) for m in self.basis_d.monomials]
+        enc = [_pack(m, width) for m in self.basis_d.monomials]
         targets = {}    # packed wedge sum -> [(group list, tensor), ...]
         for wedge, key in zip(combinations(range(par.v), wedge_size),
                               map(sum, combinations(enc, wedge_size))):
             pairs = targets.get(key)
             if pairs is None:
                 s = tuple([(key >> k) & mask for k in shifts])
-                need = pack([s[i + 1] - s[i] + bound for i in range(par.n)])
+                need = _pack([s[i + 1] - s[i] + bound for i in range(par.n)], width)
                 pairs = targets[key] = [(groups.setdefault(tuple(map(add, s, t)), []), t)
                                         for t, gap in gaps if (gap - need) & guards == guards]
             for group, t in pairs:
@@ -410,28 +446,36 @@ class KoszulCell:
         # exponent, is a monomial that no tensor of the block (each at most
         # the weight) reaches
         apex = next((i for i, m in enumerate(exps) if all(map(ge, weight, m))), None)
-        top = exps[apex] if apex is not None else (weight[0] + 1,) + weight[1:]
+        width, guards, packed_tensors, packed_monomials = self._star
+        top = (packed_monomials[apex] if apex is not None
+               else _pack((weight[0] + 1,) + weight[1:], width))
 
         def kept(group):
-            # outside the star: the apex is not in the wedge, nor divides the tensor
-            return [(wedge, t) for wedge, t in group
-                    if apex not in wedge and not all(map(ge, t, top))]
+            # outside the star: the apex is not in the wedge, nor divides the
+            # tensor; each element kept with its packed tensor less top
+            return [(wedge, s) for wedge, t in group if apex not in wedge
+                    and (s := packed_tensors[t] - top) & guards != guards]
 
         middle, source = kept(middle), kept(source)
 
-        def columns(elements, row_of):
+        def columns(elements, row_of, size):
             # one column per element, one entry per kept face: a face of a
             # kept element has no apex either, so it is kept unless the apex
-            # divides its tensor x^t m_i
-            return tuple([tuple([(row_of[face], sign) for i, face, sign in _faces(wedge)
-                                 if not all(map(ge, map(add, t, exps[i]), top))])
-                          for wedge, t in elements])
+            # divides its tensor x^t m_i.  combinations lists the faces from
+            # the last factor dropped to the first: reversed, they are in
+            # the order of _faces, and take its signs by position (a wedge of
+            # no factors has none)
+            signs, face_size = self._signs, max(size - 1, 0)
+            return tuple([tuple([(row_of[face], sign) for i, face, sign in zip(
+                                     wedge, [*combinations(wedge, face_size)][::-1], signs)
+                                 if (s + packed_monomials[i]) & guards != guards])
+                          for wedge, s in elements])
 
         handed = self._handed.pop(weight, None)
         if handed is None:
             target_index = defaultdict()     # numbers the faces 0, 1, ... as met
             target_index.default_factory = target_index.__len__
-            out_columns = columns(middle, target_index)
+            out_columns = columns(middle, target_index, self.params.p)
             handed = SparseMatrix(len(target_index), len(middle), out_columns), {}
         d_out, out_ranks = handed
         if d_out.cols != len(middle):
@@ -440,7 +484,8 @@ class KoszulCell:
         # weight preservation: every kept face of a source element is a kept
         # middle element of this block
         mid_index = {wedge: i for i, (wedge, _) in enumerate(middle)}
-        d_in = SparseMatrix(len(middle), len(source), columns(source, mid_index))
+        d_in = SparseMatrix(len(middle), len(source),
+                            columns(source, mid_index, self.params.p + 1))
         self._check_composition_zero(d_out, d_in, weight)
         block = KoszulBlock(weight=weight, d_in=d_in, d_out=d_out,
                             full_mid_dim=len(full_mid), full_src_dim=len(full_src),

@@ -31,12 +31,21 @@ every remaining entry is zero in all of them: each field's rank is exactly
 the pivot count, as separate runs per prime would find.  A pivot that is not
 a unit (nonzero mod some primes, zero mod another) ends the joint run, and
 the ranks are then taken one prime at a time.
+
+The kernel keeps each entry as a signed residue in (-N, N) and reduces it
+mod N only when it leaves that range, so an entry is zero mod N iff it is
+0: the zero pattern, and with it every pivot choice and rank, is that of
+elimination on residues in [0, N).  Every entry of a Koszul map is +-1, a
++-1 pivot is its own inverse, and fill values rarely leave +-1, so nearly
+every update multiplies small ints where residues in [0, N) would multiply
+62-bit ones and reduce.
 """
 
 from __future__ import annotations
 
 import heapq
 import logging
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -101,61 +110,77 @@ def _rank_mod(m: SparseMatrix, modulus: int) -> int:
     matrix and modulus.  For a prime modulus this is the rank; for a
     composite one it raises NonUnitPivot when a chosen pivot is not a unit
     (see the module notes).
+
+    Entries are signed residues in (-modulus, modulus) (see the module
+    notes).  The pivot row is scaled once by -1/pivot, and a +-1 pivot is
+    its own inverse; any other goes through pow, which refuses a non-unit.
     """
+    neg = -modulus
     rows = {}
+    col_rows = defaultdict(set)
     for r, column in enumerate(m.columns):
-        row = {c: residue for c, v in column if (residue := v % modulus)}
+        row = {c: v for c, v0 in column
+               if (v := v0 if neg < v0 < modulus else v0 % modulus)}
         if row:
             rows[r] = row
-    col_rows = {}
-    for r, cols in rows.items():
-        for c in cols:
-            col_rows.setdefault(c, set()).add(r)
+            for c in row:
+                col_rows[c].add(r)
 
-    heap = [(len(cols), r) for r, cols in sorted(rows.items())]
+    heap = [(len(cols), r) for r, cols in rows.items()]
     heapq.heapify(heap)
     rank = 0
     while heap:
         ln, r = heapq.heappop(heap)
         cols = rows.get(r)
         if cols is None or len(cols) != ln:
-            continue  # stale: every row update pushes a current entry
-        best = None
+            continue  # stale: a row whose length changes gets a new entry
+        # the least (row_nnz - 1) * (col_nnz - 1): row_nnz is fixed, and a
+        # row with one entry has one candidate
+        best = pc = None
         for c in cols:
-            score = (ln - 1) * (len(col_rows[c]) - 1)
-            if best is None or (score, c) < best:
-                best = (score, c)
-        pc = best[1]
-        try:
-            piv_inv = pow(cols[pc], -1, modulus)
-        except ValueError:
-            raise NonUnitPivot(f"pivot {cols[pc]} is not a unit mod {modulus}") from None
-        pivot_items = [(c, v) for c, v in cols.items() if c != pc]
+            k = len(col_rows[c])
+            if best is None or k < best or (k == best and c < pc):
+                best, pc = k, c
         del rows[r]
-        for c, _ in pivot_items:
+        pivot = cols.pop(pc)
+        if pivot == 1 or pivot == -1:
+            scale = -pivot
+        else:
+            try:
+                scale = -pow(pivot, -1, modulus)
+            except ValueError:
+                raise NonUnitPivot(f"pivot {pivot} is not a unit mod {modulus}") from None
+        pivot_items = [(c, w if neg < (w := v * scale) < modulus else w % modulus)
+                       for c, v in cols.items()]
+        for c in cols:
             col_rows[c].discard(r)
         col_rows[pc].discard(r)
         for r2 in col_rows.pop(pc):
             target = rows[r2]
-            factor = target.pop(pc) * piv_inv % modulus
-            for c, v in pivot_items:
+            ln2 = len(target)
+            factor = target.pop(pc)
+            for c, w in pivot_items:
                 old = target.get(c)
                 if old is None:
-                    nv = -factor * v % modulus
+                    nv = factor * w
+                    if not neg < nv < modulus:
+                        nv %= modulus
                     if nv:
                         target[c] = nv
                         col_rows[c].add(r2)
                 else:
-                    nv = (old - factor * v) % modulus
+                    nv = old + factor * w
+                    if not neg < nv < modulus:
+                        nv %= modulus
                     if nv:
                         target[c] = nv
                     else:
                         del target[c]
                         col_rows[c].discard(r2)
-            if target:
-                heapq.heappush(heap, (len(target), r2))
-            else:
+            if not target:
                 del rows[r2]
+            elif len(target) != ln2:    # else its heap entry is still current
+                heapq.heappush(heap, (len(target), r2))
         rank += 1
     return rank
 
@@ -237,10 +262,13 @@ def certified_rank(m: SparseMatrix, primes, exact: bool) -> RankCertificate:
     computed outright, and each prime's modular rank is checked against it
     (modular can never exceed exact).  On the modular route there are
     modular ranks only, and `agreement` needs two primes or more that agree,
-    so a one-prime estimate is never certified.  A map without entries is
-    not eliminated, but its primes are still checked.
+    so a one-prime estimate is never certified, and a route with no prime is
+    refused.  A map without entries is not eliminated, but its primes are
+    still checked.
     """
     primes = tuple(primes)
+    if not exact and not primes:
+        raise ValueError("the modular route needs at least one prime")
     if not any(m.columns):      # no entries: rank 0 over Q and every field
         for p in primes:
             _field(p)

@@ -222,6 +222,75 @@ def test_duplicate_primes_give_the_per_prime_ranks():
             assert _modular_ranks(m, primes) == per_prime_ranks(m, primes)
 
 
+def rank_mod_dense(dense, p) -> int:
+    """Rank over F_p by Gauss-Jordan elimination on residues in [0, p), as
+    fraction_rank does over Q."""
+    rows = [[x % p for x in row] for row in dense]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def wide_sparse(rng, rows, cols, moduli, fill):
+    """A random matrix whose entries include multiples of each modulus (zero
+    mod it), values at and above it, and negatives of both."""
+    values = [v for m in moduli for v in (m, 2 * m, m - 1, m + 1, 3 * m + 2)]
+    values += [-v for v in values] + [1, -1, 2, -2, 3]
+    columns = tuple(tuple((r, rng.choice(values)) for r in range(rows) if rng.random() < fill)
+                    for _ in range(cols))
+    return SparseMatrix(rows, cols, columns)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_kernel_matches_dense_elimination_mod_small_primes(p):
+    # products of small residues leave (-p, p) at once, so the kernel
+    # reduces on overflow at nearly every update
+    rng = random.Random(200 + p)
+    for trial in range(80):
+        m = wide_sparse(rng, rng.randrange(1, 10), rng.randrange(1, 10), (p,),
+                        rng.uniform(0.2, 0.8))
+        dense = to_dense(m)
+        assert _rank_mod(m, p) == rank_mod_dense(dense, p), (trial, dense)
+        assert _rank_mod(m, p) <= fraction_rank(dense), (trial, dense)
+
+
+@pytest.mark.parametrize("primes", [(3, 5), (5, 7), (3, 7), default_primes(2)],
+                         ids=lambda primes: "x".join(map(str, primes)))
+def test_kernel_mod_a_product_gives_each_primes_rank(primes):
+    # a joint run over Z/(p1 p2) that finds a unit at every pivot counts the
+    # rank in both fields at once, else it raises NonUnitPivot
+    p1, p2 = primes
+    rng = random.Random(p1 * p2)
+    joint = non_unit = 0
+    for trial in range(120):
+        m = wide_sparse(rng, rng.randrange(1, 10), rng.randrange(1, 10), primes,
+                        rng.uniform(0.2, 0.8))
+        dense = to_dense(m)
+        per_prime = [_rank_mod(m, p1), _rank_mod(m, p2)]
+        assert per_prime == [rank_mod_dense(dense, p1), rank_mod_dense(dense, p2)], trial
+        try:
+            rank = _rank_mod(m, p1 * p2)
+        except NonUnitPivot:
+            non_unit += 1
+        else:
+            assert per_prime == [rank, rank], (trial, dense)
+            joint += 1
+        if p1.bit_length() >= 31:
+            assert _modular_ranks(m, primes) == per_prime_ranks(m, primes) == per_prime
+    assert joint > 10 and non_unit > 10, (joint, non_unit)
+
+
 def test_certified_rank_checks_its_primes():
     m = from_dense([[1, 1], [1, 2]])
     p1 = default_primes(1)[0]
@@ -259,6 +328,14 @@ def test_certified_rank_without_entries_eliminates_nothing(m, monkeypatch):
         for exact in (True, False):
             with pytest.raises(ValueError, match="31-62 bits"):
                 certified_rank(m, (p1, bad), exact)
+
+
+@pytest.mark.parametrize("m", ENTRYLESS + [from_dense([[1]]), from_dense([[1, 2], [2, 4]])],
+                         ids=lambda m: f"{m.rows}x{m.cols}-nnz{m.nnz}")
+def test_modular_route_refuses_no_primes(m):
+    with pytest.raises(ValueError, match="needs at least one prime"):
+        certified_rank(m, (), False)
+    assert certified_rank(m, (), True) == RankCertificate(rank_exact(m), (), True, True)
 
 
 def test_large_random_cross_backend_agreement():

@@ -52,6 +52,36 @@ def test_quotient_contribution_matches_the_unreduced_block(nbd):
     assert shrunk
 
 
+# The edges of the packed star tests.  K_{0,0} of (1,2,5) has weight total
+# 2 < d: its one block has no apex, so nothing is in its star.  (4,0,2)
+# packs five fields; its cells with q <= 2 have fields as wide as the rest
+# (weight_total + d has 6 bits), whose unreduced blocks take the oracle some
+# 40 s.  (1,6,8) has the widest fields of the suite: weight_total + d up to
+# 94, 7 bits.
+EDGES = {
+    "125": [Parameters(1, 2, 5, p, q) for p, q in table_cells(1, 2, 5)],
+    "402": [Parameters(4, 0, 2, p, q) for p, q in table_cells(4, 0, 2) if q <= 2],
+    "168": [Parameters(1, 6, 8, p, q) for p, q in table_cells(1, 6, 8)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGES))
+def test_quotient_contribution_at_the_packing_edges(name):
+    no_apex = set()
+    for params in EDGES[name]:
+        cell, oracle = KoszulCell(params), UnreducedCell(params)
+        exps = cell.basis_d.monomials
+        for w in cell.weights():
+            block, full = cell.block(w), oracle.block(w)
+            if not any(all(a >= c for a, c in zip(w, m)) for m in exps):
+                assert block.mid_dim == full.mid_dim, (params, w)
+                no_apex.add((params.p, params.q))
+            for prime in PRIMES:
+                assert contribution(block, prime) == contribution(full, prime), \
+                    (params, w, prime)
+    assert name != "125" or (0, 0) in no_apex
+
+
 # name: (config, EXACT_THRESHOLD).  The two extremes of the threshold put
 # every nonzero map of a two-prime run on the modular route, or every one on
 # the exact route.  Under threshold 0 a map routed by its quotient's own
