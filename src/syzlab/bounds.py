@@ -24,7 +24,7 @@ counterexample candidates, not errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .arith import binom_safe
 from .betti import BettiTable
@@ -127,17 +127,11 @@ def kp0_exact(n: int, b: int, d: int) -> PredictedRange:
 
 
 def kpn_exact(n: int, b: int, d: int) -> PredictedRange:
-    """Exact q = n strand for d >= b + n + 1:
+    """Exact q = n strand for d >= b + n + 1, sharp_range(n, b, d, n):
 
     K_{p,n} != 0 iff binom(d+n, n) - binom(d-b-1, n) - n <= p <= binom(d+n, n) - n - 1.
     """
-    check_nbd(n, b, d)
-    v = binom_safe(d + n, n)
-    lo = v - binom_safe(d - b - 1, n) - n
-    hi = v - n - 1
-    valid = d >= b + n + 1
-    return PredictedRange("kpn", n, lo, hi, valid,
-                          REGIME_PROVED if valid else REGIME_OUTSIDE)
+    return replace(sharp_range(n, b, d, n), source="kpn")
 
 
 def kpn1_exact(n: int, b: int, d: int) -> PredictedRange:
@@ -151,11 +145,8 @@ def kpn1_exact(n: int, b: int, d: int) -> PredictedRange:
 
 def surface_q2_anchor(d: int) -> PredictedRange:
     """The q = 2 strand on P^2 with b = 0: nonzero for 3d - 2 <= p <= r_d - 2
-    (d >= 3).  Coincides with sharp_range(2, 0, d, 2)."""
-    r_d = binom_safe(d + 2, 2) - 1
-    valid = d >= 3
-    return PredictedRange("surface_q2_anchor", 2, 3 * d - 2, r_d - 2,
-                          valid, REGIME_PROVED if valid else REGIME_OUTSIDE)
+    (d >= 3): sharp_range(2, 0, d, 2)."""
+    return replace(sharp_range(2, 0, d, 2), source="surface_q2_anchor")
 
 
 def linearity_zero_oracle(n: int, d: int, p: int, q: int) -> bool:

@@ -65,15 +65,17 @@ p <= 5, q <= 2 fails its own check, as (1, 0, 4, 2, 1) at weight (6, 6) and
 surface blocks such as (2, 0, 2, 2, 1) at (2, 2, 2) do.
 
 The dominant elements are grouped by their wedge sums (KoszulCell._grouped).
-Each degree-d monomial is packed into one int, a bit field per variable, so
-a wedge sum is a sum of ints, and whether a tensor makes it dominant is one
-subtraction and one mask on packed gaps.  Each distinct sum is decoded once.
-The star tests are packed too, and set up once per cell: the degree-d
-monomials, and each tensor as it is first met, with a guard bit in each
-field.  Per block only `top`, the apex's monomial, is new.  Then t >= top
-componentwise iff packed t less packed top keeps every guard bit, and the
-same test on that difference plus a packed m_i places the face that drops
-m_i.
+Every exponent vector is packed into one int, a bit field per variable, with
+one field width per cell, so a wedge sum is a sum of packed monomials.  The
+wedges with one sum s form one list, each wedge appended once, and it is
+filed as a class (packed t, wedges) under every dominant weight s + t, with
+the tensor t packed for the star tests.  Whether t makes s + t dominant is
+one subtraction and one mask on packed gaps, once per distinct sum.  The
+star tests set a guard bit in each field.  Per block only `top`, the apex's
+monomial, is new.  Then t >= top componentwise iff packed t less packed top
+keeps every guard bit, so one test drops a whole class from the quotient,
+and the same test on that difference plus a packed m_i places the face
+that drops m_i.
 
 Neighbouring cells on an antidiagonal share their work.  The source space
 of (p - 1, q + 1), Wedge^p V (x) H(qd + b), is the middle space of (p, q),
@@ -90,7 +92,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from operator import add, ge
 
 from .arith import binom_safe
@@ -205,20 +207,6 @@ def _pack(fields, width: int) -> int:
     return packed
 
 
-class _PackedTensors(dict):
-    """{tensor: the tensor packed, with every field's guard bit set}, filled
-    as tensors are met.  Less a packed top, a field keeps its guard bit iff
-    the tensor's exponent is at least top's."""
-
-    def __init__(self, width: int, guards: int):
-        super().__init__()
-        self.width, self.guards = width, guards
-
-    def __missing__(self, tensor):
-        packed = self[tensor] = _pack(tensor, self.width) + self.guards
-        return packed
-
-
 @dataclass(frozen=True)
 class KoszulBlock:
     """One torus-weight block as it is ranked: its quotient by a vertex star.
@@ -238,7 +226,7 @@ class KoszulBlock:
     d_out: SparseMatrix
     full_mid_dim: int
     full_src_dim: int
-    full_middle: list = field(repr=False, compare=False)  # unreduced (wedge, t)
+    full_middle: list = field(repr=False, compare=False)  # unreduced classes
     # each map's rank certificates, keyed by route: betti fills them, and a
     # d_in kept for the cell (p + 1, q - 1) takes its dict along as d_out's
     in_ranks: dict = field(default_factory=dict, repr=False, compare=False)
@@ -264,12 +252,12 @@ class KoszulBlock:
         limit // full_mid_dim: the size is exact whenever it is at most
         `limit`, and otherwise a lower bound already above it."""
         size_in = self.full_mid_dim * self.full_src_dim
-        if not self.full_middle or not self.full_middle[0][0]:
+        if not self.full_middle or not self.full_middle[0][1][0]:
             return size_in, 0                  # no middle space, or p = 0
         enough = limit // self.full_mid_dim
-        faces = len(self.full_middle[0][0]) - 1
+        faces = len(self.full_middle[0][1][0]) - 1
         rows = set()
-        for wedge, _ in self.full_middle:
+        for wedge in chain.from_iterable(wedges for _, wedges in self.full_middle):
             rows.update(combinations(wedge, faces))
             if len(rows) > enough:
                 break
@@ -281,9 +269,10 @@ class KoszulCell:
 
     The middle and source spaces are enumerated once (wedges of basis indices
     times tensor monomials) and only the elements of dominant weight are
-    kept, grouped by weight; blocks are then built lazily per dominant
-    weight, each as its star quotient.  Target rows are allocated on demand
-    while applying the differential, so the target space is never enumerated.
+    kept, grouped by weight in classes of one wedge sum; blocks are then
+    built lazily per dominant weight, each as its star quotient.  Target rows
+    are allocated on demand while applying the differential, so the target
+    space is never enumerated.
 
     `below`, if given, is the computed cell (p - 1, q + 1) of the same
     (n, b, d).  The middle groups are taken from it, and each block pops the
@@ -315,14 +304,18 @@ class KoszulCell:
             )
         if src:     # no source element, no composite (and p + 1 may pass v)
             _check_faces_of_faces(params.p + 1)
-        # star tests on packed exponents (see the module notes).  Every
-        # exponent a test meets, of a tensor, a tensor times a degree-d
-        # monomial or a block's top, is at most weight_total + d, below the
-        # guard bit, so no field of a test borrows from the next
-        width = (params.weight_total + params.d).bit_length() + 1
-        guards = _pack([1 << (width - 1)] * (params.n + 1), width)
-        self._star = (width, guards, _PackedTensors(width, guards),
-                      [_pack(m, width) for m in self.basis_d.monomials])
+        # one packing per cell (see the module notes).  Both spaces, and
+        # those of the cells beside it on its antidiagonal, have wedge size
+        # times d plus tensor degree equal to weight_total.  Every exponent a
+        # star test meets, of a tensor, a tensor times a degree-d monomial or
+        # a block's top, is at most weight_total + d: the first term keeps it
+        # below the guard bit.  A packed dominance gap is at most twice
+        # weight_total above the guard bit: the second keeps it in its field
+        total = params.weight_total
+        self._width = width = max((total + params.d).bit_length() + 1,
+                                  total.bit_length() + 2)
+        self._guards = _pack([1 << (width - 1)] * (params.n + 1), width)
+        self._packed = [_pack(m, width) for m in self.basis_d.monomials]
         # the sign of each face of a wedge, by the position of the factor it
         # drops: a middle wedge's p faces take the first p
         self._signs = [sign for _, _, sign in _faces(tuple(range(params.p + 1)))]
@@ -343,47 +336,43 @@ class KoszulCell:
         return binom_safe(p.v, p.p + 1) * binom_safe(p.source_degree + p.n, p.n)
 
     def _grouped(self, wedge_size: int, tensor_degree: int) -> dict:
-        """{dominant weight: [(wedge, tensor), ...]} over the wedges of
-        `wedge_size` basis indices, in combinations order, times the tensors
-        of `tensor_degree`, in exponent_vectors order.
+        """{dominant weight: [(packed tensor, wedges), ...]} over the wedges
+        of `wedge_size` basis indices times the tensors of `tensor_degree`.
+        Each `wedges` lists, in combinations order, every wedge with one sum
+        s, and is filed, one list object, under s + t for each tensor t (in
+        exponent_vectors order) that makes s + t dominant.  So each wedge is
+        appended once.
 
         s + t is dominant iff each gap t_i - t_(i+1) covers the need
-        s_(i+1) - s_i of the wedge sum s.  All wedge sums have the same
-        total, so the need fixes s; the tensors covering it, and the groups
-        they send s to, are found once per distinct sum and reused by every
-        wedge with that sum.
-
-        Exponent vectors are packed one `width`-bit field per variable, so
-        no wedge sum carries out of a field.  Each tensor's gaps are packed
-        once, offset by `bound`, with each field's top (guard) bit set; less
-        a need packed with the same offset, a field keeps its guard bit iff
-        the gap covers the need."""
-        par = self.params
+        s_(i+1) - s_i.  All wedge sums have the same total, so the need
+        fixes s, and is found once per distinct sum.  Each tensor's gaps are
+        packed once, offset by weight_total, with each field's guard bit set;
+        less a need packed with the same offset, a field keeps its guard bit
+        iff the gap covers the need."""
+        par, width, guards = self.params, self._width, self._guards
         groups = {}
         if wedge_size < 0 or wedge_size > par.v:
             return groups
         tensors = exponent_vectors(par.n, tensor_degree)
         if not tensors:
             return groups
-        bound = wedge_size * par.d + tensor_degree   # of every |gap - need|
-        width = bound.bit_length() + 2
-        mask, guard = (1 << width) - 1, 1 << (width - 1)
+        bound, mask, guard = par.weight_total, (1 << width) - 1, 1 << (width - 1)
         shifts = range(0, width * (par.n + 1), width)  # one field per variable
-        guards = _pack([guard] * par.n, width)
-        gaps = [(t, _pack([t[i] - t[i + 1] + bound + guard for i in range(par.n)], width))
-                for t in tensors]
-        enc = [_pack(m, width) for m in self.basis_d.monomials]
-        targets = {}    # packed wedge sum -> [(group list, tensor), ...]
+        gap_guards = _pack([guard] * par.n, width)
+        gaps = [(t, _pack([t[i] - t[i + 1] + bound + guard for i in range(par.n)], width),
+                 _pack(t, width) + guards) for t in tensors]
+        classes = {}    # packed wedge sum -> its wedges
         for wedge, key in zip(combinations(range(par.v), wedge_size),
-                              map(sum, combinations(enc, wedge_size))):
-            pairs = targets.get(key)
-            if pairs is None:
+                              map(sum, combinations(self._packed, wedge_size))):
+            wedges = classes.get(key)
+            if wedges is None:
+                wedges = classes[key] = []
                 s = tuple([(key >> k) & mask for k in shifts])
                 need = _pack([s[i + 1] - s[i] + bound for i in range(par.n)], width)
-                pairs = targets[key] = [(groups.setdefault(tuple(map(add, s, t)), []), t)
-                                        for t, gap in gaps if (gap - need) & guards == guards]
-            for group, t in pairs:
-                group.append((wedge, t))
+                for t, gap, packed in gaps:
+                    if (gap - need) & gap_guards == gap_guards:
+                        groups.setdefault(tuple(map(add, s, t)), []).append((packed, wedges))
+            wedges.append(wedge)
         return groups
 
     def _ensure_groups(self):
@@ -422,13 +411,13 @@ class KoszulCell:
         return self._build(weight, self._middle.get(weight, []),
                            self._source.get(weight, []))
 
-    def _check_cap(self, weight, middle, source):
+    def _check_cap(self, weight, middle: int, source: int):
         """Refuse a block whose unreduced bases and maps would exceed the cap."""
-        est = _estimate_bytes(len(middle), len(source), self.params.p)
+        est = _estimate_bytes(middle, source, self.params.p)
         if est > self.memory_cap:
             raise InfeasibleBlockError(
                 f"block at weight {weight} needs ~{est} bytes, cap is {self.memory_cap}",
-                weight=weight, middle_dim=len(middle), source_dim=len(source),
+                weight=weight, middle_dim=middle, source_dim=source,
                 estimated_bytes=est, cap=self.memory_cap,
             )
 
@@ -438,23 +427,25 @@ class KoszulCell:
         it kept one.  The memory-cap estimate comes first, the d_out . d_in = 0
         check of the quotient's matrices last (that of the unreduced block is
         made once per cell: see the module notes)."""
-        self._check_cap(weight, middle, source)
-        full_mid, full_src = middle, source
+        full_middle, full_mid, full_src = middle, _count(middle), _count(source)
+        self._check_cap(weight, full_mid, full_src)
         exps = self.basis_d.monomials
         # the apex: the first degree-d monomial dividing x^weight.  With none
         # the star is empty, and `top`, one above the weight in its first
         # exponent, is a monomial that no tensor of the block (each at most
         # the weight) reaches
         apex = next((i for i, m in enumerate(exps) if all(map(ge, weight, m))), None)
-        width, guards, packed_tensors, packed_monomials = self._star
+        guards, packed_monomials = self._guards, self._packed
         top = (packed_monomials[apex] if apex is not None
-               else _pack((weight[0] + 1,) + weight[1:], width))
+               else _pack((weight[0] + 1,) + weight[1:], self._width))
 
         def kept(group):
-            # outside the star: the apex is not in the wedge, nor divides the
-            # tensor; each element kept with its packed tensor less top
-            return [(wedge, s) for wedge, t in group if apex not in wedge
-                    and (s := packed_tensors[t] - top) & guards != guards]
+            # outside the star: the apex divides no kept class's tensor, and
+            # is in no kept wedge; each wedge kept with its class's packed
+            # tensor less top
+            return [(wedge, s) for packed, wedges in group
+                    if (s := packed - top) & guards != guards
+                    for wedge in wedges if apex not in wedge]
 
         middle, source = kept(middle), kept(source)
 
@@ -488,8 +479,8 @@ class KoszulCell:
                             columns(source, mid_index, self.params.p + 1))
         self._check_composition_zero(d_out, d_in, weight)
         block = KoszulBlock(weight=weight, d_in=d_in, d_out=d_out,
-                            full_mid_dim=len(full_mid), full_src_dim=len(full_src),
-                            full_middle=full_mid, out_ranks=out_ranks)
+                            full_mid_dim=full_mid, full_src_dim=full_src,
+                            full_middle=full_middle, out_ranks=out_ranks)
         if self._kept is not None and full_src:  # else (p + 1, q - 1) has no block here
             self._kept[weight] = d_in, block.in_ranks
         return block
@@ -511,6 +502,11 @@ class KoszulCell:
             yield self.block(w)
 
 
+def _count(group) -> int:
+    """Number of elements in a group's classes."""
+    return sum(len(wedges) for _, wedges in group)
+
+
 def _orbit_total(groups: dict) -> int:
     """Size of the whole space the dominant groups stand for."""
-    return sum(distinct_permutations_count(w) * len(g) for w, g in groups.items())
+    return sum(distinct_permutations_count(w) * _count(g) for w, g in groups.items())

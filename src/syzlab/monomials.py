@@ -80,8 +80,10 @@ class GradedPieceBasis:
             raise ValueError(f"{m} is not a degree-{self.e} monomial in {self.n + 1} variables") from None
 
 
+@lru_cache(maxsize=None)
 def enumerate_basis(n: int, e: int) -> GradedPieceBasis:
-    """Basis of the degree-e piece; empty when e < 0."""
+    """Basis of the degree-e piece; empty when e < 0.  Built once per
+    (n, e) and shared: no caller mutates it."""
     return GradedPieceBasis(n, e)
 
 

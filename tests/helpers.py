@@ -17,7 +17,11 @@ blocks were keyed by wedge alone, with the star taken from full keys, and
 full_complex and kpq_dim_unblocked at the end take the whole three-term
 complex, with no weight decomposition, through the package's term and
 exact-rank code.  grouped_all_pairs is the dominant grouping as it was
-before it was indexed by wedge sum: every wedge against every tensor.
+before it was indexed by wedge sum: every wedge against every tensor, one
+(wedge, tensor) element at a time.  A cell's groups hold (packed tensor,
+wedges) classes; wedges_of and elements read them back as wedges, or as
+(wedge, tensor) elements, an element's tensor being the weight less its
+wedge sum.
 """
 
 from __future__ import annotations
@@ -33,8 +37,10 @@ from syzlab.koszul import (
     KoszulBlock,
     KoszulCell,
     Parameters,
+    _count,
     _delta_terms,
     _faces,
+    _pack,
 )
 from syzlab.linalg import SparseMatrix, rank_exact
 from syzlab.monomials import exponent_vectors
@@ -207,27 +213,49 @@ class UnreducedCell(KoszulCell):
     the d_out . d_in = 0 check on the full matrices."""
 
     def _build(self, weight, middle, source):
-        self._check_cap(weight, middle, source)
-        mid_index = {wedge: i for i, (wedge, _) in enumerate(middle)}
+        self._check_cap(weight, _count(middle), _count(source))
+        full_middle = middle
+        middle, source = wedges_of(middle), wedges_of(source)
+        mid_index = {wedge: i for i, wedge in enumerate(middle)}
         target_index = {}
         out_columns = tuple(
             tuple((target_index.setdefault(face, len(target_index)), sign)
                   for _, face, sign in _faces(wedge))
-            for wedge, _ in middle)
+            for wedge in middle)
         d_out = SparseMatrix(len(target_index), len(middle), out_columns)
         d_in = SparseMatrix(len(middle), len(source), tuple(
             tuple((mid_index[face], sign) for _, face, sign in _faces(wedge))
-            for wedge, _ in source))
+            for wedge in source))
         self._check_composition_zero(d_out, d_in, weight)
         return KoszulBlock(
             weight=weight, d_in=d_in, d_out=d_out,
-            full_mid_dim=len(middle), full_src_dim=len(source), full_middle=middle,
+            full_mid_dim=len(middle), full_src_dim=len(source), full_middle=full_middle,
         )
+
+
+def wedges_of(group) -> list:
+    """The wedges of a group's (packed tensor, wedges) classes, in order."""
+    return [wedge for _, wedges in group for wedge in wedges]
+
+
+def elements(cell: KoszulCell, weight, group) -> list:
+    """The (wedge, tensor) elements of a group's classes at a weight, in
+    order: an element's tensor is the weight less its wedge sum."""
+    exps = cell.basis_d.monomials
+    out = []
+    for wedge in wedges_of(group):
+        tensor = tuple(weight)
+        for i in wedge:
+            tensor = tuple(map(sub, tensor, exps[i]))
+        out.append((wedge, tensor))
+    return out
 
 
 def grouped_all_pairs(cell: KoszulCell, wedge_size: int, tensor_degree: int) -> dict:
     """KoszulCell._grouped by testing every wedge against every tensor:
-    s + t is dominant iff each gap t_i - t_(i+1) covers s_(i+1) - s_i."""
+    s + t is dominant iff each gap t_i - t_(i+1) covers s_(i+1) - s_i.
+    Each weight's group is a list of (wedge, tensor) elements, in wedge
+    order; `elements` lists a cell's classes the same way."""
     par = cell.params
     groups = {}
     if wedge_size < 0 or wedge_size > par.v:
@@ -251,18 +279,20 @@ class _AllWeights:
     only the dominant ones."""
 
     def _grouped(self, wedge_size, tensor_degree):
+        # one class per element, its tensor packed as the cell packs it
         par = self.params
         groups = {}
         if wedge_size < 0 or wedge_size > par.v:
             return groups
         exps = self.basis_d.monomials
-        tensors = brute_monomials(par.n, tensor_degree)
+        tensors = [(t, _pack(t, self._width) + self._guards)
+                   for t in brute_monomials(par.n, tensor_degree)]
         for wedge in itertools.combinations(range(par.v), wedge_size):
             s = (0,) * (par.n + 1)
             for i in wedge:
                 s = tuple(map(add, s, exps[i]))
-            for t in tensors:
-                groups.setdefault(tuple(map(add, s, t)), []).append((wedge, t))
+            for t, packed in tensors:
+                groups.setdefault(tuple(map(add, s, t)), []).append((packed, [wedge]))
         return groups
 
     def _ensure_groups(self):
@@ -323,8 +353,8 @@ def delta_terms_block(cell: KoszulCell, weight) -> tuple:
     its wedge holds the apex or the apex divides its tensor.  The bases are
     the cell's own, in its order, less the star."""
     cell._ensure_groups()
-    middle = cell._middle.get(tuple(weight), [])
-    source = cell._source.get(tuple(weight), [])
+    middle = elements(cell, weight, cell._middle.get(tuple(weight), []))
+    source = elements(cell, weight, cell._source.get(tuple(weight), []))
     exps = cell.basis_d.monomials
     apex = next((i for i, m in enumerate(exps)
                  if all(a >= c for a, c in zip(weight, m))), None)

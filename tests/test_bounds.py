@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from syzlab.arith import binom_safe
 from syzlab.betti import BettiTable, betti_table, dual_b, dual_cell_coords
 from syzlab.bounds import (
     PredictedRange,
@@ -99,6 +100,26 @@ def test_kpn_coincides_with_sharp_at_top_strand():
         b = rng.randrange(0, 3)
         d = rng.randrange(b + n + 1, b + n + 9)
         assert lo_hi(sharp_range(n, b, d, n)) == lo_hi(kpn_exact(n, b, d))
+
+
+def test_kpn_and_surface_anchor_keep_their_closed_forms():
+    # both are sharp_range under another name: in every regime, their
+    # endpoints, validity and regime are their own closed forms
+    for n in range(1, 4):
+        for b in range(3):
+            for d in range(1, b + n + 4):
+                v = binom_safe(d + n, n)
+                r = kpn_exact(n, b, d)
+                valid = d >= b + n + 1
+                assert (r.source, r.q, r.lo, r.hi, r.valid, r.regime) == (
+                    "kpn", n, v - binom_safe(d - b - 1, n) - n, v - n - 1, valid,
+                    REGIME_PROVED if valid else REGIME_OUTSIDE), (n, b, d)
+    for d in range(1, 10):
+        r = surface_q2_anchor(d)
+        r_d = binom_safe(d + 2, 2) - 1
+        assert (r.source, r.q, r.lo, r.hi, r.valid, r.regime) == (
+            "surface_q2_anchor", 2, 3 * d - 2, r_d - 2, d >= 3,
+            REGIME_PROVED if d >= 3 else REGIME_OUTSIDE), d
 
 
 def test_kpn1_strand_is_empty():

@@ -1,21 +1,26 @@
 """The combinatorial front end of a cell: dominant grouping and route sizing.
 
 KoszulCell._grouped finds the tensors that make a wedge's weight dominant
-once per wedge sum; helpers.grouped_all_pairs tests every wedge against
-every tensor, as the engine did before.  Both must give the same groups,
-with the same key order and the same element lists.  KoszulBlock.full_sizes
-stops counting the rows of the unreduced d_out once its size is past the
-limit; every comparison the route makes must come out as with the full
-count, and the size must be exact whenever it is at most the limit.
+once per wedge sum, and files the one list of the wedges with that sum
+under each weight they reach; helpers.grouped_all_pairs tests every wedge
+against every tensor, as the engine did before.  Both must give the same
+weights in the same order, and the same (wedge, tensor) elements at each.
+Inside a weight the engine lists its elements class by class, so there
+they are compared as multisets.  KoszulBlock.full_sizes stops counting the
+rows of the unreduced d_out once its size is past the limit; every
+comparison the route makes must come out as with the full count, and the
+size must be exact whenever it is at most the limit.
 """
+
+from collections import Counter
 
 import pytest
 
 from syzlab.arith import binom_safe
 from syzlab.betti import default_q_lo
-from syzlab.koszul import KoszulCell, Parameters, _faces
+from syzlab.koszul import KoszulCell, Parameters, _faces, _pack
 
-from helpers import grouped_all_pairs
+from helpers import elements, grouped_all_pairs, wedges_of
 
 LIMITS = (0, 1, 16, 256, 10 ** 6)
 
@@ -52,13 +57,29 @@ def test_grouping_matches_all_pairs(par, wedge_size, tensor_degree):
     cell = KoszulCell(par)
     got = cell._grouped(wedge_size, tensor_degree)
     want = grouped_all_pairs(cell, wedge_size, tensor_degree)
-    assert list(got.items()) == list(want.items())
+    assert list(got) == list(want)
+    lists = {}      # wedge sum -> the one list of its wedges
+    for weight, group in got.items():
+        found = elements(cell, weight, group)
+        assert Counter(found) == Counter(want[weight]), weight
+        at = 0
+        for packed, wedges in group:
+            tensors = {t for _, t in found[at:at + len(wedges)]}
+            at += len(wedges)
+            assert len(tensors) == 1, (weight, wedges)      # one sum per class
+            t = tensors.pop()
+            assert packed == _pack(t, cell._width) + cell._guards, (weight, t)
+            s = tuple(w - e for w, e in zip(weight, t))
+            assert lists.setdefault(s, wedges) is wedges, (weight, s)
+    # each wedge lies in exactly one class
+    wedges = [wedge for group in lists.values() for wedge in group]
+    assert len(wedges) == len(set(wedges))
 
 
 def full_out_size(block) -> int:
     """rows * cols of the unreduced d_out from every one of its faces, 0 for
     a zero map."""
-    rows = {face for wedge, _ in block.full_middle for _, face, _ in _faces(wedge)}
+    rows = {face for wedge in wedges_of(block.full_middle) for _, face, _ in _faces(wedge)}
     return len(rows) * block.full_mid_dim
 
 

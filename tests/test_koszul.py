@@ -16,6 +16,7 @@ from helpers import (
     fraction_rank,
     full_complex,
     to_dense,
+    wedges_of,
 )
 
 
@@ -154,7 +155,7 @@ def _source_wedges(par):
     """The distinct wedges of the cell's source elements of dominant weight."""
     cell = KoszulCell(par)
     cell._ensure_groups()
-    return {wedge for group in cell._source.values() for wedge, _ in group}
+    return {wedge for group in cell._source.values() for wedge in wedges_of(group)}
 
 
 def test_faces_of_faces_cancel_on_every_source_wedge():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from syzlab.arith import binom_safe
+from syzlab.koszul import KoszulCell, Parameters
 from syzlab.monomials import (
     GradedPieceBasis,
     enumerate_basis,
@@ -64,6 +65,14 @@ def test_basis_index_round_trip():
     assert len(basis) == binom_safe(5, 2)
     for i, m in enumerate(basis.monomials):
         assert basis.index_of(m) == i
+
+
+def test_cells_share_one_basis():
+    # the degree-d basis is built once per (n, d), not once per cell
+    one = KoszulCell(Parameters(2, 0, 3, 1, 1)).basis_d
+    assert KoszulCell(Parameters(2, 1, 3, 4, 2)).basis_d is one
+    assert enumerate_basis(2, 3) is one
+    assert KoszulCell(Parameters(2, 0, 4, 1, 1)).basis_d is not one
 
 
 def test_basis_rejects_unknown_monomial():

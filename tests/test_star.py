@@ -57,12 +57,37 @@ def test_quotient_contribution_matches_the_unreduced_block(nbd):
 # packs five fields; its cells with q <= 2 have fields as wide as the rest
 # (weight_total + d has 6 bits), whose unreduced blocks take the oracle some
 # 40 s.  (1,6,8) has the widest fields of the suite: weight_total + d up to
-# 94, 7 bits.
+# 94, 7 bits.  The field width is the larger of what the star tests need and
+# what the dominance gaps need (width_terms).  At K_{0,0} with b = 0 and
+# d = 8 the star term wins by three bits.  At large p with d = 1 or 2 the
+# dominance term wins, and at (2,0,1) K_{2,3} and (2,0,2) K_{3,3} the star
+# term alone would pack some tensor's gaps into the next field and lose
+# dominant elements.
 EDGES = {
     "125": [Parameters(1, 2, 5, p, q) for p, q in table_cells(1, 2, 5)],
     "402": [Parameters(4, 0, 2, p, q) for p, q in table_cells(4, 0, 2) if q <= 2],
     "168": [Parameters(1, 6, 8, p, q) for p, q in table_cells(1, 6, 8)],
+    "K00-d8": [Parameters(n, 0, 8, 0, 0) for n in (1, 2)],
+    "201": [Parameters(2, 0, 1, p, q) for p, q in table_cells(2, 0, 1)],
+    "202": [Parameters(2, 0, 2, p, q) for p, q in table_cells(2, 0, 2)],
 }
+
+
+def width_terms(params) -> tuple:
+    """(bits the star tests need, bits the dominance gaps need) per field."""
+    total = params.weight_total
+    return (total + params.d).bit_length() + 1, total.bit_length() + 2
+
+
+def test_each_width_term_decides_at_an_edge():
+    terms = {name: [width_terms(params) for params in cells]
+             for name, cells in EDGES.items()}
+    for cells in EDGES.values():
+        for params in cells:
+            assert KoszulCell(params)._width == max(width_terms(params)), params
+    assert all(star > dominance for star, dominance in terms["K00-d8"])
+    assert any(dominance > star for star, dominance in terms["201"])
+    assert any(dominance > star for star, dominance in terms["202"])
 
 
 @pytest.mark.parametrize("name", sorted(EDGES))
