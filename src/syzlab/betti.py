@@ -31,6 +31,16 @@ they differ from the block's by the star's ranks, the same in every field,
 so the dimension is the same and the primes agree or disagree on a block as
 before.
 
+A weight whose quotient has no middle element is settled by the cell
+(koszul.SettledWeight): it contributes 0 with agreement, counts in
+block_count and max_block_dim as a block does, and no map of it is built or
+ranked.  Its maps are still routed by their unreduced shapes, and where a
+route is not zero the primes are checked, as certified_rank checks them on
+a map without entries.  Those routes can only change the level, and once
+one map of the cell has taken the modular route the level is two-prime
+whatever follows: so weight_blocks routes a settled weight only while
+every map before it in the cell took an exact route.  schur reads 0 there.
+
 betti_table computes its window one antidiagonal j = p + q at a time, in
 descending q, so each cell (p, q) comes right after (p - 1, q + 1).  At
 every weight the two cells share a space and a map: the source of
@@ -52,8 +62,12 @@ schur computes its weight blocks alone and stores nothing.
 Two global consistency checks are provided.  The Euler check compares the
 alternating column sums of a complete table against the coefficients of
 H_R(t) * (1-t)^v, where H_R(t) = sum_m binom(md+b+n, n) t^m is the Hilbert
-series of the section module; any rank error in any block breaks some
-residual.  The duality check compares dim K_{p,q}(n, b; d) with
+series of the section module.  Its sums telescope to the chain dimensions
+and the ranks of the maps at the window's edge, so it does not see every
+rank error: an interior map's one certificate serves both cells it
+borders, and a wrong rank there moves the two by the same amount and leaves
+every residual unchanged (the duality check and the strand bounds can see
+it).  The duality check compares dim K_{p,q}(n, b; d) with
 dim K_{p',q'}(n, b'; d) for p' = r_d - p - n, q' = n - q, b' = d - n - 1 - b,
 valid once d >= b + n + 1.
 """
@@ -76,9 +90,10 @@ from .koszul import (
     InfeasibleBlockError,
     KoszulCell,
     Parameters,
+    SettledWeight,
     check_nbd,
 )
-from .linalg import InvariantError, RankCertificate, certified_rank
+from .linalg import InvariantError, RankCertificate, certified_rank, check_primes
 from .monomials import distinct_permutations_count
 
 logger = logging.getLogger(__name__)
@@ -216,15 +231,41 @@ def _block_dim(block, config: EngineConfig):
     return block.mid_dim - r_in - r_out, exact, agree
 
 
+def _settled_exact(shape, config: EngineConfig) -> bool:
+    """Whether both maps of a settled weight take exact routes, as
+    _block_ranks would route them.  Where a route is not zero the primes are
+    checked, as certified_rank checks them on a map without entries."""
+    if config.mode == LEVEL_EXACT:
+        return True
+    routes = set(map(_route, shape.full_sizes(EXACT_THRESHOLD)))
+    if routes != {"zero"}:
+        check_primes(config.primes)
+    return "modular" not in routes
+
+
 def weight_blocks(n: int, b: int, d: int, p: int, q: int, config: EngineConfig,
                   cell: KoszulCell = None):
     """(block, contribution, exact, agreement) at each dominant weight of the
     cell, in descending lex order, from `cell` if given, else from a new
     KoszulCell.  The cell's parameters and memory cap are checked before the
-    first block is asked for."""
+    first block is asked for.  A weight the cell settles comes as its
+    SettledWeight, with contribution 0 and agreement, and is routed only
+    while every map before it in the cell took an exact route (see the
+    module notes)."""
     if cell is None:
         cell = KoszulCell(Parameters(n=n, b=b, d=d, p=p, q=q), config.memory_cap)
-    return ((block, *_block_dim(block, config)) for block in cell.iter_blocks())
+    return _ranked(cell, config)
+
+
+def _ranked(cell: KoszulCell, config: EngineConfig):
+    exact = True        # every map so far took an exact route
+    for block in cell.iter_ranked():
+        if isinstance(block, SettledWeight):
+            ranked = 0, exact and _settled_exact(block, config), True
+        else:
+            ranked = _block_dim(block, config)
+        exact = exact and ranked[1]
+        yield (block, *ranked)
 
 
 def _compute_cell(n: int, b: int, d: int, p: int, q: int, config: EngineConfig,

@@ -77,6 +77,25 @@ keeps every guard bit, so one test drops a whole class from the quotient,
 and the same test on that difference plus a packed m_i places the face
 that drops m_i.
 
+Only a prefix of the tensors can serve a sum s.  The first part of a
+dominant weight s + t is at least each part of s and at least the mean
+part, so t_0 >= lo = max(ceil(total / (n + 1)), max s) - s_0.  The tensors
+come in exponent_vectors order, t_0 non-increasing, and those of degree e
+with t_0 >= lo are the first binom(e - lo + n, n): all of them when
+lo <= 0, none when lo > e.  Each space's per-weight element counts are
+summed once, when it is grouped, in the same pass as its orbit total, and
+`below` hands its counts over with its groups: unreduced sizes are read
+from them, never recounted.
+
+A weight whose quotient has no middle element (every middle element lies
+in the star) contributes 0 in every field.  KoszulCell.iter_ranked, the
+pass betti ranks, settles it from its counts: after the cap estimate on
+the unreduced counts, one scan of its middle classes finds the apex, `top`
+and the kept middle, and finds no element; a SettledWeight is returned, and
+no source list, matrix, composition check or rank follows.  A weight with a
+kept middle is built by block(w) from the same scan.  block(w) itself still
+builds a weight it would settle, as a quotient with no middle.
+
 Neighbouring cells on an antidiagonal share their work.  The source space
 of (p - 1, q + 1), Wedge^p V (x) H(qd + b), is the middle space of (p, q),
 grouped by the same call, and at each weight the d_in of (p - 1, q + 1) is
@@ -86,6 +105,11 @@ The handed-over map's rows are the whole kept middle of (p - 1, q + 1), not
 only the faces this block reaches: its target_dim counts those zero rows
 too, its rank is unchanged.  The cap estimate still comes first in each
 block, and the d_out . d_in = 0 check still runs, on the map handed over.
+A weight the pass settles has no kept middle, so a d_in kept below there
+has no columns: it is dropped (a wider one raises InvariantError).  It
+keeps no d_in for the cell above either: the cell above builds its own
+d_out there, with no rows, since every face of its kept middle would be a
+kept middle element here.
 """
 
 from __future__ import annotations
@@ -207,18 +231,56 @@ def _pack(fields, width: int) -> int:
     return packed
 
 
+class _Unreduced:
+    """What betti reads off the unreduced block at a dominant weight: its
+    dimensions full_mid_dim and full_src_dim, its middle classes
+    full_middle, and full_sizes(), the shapes of its maps, which pick each
+    map's route."""
+
+    __slots__ = ()
+
+    def full_sizes(self, limit: int) -> tuple:
+        """(size of d_in, size of d_out) of the unreduced block, a size being
+        rows * cols, or 0 for a zero map, as far as a comparison with `limit`
+        needs.  The size of d_in is exact.  The rows of the unreduced d_out,
+        its distinct faces, are counted only until they number more than
+        limit // full_mid_dim: the size is exact whenever it is at most
+        `limit`, and otherwise a lower bound already above it."""
+        size_in = self.full_mid_dim * self.full_src_dim
+        if not self.full_middle or not self.full_middle[0][1][0]:
+            return size_in, 0                  # no middle space, or p = 0
+        enough = limit // self.full_mid_dim
+        faces = len(self.full_middle[0][1][0]) - 1
+        rows = set()
+        for wedge in chain.from_iterable(wedges for _, wedges in self.full_middle):
+            rows.update(combinations(wedge, faces))
+            if len(rows) > enough:
+                break
+        return size_in, len(rows) * self.full_mid_dim
+
+
+class SettledWeight(_Unreduced):
+    """A dominant weight whose star quotient has no middle element, so its
+    contribution mid_dim - rank(d_in) - rank(d_out) is 0 in every field; no
+    map of it is built (see the module notes)."""
+
+    __slots__ = ("weight", "full_mid_dim", "full_src_dim", "full_middle")
+
+    def __init__(self, weight, full_mid_dim, full_src_dim, full_middle):
+        self.weight, self.full_mid_dim = weight, full_mid_dim
+        self.full_src_dim, self.full_middle = full_src_dim, full_middle
+
+
 @dataclass(frozen=True)
-class KoszulBlock:
+class KoszulBlock(_Unreduced):
     """One torus-weight block as it is ranked: its quotient by a vertex star.
 
     d_in has shape (mid_dim, src_dim), d_out (target_dim, mid_dim), and the
     block's contribution to dim K_{p,q} is mid_dim - rank(d_in) - rank(d_out).
     The three dimensions are read off the maps' shapes.  These are the
-    quotient's (see the module notes); full_mid_dim and full_src_dim are the
-    dimensions of the unreduced block, and full_sizes() the shapes of its
-    maps, which betti uses to pick each map's route.  The target_dim of a
-    d_out handed over by the cell below also counts zero rows (see the
-    module notes).
+    quotient's (see the module notes); the full_* fields are the unreduced
+    block's.  The target_dim of a d_out handed over by the cell below also
+    counts zero rows (see the module notes).
     """
 
     weight: tuple
@@ -244,43 +306,26 @@ class KoszulBlock:
     def target_dim(self) -> int:
         return self.d_out.rows
 
-    def full_sizes(self, limit: int) -> tuple:
-        """(size of d_in, size of d_out) of the unreduced block, a size being
-        rows * cols, or 0 for a zero map, as far as a comparison with `limit`
-        needs.  The size of d_in is exact.  The rows of the unreduced d_out,
-        its distinct faces, are counted only until they number more than
-        limit // full_mid_dim: the size is exact whenever it is at most
-        `limit`, and otherwise a lower bound already above it."""
-        size_in = self.full_mid_dim * self.full_src_dim
-        if not self.full_middle or not self.full_middle[0][1][0]:
-            return size_in, 0                  # no middle space, or p = 0
-        enough = limit // self.full_mid_dim
-        faces = len(self.full_middle[0][1][0]) - 1
-        rows = set()
-        for wedge in chain.from_iterable(wedges for _, wedges in self.full_middle):
-            rows.update(combinations(wedge, faces))
-            if len(rows) > enough:
-                break
-        return size_in, len(rows) * self.full_mid_dim
-
 
 class KoszulCell:
     """The weight blocks of the complex at one (n, b, d, p, q).
 
     The middle and source spaces are enumerated once (wedges of basis indices
     times tensor monomials) and only the elements of dominant weight are
-    kept, grouped by weight in classes of one wedge sum; blocks are then
-    built lazily per dominant weight, each as its star quotient.  Target rows
-    are allocated on demand while applying the differential, so the target
-    space is never enumerated.
+    kept, grouped by weight in classes of one wedge sum, and counted once
+    per weight.  block(w) builds the block at a dominant weight lazily, as
+    its star quotient.  iter_ranked(), the pass betti ranks, settles each
+    weight whose quotient has no middle element instead (see the module
+    notes).  Target rows are allocated on demand while applying the
+    differential, so the target space is never enumerated.
 
     `below`, if given, is the computed cell (p - 1, q + 1) of the same
-    (n, b, d).  The middle groups are taken from it, and each block pops the
-    d_in that `below` kept at its weight, with its rank certificates, as its
-    d_out (see the module notes); where none was kept, d_out is built.
-    `below` keeps none of its groups or maps after that, so they are freed
-    as soon as this cell is done with them.  With `keep`, each d_in built is
-    kept for the cell (p + 1, q - 1).
+    (n, b, d).  The middle groups and their counts are taken from it, and
+    each block pops the d_in that `below` kept at its weight, with its rank
+    certificates, as its d_out (see the module notes); where none was kept,
+    d_out is built.  `below` keeps none of its groups or maps after that, so
+    they are freed as soon as this cell is done with them.  With `keep`,
+    each d_in built is kept for the cell (p + 1, q - 1).
     """
 
     def __init__(self, params: Parameters, memory_cap: int = DEFAULT_MEMORY_CAP,
@@ -319,12 +364,14 @@ class KoszulCell:
         # the sign of each face of a wedge, by the position of the factor it
         # drops: a middle wedge's p faces take the first p
         self._signs = [sign for _, _, sign in _faces(tuple(range(params.p + 1)))]
-        self._middle = self._source = None
+        self._middle = self._source = None      # {dominant weight: classes}
+        self._middle_counts = self._source_counts = None    # {weight: elements}
         self._handed = {}           # dominant weight -> (d_out, its certificates)
         self._kept = {} if keep else None
         if below is not None:   # take over what it holds, and free the rest
             below._ensure_groups()
-            self._middle, self._handed = below._source, below._kept or {}
+            self._middle, self._middle_counts = below._source, below._source_counts
+            self._handed = below._kept or {}
             below._middle = below._source = below._kept = None
 
     def expected_middle_dim(self) -> int:
@@ -348,7 +395,8 @@ class KoszulCell:
         fixes s, and is found once per distinct sum.  Each tensor's gaps are
         packed once, offset by weight_total, with each field's guard bit set;
         less a need packed with the same offset, a field keeps its guard bit
-        iff the gap covers the need."""
+        iff the gap covers the need.  Only a prefix of the tensors is tested
+        (see the module notes)."""
         par, width, guards = self.params, self._width, self._guards
         groups = {}
         if wedge_size < 0 or wedge_size > par.v:
@@ -361,6 +409,8 @@ class KoszulCell:
         gap_guards = _pack([guard] * par.n, width)
         gaps = [(t, _pack([t[i] - t[i + 1] + bound + guard for i in range(par.n)], width),
                  _pack(t, width) + guards) for t in tensors]
+        # the first part of a dominant weight is at least its mean part
+        least = -(-(wedge_size * par.d + tensor_degree) // (par.n + 1))
         classes = {}    # packed wedge sum -> its wedges
         for wedge, key in zip(combinations(range(par.v), wedge_size),
                               map(sum, combinations(self._packed, wedge_size))):
@@ -369,23 +419,35 @@ class KoszulCell:
                 wedges = classes[key] = []
                 s = tuple([(key >> k) & mask for k in shifts])
                 need = _pack([s[i + 1] - s[i] + bound for i in range(par.n)], width)
-                for t, gap, packed in gaps:
+                lo = max(least, *s) - s[0]      # the least t_0 that can serve
+                for t, gap, packed in gaps[:binom_safe(
+                        tensor_degree - max(lo, 0) + par.n, par.n)]:
                     if (gap - need) & gap_guards == gap_guards:
                         groups.setdefault(tuple(map(add, s, t)), []).append((packed, wedges))
             wedges.append(wedge)
         return groups
 
+    def _counted(self, wedge_size: int, tensor_degree: int, expected: int) -> tuple:
+        """(groups, {weight: number of elements}) of one space, each weight's
+        classes counted once; the orbit total, the size of the whole space
+        the dominant groups stand for, must be `expected`."""
+        groups = self._grouped(wedge_size, tensor_degree)
+        counts = {w: sum([len(wedges) for _, wedges in group])
+                  for w, group in groups.items()}
+        total = sum([distinct_permutations_count(w) * c for w, c in counts.items()])
+        if total != expected:
+            raise InvariantError(f"orbit total {total} of the dominant groups "
+                                 f"of {self.params}, not {expected}")
+        return groups, counts
+
     def _ensure_groups(self):
         if self._source is None:
             par = self.params
             if self._middle is None:
-                self._middle = self._grouped(par.p, par.middle_degree)
-            self._source = self._grouped(par.p + 1, par.source_degree)
-            for groups, expected in ((self._middle, self.expected_middle_dim()),
-                                     (self._source, self.expected_source_dim())):
-                if (total := _orbit_total(groups)) != expected:
-                    raise InvariantError(f"orbit total {total} of the dominant groups "
-                                         f"of {par}, not {expected}")
+                self._middle, self._middle_counts = self._counted(
+                    par.p, par.middle_degree, self.expected_middle_dim())
+            self._source, self._source_counts = self._counted(
+                par.p + 1, par.source_degree, self.expected_source_dim())
 
     def weights(self) -> list:
         """Dominant weights with nonzero middle space, descending lex.
@@ -399,8 +461,9 @@ class KoszulCell:
         assert all(sum(w) == total for w in ws)
         return ws
 
-    def block(self, weight) -> KoszulBlock:
+    def block(self, weight, scan=None) -> KoszulBlock:
         """The block at a dominant weight, as ranked: its star quotient.
+        `scan` is the weight's _scan, where the caller has made it.
 
         Any other weight raises ValueError; its block is isomorphic to its
         dominant rearrangement's (see the module notes)."""
@@ -408,8 +471,20 @@ class KoszulCell:
         if any(a < c for a, c in zip(weight, weight[1:])):
             raise ValueError(f"weight {weight} is not dominant")
         self._ensure_groups()
-        return self._build(weight, self._middle.get(weight, []),
-                           self._source.get(weight, []))
+        return self._build(weight, self._scan(weight) if scan is None else scan)
+
+    def iter_ranked(self):
+        """What betti ranks at each dominant weight, in the order of
+        weights(): a SettledWeight where the star quotient has no middle
+        element, else the block, built from the same scan."""
+        for w in self.weights():
+            yield self._ranked(w)
+
+    def _ranked(self, weight):
+        # the scan's kept middle, as long as the block's, is dropped on
+        # return, before the next weight is scanned
+        scan = self._scan(weight)
+        return self.block(weight, scan) if scan[2] else self._settle(weight)
 
     def _check_cap(self, weight, middle: int, source: int):
         """Refuse a block whose unreduced bases and maps would exceed the cap."""
@@ -421,33 +496,57 @@ class KoszulCell:
                 estimated_bytes=est, cap=self.memory_cap,
             )
 
-    def _build(self, weight, middle, source) -> KoszulBlock:
-        """Matrices of the block at `weight` on the quotient of the given
-        bases by the star of the apex, d_out taken from the cell below where
-        it kept one.  The memory-cap estimate comes first, the d_out . d_in = 0
-        check of the quotient's matrices last (that of the unreduced block is
-        made once per cell: see the module notes)."""
-        full_middle, full_mid, full_src = middle, _count(middle), _count(source)
-        self._check_cap(weight, full_mid, full_src)
-        exps = self.basis_d.monomials
+    def _scan(self, weight) -> tuple:
+        """(apex, top, kept middle) at a weight: the memory-cap estimate on
+        its unreduced counts first, then the apex of its star and the middle
+        elements outside the star."""
+        self._check_cap(weight, self._middle_counts.get(weight, 0),
+                        self._source_counts.get(weight, 0))
         # the apex: the first degree-d monomial dividing x^weight.  With none
         # the star is empty, and `top`, one above the weight in its first
         # exponent, is a monomial that no tensor of the block (each at most
         # the weight) reaches
-        apex = next((i for i, m in enumerate(exps) if all(map(ge, weight, m))), None)
-        guards, packed_monomials = self._guards, self._packed
-        top = (packed_monomials[apex] if apex is not None
+        apex = next((i for i, m in enumerate(self.basis_d.monomials)
+                     if all(map(ge, weight, m))), None)
+        top = (self._packed[apex] if apex is not None
                else _pack((weight[0] + 1,) + weight[1:], self._width))
+        return apex, top, self._kept_elements(self._middle.get(weight, []), apex, top)
 
-        def kept(group):
-            # outside the star: the apex divides no kept class's tensor, and
-            # is in no kept wedge; each wedge kept with its class's packed
-            # tensor less top
-            return [(wedge, s) for packed, wedges in group
-                    if (s := packed - top) & guards != guards
-                    for wedge in wedges if apex not in wedge]
+    def _kept_elements(self, group, apex, top) -> list:
+        """The elements of a group outside the star: the apex divides no kept
+        class's tensor, and is in no kept wedge.  Each wedge is kept with its
+        class's packed tensor less top."""
+        guards = self._guards
+        return [(wedge, s) for packed, wedges in group
+                if (s := packed - top) & guards != guards
+                for wedge in wedges if apex not in wedge]
 
-        middle, source = kept(middle), kept(source)
+    def _pop_handed(self, weight, width: int):
+        """The (d_out, certificates) the cell below handed over at a weight,
+        or None; a d_out not `width` columns wide raises."""
+        handed = self._handed.pop(weight, None)
+        if handed is not None and handed[0].cols != width:
+            raise InvariantError(f"d_out at weight {weight} has {handed[0].cols} columns, "
+                                 f"the kept middle {width} elements")
+        return handed
+
+    def _settle(self, weight) -> SettledWeight:
+        """A weight whose quotient has no middle, from its counts alone.  A
+        d_out handed over here is dropped, and no d_in is kept: the cell
+        above builds its own d_out here, which has no entries."""
+        self._pop_handed(weight, 0)
+        return SettledWeight(weight, self._middle_counts.get(weight, 0),
+                             self._source_counts.get(weight, 0), self._middle.get(weight, []))
+
+    def _build(self, weight, scan) -> KoszulBlock:
+        """Matrices of the block at `weight` on its quotient by the star of
+        the scan's apex, d_out taken from the cell below where it kept one.
+        The d_out . d_in = 0 check of the quotient's matrices comes last
+        (that of the unreduced block is made once per cell: see the module
+        notes)."""
+        apex, top, middle = scan
+        source = self._kept_elements(self._source.get(weight, []), apex, top)
+        guards, packed_monomials = self._guards, self._packed
 
         def columns(elements, row_of, size):
             # one column per element, one entry per kept face: a face of a
@@ -462,25 +561,24 @@ class KoszulCell:
                                  if (s + packed_monomials[i]) & guards != guards])
                           for wedge, s in elements])
 
-        handed = self._handed.pop(weight, None)
+        handed = self._pop_handed(weight, len(middle))
         if handed is None:
             target_index = defaultdict()     # numbers the faces 0, 1, ... as met
             target_index.default_factory = target_index.__len__
             out_columns = columns(middle, target_index, self.params.p)
             handed = SparseMatrix(len(target_index), len(middle), out_columns), {}
         d_out, out_ranks = handed
-        if d_out.cols != len(middle):
-            raise InvariantError(f"d_out at weight {weight} has {d_out.cols} columns, "
-                                 f"the kept middle {len(middle)} elements")
         # weight preservation: every kept face of a source element is a kept
         # middle element of this block
         mid_index = {wedge: i for i, (wedge, _) in enumerate(middle)}
         d_in = SparseMatrix(len(middle), len(source),
                             columns(source, mid_index, self.params.p + 1))
         self._check_composition_zero(d_out, d_in, weight)
+        full_src = self._source_counts.get(weight, 0)
         block = KoszulBlock(weight=weight, d_in=d_in, d_out=d_out,
-                            full_mid_dim=full_mid, full_src_dim=full_src,
-                            full_middle=full_middle, out_ranks=out_ranks)
+                            full_mid_dim=self._middle_counts.get(weight, 0),
+                            full_src_dim=full_src, full_middle=self._middle.get(weight, []),
+                            out_ranks=out_ranks)
         if self._kept is not None and full_src:  # else (p + 1, q - 1) has no block here
             self._kept[weight] = d_in, block.in_ranks
         return block
@@ -500,13 +598,3 @@ class KoszulCell:
         """The blocks at the dominant weights, in the order of weights()."""
         for w in self.weights():
             yield self.block(w)
-
-
-def _count(group) -> int:
-    """Number of elements in a group's classes."""
-    return sum(len(wedges) for _, wedges in group)
-
-
-def _orbit_total(groups: dict) -> int:
-    """Size of the whole space the dominant groups stand for."""
-    return sum(distinct_permutations_count(w) * _count(g) for w, g in groups.items())

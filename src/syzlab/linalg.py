@@ -17,10 +17,10 @@ several independent primes and takes the maximum; agreement across primes is
 recorded and disagreement is logged, since cohomology dimensions built from
 undercounted ranks can only overcount.  One call, `certified_rank`, serves
 every engine mode, whatever its number of primes; betti picks its route.
-A map without entries has rank 0 over Q and over every field, and most
+A map without entries has rank 0 over Q and over every field, and many
 quotient maps koszul builds are of this kind (the star of the apex is often
-the whole block): certified_rank checks the primes and returns its
-certificate without eliminating.
+most of the block): certified_rank checks the primes (check_primes) and
+returns its certificate without eliminating.
 
 The elimination kernel runs over Z/N for any modulus N, and certification
 runs it once with N the product of the distinct primes.  By the Chinese
@@ -240,6 +240,12 @@ def _field(p: int) -> PrimeField:
     return PrimeField(p)
 
 
+def check_primes(primes) -> None:
+    """Refuse any of the primes that is not a prime of 31 to 62 bits."""
+    for p in primes:
+        _field(p)
+
+
 def _modular_ranks(m: SparseMatrix, primes: tuple) -> list:
     """The rank of m mod each prime, in order.
 
@@ -270,8 +276,7 @@ def certified_rank(m: SparseMatrix, primes, exact: bool) -> RankCertificate:
     if not exact and not primes:
         raise ValueError("the modular route needs at least one prime")
     if not any(m.columns):      # no entries: rank 0 over Q and every field
-        for p in primes:
-            _field(p)
+        check_primes(primes)
         return RankCertificate(0, primes, exact or len(primes) > 1, exact)
     if exact:
         rank = rank_exact(m)

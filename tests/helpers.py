@@ -37,7 +37,6 @@ from syzlab.koszul import (
     KoszulBlock,
     KoszulCell,
     Parameters,
-    _count,
     _delta_terms,
     _faces,
     _pack,
@@ -210,12 +209,16 @@ def brute_ssyt_count(shape, content) -> int:
 class UnreducedCell(KoszulCell):
     """A KoszulCell whose blocks are the whole weight blocks, as built before
     each block was reduced by a vertex star: full bases, full matrices, and
-    the d_out . d_in = 0 check on the full matrices."""
+    the d_out . d_in = 0 check on the full matrices.  It settles no weight:
+    its pass builds every block."""
 
-    def _build(self, weight, middle, source):
-        self._check_cap(weight, _count(middle), _count(source))
-        full_middle = middle
-        middle, source = wedges_of(middle), wedges_of(source)
+    def iter_ranked(self):
+        return self.iter_blocks()
+
+    def _build(self, weight, scan):
+        # the scan made the cap check; the whole block ignores its star
+        full_middle = self._middle.get(weight, [])
+        middle, source = wedges_of(full_middle), wedges_of(self._source.get(weight, []))
         mid_index = {wedge: i for i, wedge in enumerate(middle)}
         target_index = {}
         out_columns = tuple(
@@ -231,6 +234,11 @@ class UnreducedCell(KoszulCell):
             weight=weight, d_in=d_in, d_out=d_out,
             full_mid_dim=len(middle), full_src_dim=len(source), full_middle=full_middle,
         )
+
+
+def counts(groups) -> dict:
+    """{weight: number of elements in its classes}."""
+    return {w: len(wedges_of(group)) for w, group in groups.items()}
 
 
 def wedges_of(group) -> list:
@@ -300,12 +308,12 @@ class _AllWeights:
             par = self.params
             self._middle = self._grouped(par.p, par.middle_degree)
             self._source = self._grouped(par.p + 1, par.source_degree)
+            self._middle_counts, self._source_counts = counts(self._middle), counts(self._source)
 
     def block(self, weight):
         self._ensure_groups()
         weight = tuple(weight)
-        return self._build(weight, self._middle.get(weight, []),
-                           self._source.get(weight, []))
+        return self._build(weight, self._scan(weight))
 
 
 class AllWeightsCell(_AllWeights, UnreducedCell):

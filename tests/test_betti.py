@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from syzlab import betti
+from syzlab import betti, linalg
 from syzlab.betti import (
     BettiTable,
     CellResult,
@@ -214,6 +214,34 @@ def test_euler_detects_a_perturbed_cell():
     report = euler_check(tampered)
     assert not report.ok
     assert report.nonzero_residuals() == {2: -1}
+
+
+def test_euler_misses_a_wrong_interior_rank_that_duality_sees(monkeypatch):
+    # a map's one certificate serves both cells it borders, so a rank one
+    # too low raises both their dims by the size of its weight's orbit, and
+    # the Euler sums telescope past it; the self-dual (2,0,3) table then
+    # fails duality
+    lowered = []
+
+    def one_lower(m, primes, exact):
+        cert = linalg.certified_rank(m, primes, exact)
+        if cert.rank and not lowered:
+            lowered.append(cert)
+            return dataclasses.replace(cert, rank=cert.rank - 1)
+        return cert
+
+    truth = betti_table(2, 0, 3)
+    monkeypatch.setattr(betti, "certified_rank", one_lower)
+    table = betti_table(2, 0, 3)
+    assert lowered
+    moved = {pq: (res.dim, table.cells[pq].dim)
+             for pq, res in truth.cells.items() if res.dim != table.cells[pq].dim}
+    assert len(moved) == 2 and len({new - old for old, new in moved.values()}) == 1, moved
+    assert all(new > old for old, new in moved.values())
+    (p, q), neighbour = sorted(moved)
+    assert neighbour == (p + 1, q - 1)
+    assert euler_check(table).ok
+    assert not check_duality(table).ok
 
 
 def test_euler_rejects_partial_window():

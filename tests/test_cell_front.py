@@ -13,6 +13,8 @@ size must be exact whenever it is at most the limit.
 """
 
 from collections import Counter
+from itertools import combinations
+from operator import add
 
 import pytest
 
@@ -38,11 +40,13 @@ def grouping_cases():
     every cell of the small tables, and of (2,0,4) K_{6,1} and K_{11,2}.
     (4,0,2) packs five fields; its cells with q > 3 exceed the memory cap.
     (1,0,8) and its dual (1,6,8) have the widest wedge sums of the
-    surface-tables benchmark."""
+    surface-tables benchmark.  (1,0,5) K_{1,1} and K_{2,1} reach the two
+    edges of the tensor prefix (see test_prefix_edges_are_reached)."""
     params = [par for nbd in [(1, 1, 4), (2, 0, 3), (2, 1, 3), (3, 0, 2), (4, 0, 2),
                               (1, 0, 8), (1, 6, 8)]
               for par in table_params(*nbd) if par.n < 4 or par.q <= 3]
-    params += [Parameters(2, 0, 4, 6, 1), Parameters(2, 0, 4, 11, 2)]
+    params += [Parameters(2, 0, 4, 6, 1), Parameters(2, 0, 4, 11, 2),
+               Parameters(1, 0, 5, 1, 1), Parameters(1, 0, 5, 2, 1)]
     cases = {}
     for par in params:
         nbd = f"{par.n}{par.b}{par.d}"
@@ -74,6 +78,32 @@ def test_grouping_matches_all_pairs(par, wedge_size, tensor_degree):
     # each wedge lies in exactly one class
     wedges = [wedge for group in lists.values() for wedge in group]
     assert len(wedges) == len(set(wedges))
+
+
+def prefix_edges(par, wedge_size, tensor_degree) -> set:
+    """The edges of _grouped's tensor prefix that a space reaches.  With
+    lo = max(mean part, max s) - s_0 for a wedge sum s, only tensors with
+    t_0 >= lo can make s + t dominant: "whole" where lo <= 0 for a sum that
+    the last tensor, (0, ..., 0, e), makes dominant, so the whole list is
+    needed; "none" where lo > e, so no tensor is tested."""
+    exps = KoszulCell(par).basis_d.monomials
+    mean = -(-(wedge_size * par.d + tensor_degree) // (par.n + 1))
+    last = (0,) * par.n + (tensor_degree,)
+    edges = set()
+    for wedge in combinations(range(par.v), wedge_size):
+        s = tuple(map(sum, zip(*[exps[i] for i in wedge])))
+        lo = max(mean, *s) - s[0]
+        w = tuple(map(add, s, last))
+        if lo <= 0 and all(a >= c for a, c in zip(w, w[1:])):
+            edges.add("whole")
+        if lo > tensor_degree:
+            edges.add("none")
+    return edges
+
+
+def test_prefix_edges_are_reached():
+    assert "whole" in prefix_edges(Parameters(1, 0, 5, 1, 1), 1, 5)
+    assert "none" in prefix_edges(Parameters(1, 0, 5, 2, 1), 2, 5)
 
 
 def full_out_size(block) -> int:
