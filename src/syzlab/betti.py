@@ -5,8 +5,8 @@ mid_dim - rank(d_in) - rank(d_out), ranks taken per the engine mode: exact
 rational, or two-prime certified.  Since modular ranks can only undercount,
 dimensions can only overcount; agreement of two independent 31-bit primes
 is the standard certification level.  Both modes rank through
-linalg.certified_rank, and one pass over the weight blocks, weight_blocks,
-serves both the cells and schur's weight-space dimensions.
+linalg.certified_rank, and one pass over the weight blocks, _pass, serves
+single cells, tables and schur's weight-space dimensions.
 
 Only the dominant weights are built and ranked, in descending lex order.
 The blocks at the permutations of a weight are isomorphic to it over the
@@ -38,26 +38,34 @@ ranked.  Its maps are still routed by their unreduced shapes, and where a
 route is not zero the primes are checked, as certified_rank checks them on
 a map without entries.  Those routes can only change the level, and once
 one map of the cell has taken the modular route the level is two-prime
-whatever follows: so weight_blocks routes a settled weight only while
-every map before it in the cell took an exact route.  schur reads 0 there.
+whatever follows: so the pass routes a settled weight only while every
+map before it in the cell took an exact route.  schur reads 0 there.
 
-betti_table computes its window one antidiagonal j = p + q at a time, in
-descending q, so each cell (p, q) comes right after (p - 1, q + 1).  At
-every weight the two cells share a space and a map: the source of
-(p - 1, q + 1) is the middle of (p, q), and its d_in is the d_out of (p, q),
-on the same star quotient, since the apex depends on the weight alone.  So
-(p, q) takes its middle groups from the cell below, and each block takes
-its d_out from the d_in kept there, with that map's rank certificates (see
-KoszulCell).  A cell keeps its d_in maps only when the table pass will
-compute (p + 1, q - 1) next, and each map is dropped at its second use.
-Each role of a map is still routed by its own unreduced shape: where the
-two routes differ, the second certificate is computed as before, so every
-level and agreement flag is what the cell alone gives.  A cell the store
-or a vanishing theorem answers, or the memory cap refuses, breaks the
-chain, and the next cell builds its own d_out.  One function, _table_cell,
-fetches, computes and stores every cell: chained in betti_table, or alone
-(no cell below, nothing kept) for cell_result, and so for kpq and explore.
-schur computes its weight blocks alone and stores nothing.
+Cells are computed one antidiagonal j = p + q at a time, weight by weight
+(_pass).  At a dominant weight w the cells of an antidiagonal are
+consecutive homology degrees of one complex, the squarefree divisor
+complex of w (see koszul): the source of (p - 1, q + 1) is the middle of
+(p, q), and its d_in is the d_out of (p, q), on the same star quotient.  So
+the KoszulCells of one pass share their groupings, and the pass walks the
+union of their dominant weights in descending lex order.  At each weight
+it ranks the cells with a middle there in ascending p, and the d_in a cell
+builds, with its rank certificates and its kept elements, is the next
+cell's d_out and kept middle at that weight (KoszulCell.ranked); then it
+is dropped, so no map outlives its weight.  Each role of a map is still
+routed by its own unreduced shape: where the two routes differ, the second
+certificate is computed as before, so every level and agreement flag is
+what the cell alone gives.  A cell the store holds, a vanishing theorem
+answers, or the memory cap refuses when it is made is not in the pass; one
+the cap refuses at a weight leaves it there, and the next cell builds its
+own d_out from then on.  One function, _antidiagonal, fetches, computes
+and stores every cell: the cells of an antidiagonal for betti_table, or a
+single cell for cell_result, and so for kpq and explore.  weight_blocks is
+the pass over one cell alone; schur reads it and stores nothing.  A cell's
+wall_time_ms is the wall time of its antidiagonal's call, from its start
+(store reads, grouping and the whole pass included) to the cell's result:
+its own time when it is computed alone, about that of the whole pass for
+each cell of a table's antidiagonal, analytic zeros included.  It is in no
+stdout, and the store does not compare it.
 
 Two global consistency checks are provided.  The Euler check compares the
 alternating column sums of a complete table against the coefficients of
@@ -203,7 +211,7 @@ def _block_ranks(block, config: EngineConfig):
     route and any other the modular route.  The ranks are the quotient's,
     the block's own matrices.  Each certificate is kept in the map's dict
     under its route, and one already there is reused: a d_out handed over
-    by the cell below brings those of its d_in role."""
+    by the cell (p - 1, q + 1) brings those of its d_in role."""
     if config.mode == LEVEL_EXACT:
         routes, primes = ("exact", "exact"), ()
     else:
@@ -246,48 +254,70 @@ def _settled_exact(shape, config: EngineConfig) -> bool:
 def weight_blocks(n: int, b: int, d: int, p: int, q: int, config: EngineConfig,
                   cell: KoszulCell = None):
     """(block, contribution, exact, agreement) at each dominant weight of the
-    cell, in descending lex order, from `cell` if given, else from a new
-    KoszulCell.  The cell's parameters and memory cap are checked before the
-    first block is asked for.  A weight the cell settles comes as its
-    SettledWeight, with contribution 0 and agreement, and is routed only
-    while every map before it in the cell took an exact route (see the
-    module notes)."""
-    if cell is None:
-        cell = KoszulCell(Parameters(n=n, b=b, d=d, p=p, q=q), config.memory_cap)
-    return _ranked(cell, config)
+    cell, in descending lex order: the pass over `cell` alone if given, else
+    over a new KoszulCell.  A cell or a block the memory cap refuses raises.
+    A weight the cell settles comes as its SettledWeight, with contribution 0
+    and agreement (see the module notes)."""
+    cell = cell or KoszulCell(Parameters(n, b, d, p, q), config.memory_cap)
+    for _, ranked in _pass({None: cell}, config):
+        if isinstance(ranked, InfeasibleBlockError):
+            raise ranked
+        yield ranked
 
 
-def _ranked(cell: KoszulCell, config: EngineConfig):
-    exact = True        # every map so far took an exact route
-    for block in cell.iter_ranked():
-        if isinstance(block, SettledWeight):
-            ranked = 0, exact and _settled_exact(block, config), True
-        else:
-            ranked = _block_dim(block, config)
-        exact = exact and ranked[1]
-        yield (block, *ranked)
+def _pass(cells: dict, config: EngineConfig):
+    """Rank the KoszulCells of one antidiagonal, given in ascending p, weight
+    by weight (see the module notes).  Yields (key, ranked) for the cell
+    cells[key] at each of its dominant weights, over the union of them in
+    descending lex order: ranked is (block, contribution, exact, agreement),
+    or the InfeasibleBlockError that refuses the cell at the weight, after
+    which the cell drops out of the pass.  The cells share one dict of
+    grouped spaces.  A settled weight is routed only while every map before
+    it in its cell took an exact route."""
+    # each dominant weight -> the keys of the cells with a middle there
+    live, spaces = {}, {}
+    for key, cell in cells.items():
+        cell.spaces = spaces
+        for w in cell.weights():
+            live.setdefault(w, []).append(key)
+    # whether every map of the cell so far took an exact route; None once refused
+    exact = dict.fromkeys(cells, True)
+    for w in sorted(live, reverse=True):
+        gave = None     # what the cell ranked last at w gave there
+        for key in live[w]:
+            if exact[key] is None:
+                continue
+            try:
+                item, gave = cells[key].ranked(w, gave)
+            except InfeasibleBlockError as exc:
+                exact[key] = None
+                yield key, exc
+                continue
+            if isinstance(item, SettledWeight):
+                ranked = 0, exact[key] and _settled_exact(item, config), True
+            else:
+                ranked = _block_dim(item, config)
+            exact[key] = exact[key] and ranked[1]
+            yield key, (item, *ranked)
+            item = None     # only `gave` outlives the step
 
 
 def _compute_cell(n: int, b: int, d: int, p: int, q: int, config: EngineConfig,
-                  cell: KoszulCell = None) -> CellResult:
-    t0 = time.monotonic()
-    reason = _analytic_zero_reason(n, b, d, p, q)
-    if reason is not None:
-        return CellResult(
-            n=n, b=b, d=d, p=p, q=q, dim=0, level=LEVEL_EXACT, agreement=True,
-            primes=config.primes, block_count=0, max_block_dim=0,
-            wall_time_ms=int((time.monotonic() - t0) * 1000), analytic=True,
-        )
+                  ranked, started: float) -> CellResult:
+    """The result of one cell: the sum of `ranked`, the (weight,
+    full_mid_dim, contribution, exact, agreement) its pass gave at each of
+    its dominant weights, none for an analytic zero; timed from `started`
+    (see the module notes)."""
     dim = 0
     block_count = 0
     max_block = 0
     all_exact = True
     all_agree = True
-    for block, block_dim, exact, agree in weight_blocks(n, b, d, p, q, config, cell):
-        orbit = distinct_permutations_count(block.weight)
+    for weight, full_mid_dim, block_dim, exact, agree in ranked:
+        orbit = distinct_permutations_count(weight)
         dim += orbit * block_dim
         block_count += orbit
-        max_block = max(max_block, block.full_mid_dim)
+        max_block = max(max_block, full_mid_dim)
         all_exact = all_exact and exact
         all_agree = all_agree and agree
     # modes are named for their levels, and exact mode is always all-exact
@@ -295,7 +325,8 @@ def _compute_cell(n: int, b: int, d: int, p: int, q: int, config: EngineConfig,
     return CellResult(
         n=n, b=b, d=d, p=p, q=q, dim=dim, level=level,
         agreement=all_agree, primes=config.primes, block_count=block_count,
-        max_block_dim=max_block, wall_time_ms=int((time.monotonic() - t0) * 1000),
+        max_block_dim=max_block, wall_time_ms=int((time.monotonic() - started) * 1000),
+        analytic=_analytic_zero_reason(n, b, d, p, q) is not None,
     )
 
 
@@ -416,28 +447,40 @@ def cell_result(n, b, d, p, q, config: EngineConfig = None,
                 store: ResultStore = None) -> CellResult:
     """Compute (or fetch from the store) one cell; a bad (n, b, d) first raises."""
     check_nbd(n, b, d)
-    return _table_cell(n, b, d, p, q, config or make_config(), store)[0]
+    res = _antidiagonal(n, b, d, [(p, q)], config or make_config(), store)[(p, q)]
+    if isinstance(res, InfeasibleBlockError):
+        raise res
+    return res
 
 
-def _table_cell(n, b, d, p, q, config: EngineConfig, store,
-                below: KoszulCell = None, keep: bool = False) -> tuple:
-    """(result, cell) for one cell, alone or in betti_table's pass: the
-    store's record of the cell, or else the result computed on a KoszulCell
-    made with `below` and `keep`, stored; and that KoszulCell, or None when
-    the store or a vanishing theorem answered."""
-    key = cell = None
-    if store is not None:
-        key = ResultStore.key_of(n, b, d, p, q, config)
-        rec = store.get(key)
+def _antidiagonal(n, b, d, cells: list, config: EngineConfig, store) -> dict:
+    """{(p, q): result, or the InfeasibleBlockError that refused the cell}
+    for `cells`, on one antidiagonal in ascending p: each one the store
+    holds is fetched, every other cell is computed, in one pass for all
+    those that are not analytic zeros, and stored, in the order of
+    `cells`."""
+    t0 = time.monotonic()
+    out, made, ranked = {}, {}, {}
+    for pq in cells:
+        rec = store and store.get(ResultStore.key_of(n, b, d, *pq, config))
         if rec is not None:
-            return CellResult.from_record(rec), None
-    if _analytic_zero_reason(n, b, d, p, q) is None:
-        cell = KoszulCell(Parameters(n=n, b=b, d=d, p=p, q=q), config.memory_cap,
-                          below=below, keep=keep)
-    res = _compute_cell(n, b, d, p, q, config, cell)
-    if store is not None:
-        store.put(key, res.to_record())
-    return res, cell
+            out[pq] = CellResult.from_record(rec)
+        elif _analytic_zero_reason(n, b, d, *pq) is None:
+            try:
+                made[pq] = KoszulCell(Parameters(n, b, d, *pq), config.memory_cap)
+            except InfeasibleBlockError as exc:
+                out[pq] = exc
+    for pq, item in _pass(made, config):
+        if isinstance(item, InfeasibleBlockError):
+            out[pq] = item
+        else:
+            ranked.setdefault(pq, []).append((item[0].weight, item[0].full_mid_dim, *item[1:]))
+    for pq in cells:
+        if pq not in out:
+            out[pq] = res = _compute_cell(n, b, d, *pq, config, ranked.get(pq, ()), t0)
+            if store is not None:
+                store.put(ResultStore.key_of(n, b, d, *pq, config), res.to_record())
+    return out
 
 
 def kpq_dim(n, b, d, p, q, config: EngineConfig = None,
@@ -516,19 +559,12 @@ def betti_table(n, b, d, p_range=(None, None), q_range=(None, None),
     (p_lo, p_hi), (q_lo, q_hi) = table.p_range, table.q_range
     cells, failures = {}, {}
     for j in range(p_lo + q_lo, p_hi + q_hi + 1):
-        below = None    # the cell (p - 1, q + 1), if computed just before
-        for q in range(min(q_hi, j - p_lo), max(q_lo, j - p_hi) - 1, -1):
-            p = j - q
-            keep = (p < p_hi and q > q_lo
-                    and _analytic_zero_reason(n, b, d, p + 1, q - 1) is None)
-            try:
-                cells[(p, q)], below = _table_cell(n, b, d, p, q, config, store,
-                                                   below, keep)
-            except InfeasibleBlockError as exc:
-                failures[(p, q)], below = str(exc), None
+        qs = range(min(q_hi, j - p_lo), max(q_lo, j - p_hi) - 1, -1)
+        for pq, res in _antidiagonal(n, b, d, [(j - q, q) for q in qs], config, store).items():
+            (failures if isinstance(res, InfeasibleBlockError) else cells)[pq] = res
     order = table.window_cells()
     table.cells = {pq: cells[pq] for pq in order if pq in cells}
-    table.failures = {pq: failures[pq] for pq in order if pq in failures}
+    table.failures = {pq: str(failures[pq]) for pq in order if pq in failures}
     return table
 
 

@@ -46,7 +46,7 @@ from .bounds import all_ranges, compare_report
 from .cycles import build_kp0_cycle, verify_nonzero_class
 from .koszul import DEFAULT_MEMORY_CAP, InfeasibleBlockError
 from .linalg import InvariantError
-from .render import render_normalized_diagram
+from .render import check_width, render_normalized_diagram
 from .schur import CertificationError, SchurSolveError, schur_multiplicities
 
 EXIT_OK = 0
@@ -355,6 +355,8 @@ def _check_out(path: str) -> None:
 
 
 def cmd_render(cfg) -> tuple:
+    # refuse what cannot be rendered or written before any cell is computed
+    check_width(cfg.width_px)
     if cfg.out:
         _check_out(cfg.out)
     table = _whole_table(cfg, cfg.b)

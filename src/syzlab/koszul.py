@@ -83,33 +83,52 @@ part, so t_0 >= lo = max(ceil(total / (n + 1)), max s) - s_0.  The tensors
 come in exponent_vectors order, t_0 non-increasing, and those of degree e
 with t_0 >= lo are the first binom(e - lo + n, n): all of them when
 lo <= 0, none when lo > e.  Each space's per-weight element counts are
-summed once, when it is grouped, in the same pass as its orbit total, and
-`below` hands its counts over with its groups: unreduced sizes are read
-from them, never recounted.
+summed once, when it is grouped, in the same pass as its orbit total:
+unreduced sizes are read from them, never recounted.
+
+The field width is weight_total.bit_length() + 2, so the guard bit is above
+2 * weight_total.  A packed dominance gap, offset by weight_total, less a
+need with the same offset, stays within its field.  A packed monomial is
+read only inside a wedge (in a wedge sum, or in the star test of a face),
+and a space with wedges of degree-d monomials has tensor degree
+weight_total - (wedge size) * d >= 0, so then d <= weight_total; where
+d > weight_total, as at K_{0,0} of (1, 0, 8), the packed monomials
+overflow their fields and none is read.  Every other exponent a star test
+meets is at most weight_total + 1: a tensor t is at most the weight, so is
+t + m_i for m_i in the element's wedge, and top is the apex, which divides
+x^w, or one above the weight in its first exponent.  So each field of
+packed t + guard - top, and of that plus a packed m_i, lies between
+guard - weight_total - 1 >= 0 and guard + weight_total < 2 * guard, and
+holds the guard bit exactly when the difference is >= 0.
 
 A weight whose quotient has no middle element (every middle element lies
-in the star) contributes 0 in every field.  KoszulCell.iter_ranked, the
-pass betti ranks, settles it from its counts: after the cap estimate on
-the unreduced counts, one scan of its middle classes finds the apex, `top`
-and the kept middle, and finds no element; a SettledWeight is returned, and
-no source list, matrix, composition check or rank follows.  A weight with a
-kept middle is built by block(w) from the same scan.  block(w) itself still
-builds a weight it would settle, as a quotient with no middle.
+in the star) contributes 0 in every field.  KoszulCell.ranked, the step
+betti's pass takes at each weight, settles it from its counts: after the
+cap estimate on the unreduced counts, its kept middle, scanned from its
+middle classes or given by the cell (p - 1, q + 1), is empty; a
+SettledWeight is returned, and no source list, matrix, composition check
+or rank follows.  A weight with a kept middle is built by block(w) from
+the same kept middle.  block(w) itself still builds a weight it would
+settle, as a quotient with no middle.
 
-Neighbouring cells on an antidiagonal share their work.  The source space
-of (p - 1, q + 1), Wedge^p V (x) H(qd + b), is the middle space of (p, q),
-grouped by the same call, and at each weight the d_in of (p - 1, q + 1) is
-the d_out of (p, q) on the same quotient.  A KoszulCell given the cell
-below it, `below`, takes those groups and pops each kept d_in as its d_out.
-The handed-over map's rows are the whole kept middle of (p - 1, q + 1), not
-only the faces this block reaches: its target_dim counts those zero rows
-too, its rank is unchanged.  The cap estimate still comes first in each
-block, and the d_out . d_in = 0 check still runs, on the map handed over.
-A weight the pass settles has no kept middle, so a d_in kept below there
-has no columns: it is dropped (a wider one raises InvariantError).  It
-keeps no d_in for the cell above either: the cell above builds its own
-d_out there, with no rows, since every face of its kept middle would be a
-kept middle element here.
+The cells of one antidiagonal p + q = j are consecutive homology degrees of
+the same complexes: at a weight w, the source space of (p - 1, q + 1),
+Wedge^p V (x) H(qd + b), is the middle space of (p, q), and the d_in of
+(p - 1, q + 1) is the d_out of (p, q), on the same star quotient, since
+the apex and the packing depend on w and the antidiagonal alone.  The
+KoszulCells of one pass share their `spaces` dict, so each space is
+grouped once.  At each weight, ranked() of (p - 1, q + 1) gives the apex,
+top, its kept source and its d_in with that map's rank certificates, and
+ranked() of (p, q) takes them as its apex, top, kept middle and d_out:
+no apex search, scan or build is made twice.  The handed-over map's rows
+are the whole kept middle of (p - 1, q + 1), not only the faces this block
+reaches: its target_dim counts those zero rows too, its rank is unchanged.
+The cap estimate still comes first in each block, and the d_out . d_in = 0
+check still runs, on the map handed over.  Where (p - 1, q + 1) settles,
+it gives its apex and top only: (p, q) scans its own kept middle there and
+builds its d_out, with no rows, since every kept face of its kept middle
+would be a kept middle element of (p - 1, q + 1).  Where (p, q) settles,
+the d_in it was given has no columns, and is dropped.
 """
 
 from __future__ import annotations
@@ -279,8 +298,8 @@ class KoszulBlock(_Unreduced):
     block's contribution to dim K_{p,q} is mid_dim - rank(d_in) - rank(d_out).
     The three dimensions are read off the maps' shapes.  These are the
     quotient's (see the module notes); the full_* fields are the unreduced
-    block's.  The target_dim of a d_out handed over by the cell below also
-    counts zero rows (see the module notes).
+    block's.  The target_dim of a d_out handed over by the cell
+    (p - 1, q + 1) also counts zero rows (see the module notes).
     """
 
     weight: tuple
@@ -290,7 +309,7 @@ class KoszulBlock(_Unreduced):
     full_src_dim: int
     full_middle: list = field(repr=False, compare=False)  # unreduced classes
     # each map's rank certificates, keyed by route: betti fills them, and a
-    # d_in kept for the cell (p + 1, q - 1) takes its dict along as d_out's
+    # d_in handed to the cell (p + 1, q - 1) takes its dict along as d_out's
     in_ranks: dict = field(default_factory=dict, repr=False, compare=False)
     out_ranks: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -314,26 +333,19 @@ class KoszulCell:
     times tensor monomials) and only the elements of dominant weight are
     kept, grouped by weight in classes of one wedge sum, and counted once
     per weight.  block(w) builds the block at a dominant weight lazily, as
-    its star quotient.  iter_ranked(), the pass betti ranks, settles each
-    weight whose quotient has no middle element instead (see the module
-    notes).  Target rows are allocated on demand while applying the
-    differential, so the target space is never enumerated.
+    its star quotient.  ranked(w), the step betti's pass takes, settles a
+    weight whose quotient has no middle element instead, and takes what the
+    cell (p - 1, q + 1) gave at the weight (see the module notes).  Target
+    rows are allocated on demand while applying the differential, so the
+    target space is never enumerated.
 
-    `below`, if given, is the computed cell (p - 1, q + 1) of the same
-    (n, b, d).  The middle groups and their counts are taken from it, and
-    each block pops the d_in that `below` kept at its weight, with its rank
-    certificates, as its d_out (see the module notes); where none was kept,
-    d_out is built.  `below` keeps none of its groups or maps after that, so
-    they are freed as soon as this cell is done with them.  With `keep`,
-    each d_in built is kept for the cell (p + 1, q - 1).
+    `spaces` files each space the cell groups, once, under its wedge size
+    and tensor degree.  betti's pass gives the cells of one antidiagonal of
+    one (n, b, d) one dict, so the source groups of (p - 1, q + 1) are the
+    middle groups of (p, q).
     """
 
-    def __init__(self, params: Parameters, memory_cap: int = DEFAULT_MEMORY_CAP,
-                 below: "KoszulCell" = None, keep: bool = False):
-        if below is not None and below.params != Parameters(
-                params.n, params.b, params.d, params.p - 1, params.q + 1):
-            raise ValueError(f"cell below {params} must be (p - 1, q + 1) of the "
-                             f"same (n, b, d), got {below.params}")
+    def __init__(self, params: Parameters, memory_cap: int = DEFAULT_MEMORY_CAP):
         self.params = params
         self.memory_cap = memory_cap
         self.basis_d = enumerate_basis(params.n, params.d)
@@ -349,30 +361,20 @@ class KoszulCell:
             )
         if src:     # no source element, no composite (and p + 1 may pass v)
             _check_faces_of_faces(params.p + 1)
-        # one packing per cell (see the module notes).  Both spaces, and
-        # those of the cells beside it on its antidiagonal, have wedge size
-        # times d plus tensor degree equal to weight_total.  Every exponent a
-        # star test meets, of a tensor, a tensor times a degree-d monomial or
-        # a block's top, is at most weight_total + d: the first term keeps it
-        # below the guard bit.  A packed dominance gap is at most twice
-        # weight_total above the guard bit: the second keeps it in its field
-        total = params.weight_total
-        self._width = width = max((total + params.d).bit_length() + 1,
-                                  total.bit_length() + 2)
+        # one packing per cell, the same for every cell of its antidiagonal,
+        # whose spaces all have wedge size times d plus tensor degree equal
+        # to weight_total.  A packed dominance gap is at most twice
+        # weight_total above the guard bit, and every exponent a star test
+        # meets is at most weight_total + 1 (see the module notes)
+        self._width = width = params.weight_total.bit_length() + 2
         self._guards = _pack([1 << (width - 1)] * (params.n + 1), width)
         self._packed = [_pack(m, width) for m in self.basis_d.monomials]
         # the sign of each face of a wedge, by the position of the factor it
         # drops: a middle wedge's p faces take the first p
         self._signs = [sign for _, _, sign in _faces(tuple(range(params.p + 1)))]
+        self.spaces = {}    # (wedge size, tensor degree) -> (groups, counts)
         self._middle = self._source = None      # {dominant weight: classes}
         self._middle_counts = self._source_counts = None    # {weight: elements}
-        self._handed = {}           # dominant weight -> (d_out, its certificates)
-        self._kept = {} if keep else None
-        if below is not None:   # take over what it holds, and free the rest
-            below._ensure_groups()
-            self._middle, self._middle_counts = below._source, below._source_counts
-            self._handed = below._kept or {}
-            below._middle = below._source = below._kept = None
 
     def expected_middle_dim(self) -> int:
         p = self.params
@@ -430,22 +432,25 @@ class KoszulCell:
     def _counted(self, wedge_size: int, tensor_degree: int, expected: int) -> tuple:
         """(groups, {weight: number of elements}) of one space, each weight's
         classes counted once; the orbit total, the size of the whole space
-        the dominant groups stand for, must be `expected`."""
-        groups = self._grouped(wedge_size, tensor_degree)
-        counts = {w: sum([len(wedges) for _, wedges in group])
-                  for w, group in groups.items()}
-        total = sum([distinct_permutations_count(w) * c for w, c in counts.items()])
-        if total != expected:
-            raise InvariantError(f"orbit total {total} of the dominant groups "
-                                 f"of {self.params}, not {expected}")
-        return groups, counts
+        the dominant groups stand for, must be `expected`.  A space is
+        grouped once for all the cells that share `spaces`."""
+        key = wedge_size, tensor_degree
+        if key not in self.spaces:
+            groups = self._grouped(wedge_size, tensor_degree)
+            counts = {w: sum([len(wedges) for _, wedges in group])
+                      for w, group in groups.items()}
+            total = sum([distinct_permutations_count(w) * c for w, c in counts.items()])
+            if total != expected:
+                raise InvariantError(f"orbit total {total} of the dominant groups "
+                                     f"of {self.params}, not {expected}")
+            self.spaces[key] = groups, counts
+        return self.spaces[key]
 
     def _ensure_groups(self):
         if self._source is None:
             par = self.params
-            if self._middle is None:
-                self._middle, self._middle_counts = self._counted(
-                    par.p, par.middle_degree, self.expected_middle_dim())
+            self._middle, self._middle_counts = self._counted(
+                par.p, par.middle_degree, self.expected_middle_dim())
             self._source, self._source_counts = self._counted(
                 par.p + 1, par.source_degree, self.expected_source_dim())
 
@@ -461,9 +466,11 @@ class KoszulCell:
         assert all(sum(w) == total for w in ws)
         return ws
 
-    def block(self, weight, scan=None) -> KoszulBlock:
+    def block(self, weight, kept=None, d_out=None) -> KoszulBlock:
         """The block at a dominant weight, as ranked: its star quotient.
-        `scan` is the weight's _scan, where the caller has made it.
+        `kept` is the weight's (kept middle, kept source), where ranked()
+        has scanned them, and `d_out` the (d_in, rank certificates) of the
+        cell (p - 1, q + 1) there, where that cell built one.
 
         Any other weight raises ValueError; its block is isomorphic to its
         dominant rearrangement's (see the module notes)."""
@@ -471,23 +478,37 @@ class KoszulCell:
         if any(a < c for a, c in zip(weight, weight[1:])):
             raise ValueError(f"weight {weight} is not dominant")
         self._ensure_groups()
-        return self._build(weight, self._scan(weight) if scan is None else scan)
+        return self._build(weight, self._scan(weight) if kept is None else kept, d_out)
 
-    def iter_ranked(self):
-        """What betti ranks at each dominant weight, in the order of
-        weights(): a SettledWeight where the star quotient has no middle
-        element, else the block, built from the same scan."""
-        for w in self.weights():
-            yield self._ranked(w)
+    def ranked(self, weight, given=None) -> tuple:
+        """(what betti ranks at a dominant weight, what this cell gives there).
+        The first is a SettledWeight where the star quotient has no middle
+        element, else the block.  `given` is what the cell ranked before it
+        at the weight gave, or None, and is taken only from the cell
+        (p - 1, q + 1): its apex and top, its kept source, which is this
+        cell's kept middle, and its d_in with the certificates, this cell's
+        d_out (see the module notes).  The cap check on the unreduced counts
+        comes first."""
+        self._check_cap(weight)
+        p = self.params.p
+        apex, top, middle, d_out = (given[1:] if given and given[0] == p - 1
+                                    else (*self._apex(weight), None, None))
+        if middle is None:
+            middle = self._kept_elements(self._middle.get(weight, []), apex, top)
+        if not middle:
+            return SettledWeight(weight, *self._unreduced(weight)), (p, apex, top, None, None)
+        source = self._kept_elements(self._source.get(weight, []), apex, top)
+        block = self.block(weight, (middle, source), d_out)
+        return block, (p, apex, top, source, (block.d_in, block.in_ranks))
 
-    def _ranked(self, weight):
-        # the scan's kept middle, as long as the block's, is dropped on
-        # return, before the next weight is scanned
-        scan = self._scan(weight)
-        return self.block(weight, scan) if scan[2] else self._settle(weight)
+    def _unreduced(self, weight) -> tuple:
+        """(full_mid_dim, full_src_dim, full_middle) of the unreduced block."""
+        return (self._middle_counts.get(weight, 0), self._source_counts.get(weight, 0),
+                self._middle.get(weight, []))
 
-    def _check_cap(self, weight, middle: int, source: int):
+    def _check_cap(self, weight):
         """Refuse a block whose unreduced bases and maps would exceed the cap."""
+        middle, source, _ = self._unreduced(weight)
         est = _estimate_bytes(middle, source, self.params.p)
         if est > self.memory_cap:
             raise InfeasibleBlockError(
@@ -496,21 +517,23 @@ class KoszulCell:
                 estimated_bytes=est, cap=self.memory_cap,
             )
 
-    def _scan(self, weight) -> tuple:
-        """(apex, top, kept middle) at a weight: the memory-cap estimate on
-        its unreduced counts first, then the apex of its star and the middle
-        elements outside the star."""
-        self._check_cap(weight, self._middle_counts.get(weight, 0),
-                        self._source_counts.get(weight, 0))
-        # the apex: the first degree-d monomial dividing x^weight.  With none
-        # the star is empty, and `top`, one above the weight in its first
-        # exponent, is a monomial that no tensor of the block (each at most
-        # the weight) reaches
+    def _apex(self, weight) -> tuple:
+        """(apex, top) at a weight: the first degree-d monomial dividing
+        x^weight, and its packed exponents.  With none the star is empty,
+        and `top`, one above the weight in its first exponent, is a monomial
+        that no tensor of the block (each at most the weight) reaches."""
         apex = next((i for i, m in enumerate(self.basis_d.monomials)
                      if all(map(ge, weight, m))), None)
-        top = (self._packed[apex] if apex is not None
-               else _pack((weight[0] + 1,) + weight[1:], self._width))
-        return apex, top, self._kept_elements(self._middle.get(weight, []), apex, top)
+        return apex, (self._packed[apex] if apex is not None
+                      else _pack((weight[0] + 1,) + weight[1:], self._width))
+
+    def _scan(self, weight) -> tuple:
+        """(kept middle, kept source) at a weight, after the cap check:
+        block(w) alone scans them."""
+        self._check_cap(weight)
+        apex, top = self._apex(weight)
+        return (self._kept_elements(self._middle.get(weight, []), apex, top),
+                self._kept_elements(self._source.get(weight, []), apex, top))
 
     def _kept_elements(self, group, apex, top) -> list:
         """The elements of a group outside the star: the apex divides no kept
@@ -521,31 +544,13 @@ class KoszulCell:
                 if (s := packed - top) & guards != guards
                 for wedge in wedges if apex not in wedge]
 
-    def _pop_handed(self, weight, width: int):
-        """The (d_out, certificates) the cell below handed over at a weight,
-        or None; a d_out not `width` columns wide raises."""
-        handed = self._handed.pop(weight, None)
-        if handed is not None and handed[0].cols != width:
-            raise InvariantError(f"d_out at weight {weight} has {handed[0].cols} columns, "
-                                 f"the kept middle {width} elements")
-        return handed
-
-    def _settle(self, weight) -> SettledWeight:
-        """A weight whose quotient has no middle, from its counts alone.  A
-        d_out handed over here is dropped, and no d_in is kept: the cell
-        above builds its own d_out here, which has no entries."""
-        self._pop_handed(weight, 0)
-        return SettledWeight(weight, self._middle_counts.get(weight, 0),
-                             self._source_counts.get(weight, 0), self._middle.get(weight, []))
-
-    def _build(self, weight, scan) -> KoszulBlock:
+    def _build(self, weight, kept, d_out=None) -> KoszulBlock:
         """Matrices of the block at `weight` on its quotient by the star of
-        the scan's apex, d_out taken from the cell below where it kept one.
-        The d_out . d_in = 0 check of the quotient's matrices comes last
-        (that of the unreduced block is made once per cell: see the module
-        notes)."""
-        apex, top, middle = scan
-        source = self._kept_elements(self._source.get(weight, []), apex, top)
+        its apex, whose kept elements are `kept`, d_out taken from the cell
+        (p - 1, q + 1) where it built one.  The d_out . d_in = 0 check of
+        the quotient's matrices comes last (that of the unreduced block is
+        made once per cell: see the module notes)."""
+        middle, source = kept
         guards, packed_monomials = self._guards, self._packed
 
         def columns(elements, row_of, size):
@@ -561,27 +566,19 @@ class KoszulCell:
                                  if (s + packed_monomials[i]) & guards != guards])
                           for wedge, s in elements])
 
-        handed = self._pop_handed(weight, len(middle))
-        if handed is None:
+        if d_out is None:
             target_index = defaultdict()     # numbers the faces 0, 1, ... as met
             target_index.default_factory = target_index.__len__
             out_columns = columns(middle, target_index, self.params.p)
-            handed = SparseMatrix(len(target_index), len(middle), out_columns), {}
-        d_out, out_ranks = handed
+            d_out = SparseMatrix(len(target_index), len(middle), out_columns), {}
+        d_out, out_ranks = d_out
         # weight preservation: every kept face of a source element is a kept
         # middle element of this block
         mid_index = {wedge: i for i, (wedge, _) in enumerate(middle)}
         d_in = SparseMatrix(len(middle), len(source),
                             columns(source, mid_index, self.params.p + 1))
         self._check_composition_zero(d_out, d_in, weight)
-        full_src = self._source_counts.get(weight, 0)
-        block = KoszulBlock(weight=weight, d_in=d_in, d_out=d_out,
-                            full_mid_dim=self._middle_counts.get(weight, 0),
-                            full_src_dim=full_src, full_middle=self._middle.get(weight, []),
-                            out_ranks=out_ranks)
-        if self._kept is not None and full_src:  # else (p + 1, q - 1) has no block here
-            self._kept[weight] = d_in, block.in_ranks
-        return block
+        return KoszulBlock(weight, d_in, d_out, *self._unreduced(weight), out_ranks=out_ranks)
 
     @staticmethod
     def _check_composition_zero(d_out: SparseMatrix, d_in: SparseMatrix, weight):
@@ -593,8 +590,3 @@ class KoszulCell:
                     acc[tgt_row] = acc.get(tgt_row, 0) + sign_in * sign_out
             if any(acc.values()):
                 raise InvariantError(f"d_out . d_in != 0 at weight {weight}")
-
-    def iter_blocks(self):
-        """The blocks at the dominant weights, in the order of weights()."""
-        for w in self.weights():
-            yield self.block(w)

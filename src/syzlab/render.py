@@ -24,12 +24,17 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
+def check_width(width_px: int) -> None:
+    """Refuse a width too narrow for the margins and a plot."""
+    if width_px < 100:
+        raise ValueError(f"width_px too small: {width_px}")
+
+
 def render_normalized_diagram(table: BettiTable, width_px: int = 640,
                               comment: str = None) -> str:
     """SVG text for a table; zero cells are blank, an all-zero table renders
     an empty frame rather than failing."""
-    if width_px < 100:
-        raise ValueError(f"width_px too small: {width_px}")
+    check_width(width_px)
     q_lo, q_hi = table.q_range
     n_rows = q_hi - q_lo + 1
     plot_w = width_px - _MARGIN_LEFT - _MARGIN_RIGHT

@@ -21,7 +21,8 @@ before it was indexed by wedge sum: every wedge against every tensor, one
 (wedge, tensor) element at a time.  A cell's groups hold (packed tensor,
 wedges) classes; wedges_of and elements read them back as wedges, or as
 (wedge, tensor) elements, an element's tensor being the weight less its
-wedge sum.
+wedge sum.  iter_blocks and iter_ranked walk one cell's dominant weights
+alone: every block built, or what the pass would rank there.
 """
 
 from __future__ import annotations
@@ -206,16 +207,32 @@ def brute_ssyt_count(shape, content) -> int:
     return rec(0)
 
 
+def iter_blocks(cell: KoszulCell):
+    """The blocks of a cell at its dominant weights, in the order of
+    weights(), each built alone."""
+    for w in cell.weights():
+        yield cell.block(w)
+
+
+def iter_ranked(cell: KoszulCell):
+    """What the pass ranks at each dominant weight of a cell alone, in the
+    order of weights(): a SettledWeight where the star quotient has no
+    middle element, else the block."""
+    for w in cell.weights():
+        yield cell.ranked(w)[0]
+
+
 class UnreducedCell(KoszulCell):
     """A KoszulCell whose blocks are the whole weight blocks, as built before
     each block was reduced by a vertex star: full bases, full matrices, and
-    the d_out . d_in = 0 check on the full matrices.  It settles no weight:
-    its pass builds every block."""
+    the d_out . d_in = 0 check on the full matrices.  It settles no weight,
+    and neither gives nor takes a map at a weight: the pass builds each of
+    its blocks whole."""
 
-    def iter_ranked(self):
-        return self.iter_blocks()
+    def ranked(self, weight, given=None):
+        return self.block(weight), None
 
-    def _build(self, weight, scan):
+    def _build(self, weight, kept, d_out=None):
         # the scan made the cap check; the whole block ignores its star
         full_middle = self._middle.get(weight, [])
         middle, source = wedges_of(full_middle), wedges_of(self._source.get(weight, []))
@@ -337,7 +354,7 @@ def all_weights_cell(n, b, d, p, q, config, cell_class=AllWeightsCell) -> dict:
     dim = block_count = max_block = 0
     all_exact = all_agree = True
     dominant = {}    # dominant weight -> (contribution, exact, agreement)
-    for block in cell.iter_blocks():
+    for block in iter_blocks(cell):
         r_in, r_out, exact, agree = betti._block_ranks(block, config)
         assert r_in + r_out <= block.mid_dim
         ranked = (block.mid_dim - r_in - r_out, exact, agree)

@@ -1,20 +1,24 @@
-"""betti_table's pass, one antidiagonal at a time, changes no answer.
+"""The weight-first pass over each antidiagonal changes no answer.
 
-The table pass computes each cell (p, q) right after (p - 1, q + 1) and
-takes from it the middle groups, the d_out maps and their rank
-certificates.  Every field of every cell must be what cell_result gives
-for that cell alone, also where the store, a vanishing theorem or the
-memory cap breaks the chain in the middle of an antidiagonal.
+betti computes the cells of one antidiagonal p + q = j in one pass: at each
+dominant weight it ranks the cells with a middle there in ascending p, and
+the d_in a cell builds, with its rank certificates and its kept elements,
+is the d_out and kept middle of the cell (p + 1, q - 1) at that weight.
+Every field of every cell must be what cell_result gives for that cell
+alone, and so must every weight's contribution, also where the store, a
+vanishing theorem or the memory cap takes a cell out of the pass, and
+where the cap refuses a cell at a later weight, after its maps at earlier
+weights were used.
 """
 
-import contextlib
+import json
 
 import pytest
 
 from syzlab import betti, linalg
 from syzlab.betti import ResultStore, betti_table, cell_result, make_config
-from syzlab.koszul import InfeasibleBlockError, KoszulCell, Parameters
-from syzlab.linalg import InvariantError, SparseMatrix, rank_mod_p
+from syzlab.koszul import KoszulBlock, KoszulCell, Parameters, SettledWeight
+from syzlab.linalg import rank_mod_p
 
 TWO_PRIME = make_config()
 EXACT = make_config("exact")
@@ -38,120 +42,176 @@ def fields(res):
             res.analytic)
 
 
-def assert_cell_by_cell(table, config, ranked=None):
-    """Every cell of the table is the cell computed alone; with `ranked`,
-    what weight_blocks gave in the table pass, so is every block."""
-    for computed_or_refused in (table.cells, table.failures):
-        assert list(computed_or_refused) == [
-            pq for pq in table.window_cells() if pq in computed_or_refused]
-    alone_ranked = {}
-    for (p, q), res in table.cells.items():
-        with recording(alone_ranked):
-            alone = cell_result(table.n, table.b, table.d, p, q, config)
-        assert fields(res) == fields(alone), (table.n, table.b, table.d, p, q)
-    if ranked is not None:
-        assert ranked == alone_ranked
+@pytest.fixture
+def ranked(monkeypatch):
+    """{(p, q): [(weight, contribution, exact, agreement), ...]} as the pass
+    gives them, for every pass run while the fixture is live."""
+    seen = {}
+    original = betti._pass
 
+    def recording(cells, config):
+        for i, item in original(cells, config):
+            if not isinstance(item, Exception):
+                par = cells[i].params
+                seen.setdefault((par.p, par.q), []).append((item[0].weight, *item[1:]))
+            yield i, item
 
-@contextlib.contextmanager
-def recording(ranked):
-    """Record, per cell, each block's (weight, contribution, exact, agreement)
-    as weight_blocks gives them."""
-    original = betti.weight_blocks
-
-    def weight_blocks(n, b, d, p, q, config, cell=None):
-        out = ranked.setdefault((p, q), [])
-        for block, *rest in original(n, b, d, p, q, config, cell):
-            out.append((block.weight, *rest))
-            yield (block, *rest)
-
-    betti.weight_blocks = weight_blocks
-    try:
-        yield
-    finally:
-        betti.weight_blocks = original
-
-
-class Spy(KoszulCell):
-    """Records, for each cell made, the cell below it and the maps handed over."""
-
-    made = {}
-
-    def __init__(self, params, memory_cap=betti.DEFAULT_MEMORY_CAP, below=None, keep=False):
-        super().__init__(params, memory_cap, below=below, keep=keep)
-        Spy.made[(params.p, params.q)] = (
-            below and (below.params.p, below.params.q), len(self._handed), keep)
-        self.handed_left = self._handed
+    monkeypatch.setattr(betti, "_pass", recording)
+    return seen
 
 
 @pytest.fixture
-def spy(monkeypatch):
-    Spy.made = {}
-    monkeypatch.setattr(betti, "KoszulCell", Spy)
-    return Spy.made
+def steps(monkeypatch):
+    """Every ranked() step of the pass, as (cell (p, q), weight, what it
+    took from the cell (p - 1, q + 1) there, or None, what it ranked).  What
+    it took is (apex, top, kept middle or None, (d_out, certificates) or
+    None)."""
+    seen = []
+    original = KoszulCell.ranked
+
+    def ranked(self, weight, given=None):
+        item, gave = original(self, weight, given)
+        took = given[1:] if given and given[0] == self.params.p - 1 else None
+        seen.append(((self.params.p, self.params.q), weight, took, item))
+        return item, gave
+
+    monkeypatch.setattr(KoszulCell, "ranked", ranked)
+    return seen
+
+
+def assert_cell_by_cell(table, config, ranked=None):
+    """Every cell of the table is the cell computed alone; with `ranked`,
+    what the pass gave over the table, so is every weight of every cell."""
+    for computed_or_refused in (table.cells, table.failures):
+        assert list(computed_or_refused) == [
+            pq for pq in table.window_cells() if pq in computed_or_refused]
+    in_table = dict(ranked or {})
+    if ranked is not None:
+        ranked.clear()
+    for (p, q), res in table.cells.items():
+        alone = cell_result(table.n, table.b, table.d, p, q, config)
+        assert fields(res) == fields(alone), (table.n, table.b, table.d, p, q)
+    if ranked is not None:
+        assert in_table and all(ranked[pq] == items for pq, items in in_table.items()
+                                if pq in table.cells)
 
 
 @pytest.mark.parametrize("nbd,p_range,q_range,config", WINDOWS,
                          ids=[f"{''.join(map(str, w[0]))}-{w[1]}-{w[2]}-{w[3].mode}"
                               for w in WINDOWS])
-def test_table_pass_matches_cell_by_cell(nbd, p_range, q_range, config, spy):
-    ranked = {}
-    with recording(ranked):
-        table = betti_table(*nbd, p_range, q_range, config)
+def test_table_pass_matches_cell_by_cell(nbd, p_range, q_range, config, ranked, steps):
+    table = betti_table(*nbd, p_range, q_range, config)
     assert not table.failures and not table.missing_cells()
-    assert sum(handed for _, handed, _ in spy.values()) > 0     # the chain is used
-    for (p, q), (below, _, keep) in spy.items():
-        assert below in (None, (p - 1, q + 1))
-        assert keep == ((p + 1, q - 1) in table.cells
-                        and not table.cells[(p + 1, q - 1)].analytic)
+    assert any(given and given[3] for *_, given, _ in steps)     # maps are handed over
+    for (p, q), _, given, _ in steps:
+        assert given is None or (p - 1, q + 1) in table.cells
+    steps.clear()
     assert_cell_by_cell(table, config, ranked)
+    assert not any(given for *_, given, _ in steps)     # a cell alone is given nothing
 
 
-def test_every_handed_map_is_used(monkeypatch):
-    # a cell keeps a d_in only where the cell (p + 1, q - 1) has a block
-    cells = []
-
-    class Recording(Spy):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            cells.append(self)
-
-    monkeypatch.setattr(betti, "KoszulCell", Recording)
+def test_every_handed_map_is_used(steps):
+    # a d_in handed over is the d_out of the block built there, with its
+    # certificates, and has no columns where the cell settles
     betti_table(2, 0, 3)
-    assert cells and all(not cell.handed_left for cell in cells)
+    handed = settled = 0
+    for _, _, given, item in steps:
+        if given is None or given[3] is None:
+            continue
+        d_in, certificates = given[3]
+        if isinstance(item, SettledWeight):
+            assert d_in.cols == 0
+            settled += 1
+        else:
+            assert item.d_out is d_in and item.out_ranks is certificates
+            assert certificates         # ranked in its d_in role first
+            handed += 1
+    assert handed and settled
 
 
-def test_store_hit_mid_antidiagonal_breaks_the_chain(tmp_path, spy):
+def test_handed_d_out_has_the_built_rank(steps):
+    # its rows are the whole kept middle of the cell below: more rows, the
+    # same entries and the same rank as the d_out the cell builds alone
+    betti_table(2, 0, 3, (2, 3), (1, 2))      # (2, 2) hands (3, 1) its maps
+    field = linalg._field(TWO_PRIME.primes[0])
+    handed = [(pq, w, item) for pq, w, given, item in steps
+              if pq == (3, 1) and given and given[3] and isinstance(item, KoszulBlock)]
+    assert handed
+    alone = KoszulCell(Parameters(2, 0, 3, 3, 1))
+    for _, weight, block in handed:
+        own = alone.block(weight)
+        assert block.d_out.cols == own.d_out.cols
+        assert block.target_dim >= own.target_dim
+        assert block.d_out.nnz == own.d_out.nnz
+        assert rank_mod_p(block.d_out, field) == rank_mod_p(own.d_out, field)
+
+
+def test_store_hit_mid_antidiagonal_breaks_the_chain(tmp_path, ranked, steps):
     store = ResultStore(str(tmp_path))
     # antidiagonal 5 of (2, 0, 3) runs (2, 3), (3, 2), (4, 1), (5, 0)
     cell_result(2, 0, 3, 3, 2, TWO_PRIME, store)
-    spy.clear()
+    steps.clear()
     table = betti_table(2, 0, 3, config=TWO_PRIME, store=store)
-    assert (3, 2) not in spy
-    assert spy[(2, 3)][2] and spy[(4, 1)][:2] == (None, 0)
-    assert spy[(5, 0)][0] == (4, 1)
-    assert_cell_by_cell(table, TWO_PRIME)
+    assert not any(pq == (3, 2) for pq, *_ in steps)
+    assert not any(given for pq, _, given, _ in steps if pq == (4, 1))
+    assert any(given and given[3] for pq, _, given, _ in steps if pq == (5, 0))
+    assert_cell_by_cell(table, TWO_PRIME, ranked)
     assert all(store.get(ResultStore.key_of(2, 0, 3, p, q, TWO_PRIME)) is not None
                for p, q in table.window_cells())
 
 
-def test_memory_cap_refusal_mid_antidiagonal_breaks_the_chain(monkeypatch, spy):
-    # the cell (4, 1) is refused at its second block, after the cell below
-    # handed it maps; (5, 0) then builds its own d_out
-    class RefuseOne(Spy):
-        def _check_cap(self, weight, middle, source):
-            if (self.params.p, self.params.q) == (4, 1) and weight != self.weights()[0]:
-                raise InfeasibleBlockError(f"refused at {weight}", weight=weight)
-            super()._check_cap(weight, middle, source)
+def test_analytic_zeros_and_a_refused_cell_leave_the_pass(tmp_path, ranked, steps):
+    # on (1, 0, 8) with q in [-1, 3] every antidiagonal starts and ends with
+    # an analytic zero; on (2, 0, 3) a cap of 500,000 bytes refuses (2, 2)
+    # when it is made, between (1, 3) and (3, 1), which are computed
+    store = ResultStore(str(tmp_path))
+    table = betti_table(1, 0, 8, q_range=(-1, 3), store=store)
+    assert {q for (_, q), res in table.cells.items() if res.analytic} == {-1, 3}
+    assert not any(pq[1] in (-1, 3) for pq, *_ in steps)
+    # the store holds the analytic zeros where their cells are, in ascending
+    # antidiagonal and ascending p
+    with open(store.path, encoding="utf-8") as fh:
+        put = [(rec["p"], rec["q"]) for rec in (json.loads(line)["record"] for line in fh)]
+    assert put == sorted(table.cells, key=lambda pq: (pq[0] + pq[1], pq[0]))
+    assert_cell_by_cell(table, TWO_PRIME, ranked)
 
-    monkeypatch.setattr(betti, "KoszulCell", RefuseOne)
+    capped = make_config(memory_cap=500_000)
+    steps.clear()
+    ranked.clear()
+    table = betti_table(2, 0, 3, config=capped)
+    assert (2, 2) in table.failures and table.failures[(2, 2)].startswith("cell ")
+    assert {(1, 3), (3, 1), (4, 0)} <= set(table.cells)
+    assert not any(pq == (2, 2) for pq, *_ in steps)
+    assert not any(given for pq, _, given, _ in steps if pq == (3, 1))
+    assert any(given and given[3] for pq, _, given, _ in steps if pq == (4, 0))
+    assert_cell_by_cell(table, capped, ranked)
+
+
+def test_memory_cap_refusal_mid_antidiagonal_breaks_the_chain(monkeypatch, ranked, steps):
+    # the cell (3, 2) is refused at the weight after the first one where it
+    # hands (4, 1) a d_in; (4, 1) builds its own d_out from there on
+    below = KoszulCell(Parameters(2, 0, 3, 3, 2))
+    above = set(KoszulCell(Parameters(2, 0, 3, 4, 1)).weights())
+    weights = below.weights()
+    handing = next(k for k, w in enumerate(weights)
+                   if w in above and isinstance(below.ranked(w)[0], KoszulBlock))
+    refused_at = weights[handing + 1]
+
+    class RefuseLater(KoszulCell):
+        def _check_cap(self, weight):
+            if (self.params.p, self.params.q) == (3, 2) and weight == refused_at:
+                raise betti.InfeasibleBlockError(f"refused at {weight}", weight=weight)
+            super()._check_cap(weight)
+
+    monkeypatch.setattr(betti, "KoszulCell", RefuseLater)
+    steps.clear()
     table = betti_table(2, 0, 3)
-    assert list(table.failures) == [(4, 1)]
-    below, handed, _ = spy[(4, 1)]
-    assert below == (3, 2) and handed > 0
-    assert spy[(5, 0)][:2] == (None, 0)
+    assert table.failures == {(3, 2): f"refused at {refused_at}"}
+    given_above = [(w, given) for pq, w, given, _ in steps if pq == (4, 1)]
+    assert any(given and given[3] for w, given in given_above if w > refused_at)
+    assert not any(given for w, given in given_above if w <= refused_at)
     monkeypatch.setattr(betti, "KoszulCell", KoszulCell)
-    assert_cell_by_cell(table, TWO_PRIME)
+    assert_cell_by_cell(table, TWO_PRIME, ranked)
 
 
 def test_table_pass_certifies_fewer_maps(monkeypatch):
@@ -171,47 +231,30 @@ def test_table_pass_certifies_fewer_maps(monkeypatch):
         {pq: fields(res) for pq, res in alone.items()}
 
 
-def computed(params, **kwargs):
-    cell = KoszulCell(params, **kwargs)
-    return cell, list(cell.iter_blocks())
+def test_table_pass_counts(monkeypatch):
+    # the tables of perfbench's surface-tables workload, and (1, 6, 8)
+    certified, built = [], []
+    certify, block = betti.certified_rank, KoszulCell.block
+
+    def counting_block(self, *args, **kwargs):
+        built.append(self.params)
+        return block(self, *args, **kwargs)
+
+    monkeypatch.setattr(betti, "certified_rank",
+                        lambda *args: certified.append(args) or certify(*args))
+    monkeypatch.setattr(KoszulCell, "block", counting_block)
+    for nbd in [(2, 0, 3), (2, 1, 3), (1, 0, 8), (1, 6, 8)]:
+        betti_table(*nbd)
+    assert (len(certified), len(built)) == (504, 445)
 
 
-def test_handed_d_out_has_the_built_rank():
-    # its rows are the whole kept middle of the cell below: more rows, the
-    # same entries and the same rank
-    below, _ = computed(Parameters(2, 0, 3, 2, 2), keep=True)
-    handed = {w: m for w, (m, _) in below._kept.items()}
-    _, blocks = computed(Parameters(2, 0, 3, 3, 1), below=below)
-    assert below._middle is below._source is below._kept is None   # all handed over
-    _, alone = computed(Parameters(2, 0, 3, 3, 1))
-    assert len(handed) == len(blocks) > 0
-    field = linalg._field(TWO_PRIME.primes[0])
-    for block, own in zip(blocks, alone):
-        assert block.d_out is handed[block.weight]
-        assert block.d_out.cols == own.d_out.cols
-        assert block.target_dim >= own.target_dim
-        assert block.d_out.nnz == own.d_out.nnz
-        assert rank_mod_p(block.d_out, field) == rank_mod_p(own.d_out, field)
-
-
-@pytest.mark.parametrize("below", [(2, 0, 3, 2, 1), (2, 0, 3, 3, 2), (2, 1, 3, 2, 2),
-                                   (1, 0, 3, 2, 2), (2, 0, 3, 1, 3)])
-def test_below_must_be_the_cell_p_minus_1_q_plus_1(below):
-    with pytest.raises(ValueError, match="p - 1, q \\+ 1"):
-        KoszulCell(Parameters(2, 0, 3, 3, 1), below=KoszulCell(Parameters(*below)))
-
-
-def test_handed_d_out_of_the_wrong_width_is_refused():
-    below, _ = computed(Parameters(1, 0, 3, 1, 2), keep=True)
-    weight, (d_in, ranks) = next(iter(below._kept.items()))
-    below._kept[weight] = SparseMatrix(d_in.rows, d_in.cols + 1, d_in.columns + ((),)), ranks
-    with pytest.raises(InvariantError, match="columns"):
-        KoszulCell(Parameters(1, 0, 3, 2, 1), below=below).block(weight)
-
-
-def test_single_cells_keep_nothing(spy):
+def test_single_cells_keep_nothing(monkeypatch, steps):
+    # a lone cell is the pass over that cell alone: nothing is handed to it
+    passes = []
+    original = betti._pass
+    monkeypatch.setattr(betti, "_pass",
+                        lambda cells, config: passes.append(len(cells)) or original(cells, config))
     cell_result(2, 0, 3, 3, 1)
-    assert spy == {(3, 1): (None, 0, False)}
-    cell = KoszulCell(Parameters(2, 0, 3, 3, 1))
-    list(cell.iter_blocks())
-    assert cell._kept is None
+    list(betti.weight_blocks(2, 0, 3, 4, 1, TWO_PRIME))
+    assert passes == [1, 1]
+    assert steps and not any(given for *_, given, _ in steps)

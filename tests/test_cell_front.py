@@ -22,7 +22,7 @@ from syzlab.arith import binom_safe
 from syzlab.betti import default_q_lo
 from syzlab.koszul import KoszulCell, Parameters, _faces, _pack
 
-from helpers import elements, grouped_all_pairs, wedges_of
+from helpers import elements, grouped_all_pairs, iter_blocks, wedges_of
 
 LIMITS = (0, 1, 16, 256, 10 ** 6)
 
@@ -118,7 +118,7 @@ def full_out_size(block) -> int:
 def test_route_sizes_decide_as_the_full_count(nbd):
     exits = 0
     for par in table_params(*nbd):
-        for block in KoszulCell(par).iter_blocks():
+        for block in iter_blocks(KoszulCell(par)):
             size_out = full_out_size(block)
             for limit in LIMITS:
                 got_in, got_out = block.full_sizes(limit)

@@ -327,6 +327,17 @@ def test_unwritable_out_is_refused_before_any_cell(capsys, tmp_path, where):
         assert fh.read() == before
 
 
+def test_narrow_width_is_refused_before_any_cell(capsys, monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("betti_table was called")
+
+    monkeypatch.setattr(syzlab.cli, "betti_table", no_table)
+    code, out, err = run(capsys, "render", "--n", "2", "--b", "0", "--d", "3",
+                         "--width-px", "50", "--no-cache")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "syzlab: usage error: width_px too small: 50\n"
+
+
 @pytest.mark.parametrize("how", ["flag", "env"])
 def test_store_path_that_is_a_file_is_usage_error(capsys, tmp_path, monkeypatch, how):
     path = tmp_path / "not-a-directory"

@@ -48,16 +48,6 @@ def block_222():
     return KoszulCell(Parameters(2, 0, 2, 2, 1)).block((2, 2, 2))
 
 
-def wide_handoff():
-    # the cell below hands over a d_out with one column too many
-    below = KoszulCell(Parameters(1, 0, 3, 1, 2), keep=True)
-    list(below.iter_blocks())
-    weight, (d_in, ranks) = next(iter(below._kept.items()))
-    below._kept[weight] = linalg.SparseMatrix(
-        d_in.rows, d_in.cols + 1, d_in.columns + ((),)), ranks
-    return KoszulCell(Parameters(1, 0, 3, 2, 1), below=below).block(weight)
-
-
 WEYL = schur.weyl_dim
 EXPONENTS = koszul.exponent_vectors
 cases = {
@@ -70,13 +60,12 @@ cases = {
                              lambda: KoszulCell(Parameters(1, 0, 3, 2, 1))),
     "composition": ([(koszul, "_faces", flat_faces),
                      (koszul, "_check_faces_of_faces", no_check)], block_222),
-    "handoff_width": ([], wide_handoff),
     "rank_sum": ([(betti, "_block_ranks", too_large_ranks)],
-                 lambda: betti._compute_cell(1, 0, 2, 1, 1, betti.make_config())),
+                 lambda: betti.cell_result(1, 0, 2, 1, 1, betti.make_config())),
     # every quotient map of (1, 0, 2, 1, 1) has no entries and is never
     # eliminated; (1, 0, 3, 1, 1) has one 2x1 map on the exact route
     "modular_le_exact": ([(linalg, "_rank_mod", one_above)],
-                         lambda: betti._compute_cell(1, 0, 3, 1, 1, betti.make_config())),
+                         lambda: betti.cell_result(1, 0, 3, 1, 1, betti.make_config())),
     # the grouping loses elements: the orbits no longer fill the space
     "orbit_total": ([(koszul, "exponent_vectors", drop_last_tensor)],
                     lambda: KoszulCell(Parameters(1, 0, 2, 1, 1)).weights()),
@@ -110,7 +99,6 @@ def test_result_guards_hold_under_python_O():
         "InvariantError d_out . d_in != 0 on the wedges of size 3")
     assert lines["composition"].startswith(
         "InvariantError d_out . d_in != 0 at weight (2, 2, 2)")
-    assert lines["handoff_width"].startswith("InvariantError d_out at weight")
     assert lines["rank_sum"].startswith("InvariantError ranks")
     assert lines["modular_le_exact"].startswith("InvariantError rank mod ")
     assert lines["orbit_total"].startswith("InvariantError orbit total ")

@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from syzlab import koszul
+from syzlab import betti, koszul
 from syzlab.arith import binom_safe
 from syzlab.koszul import InfeasibleBlockError, KoszulCell, Parameters, _delta_terms, _faces
 from syzlab.monomials import distinct_permutations_count, enumerate_basis
@@ -15,6 +15,7 @@ from helpers import (
     delta_terms_block,
     fraction_rank,
     full_complex,
+    iter_blocks,
     to_dense,
     wedges_of,
 )
@@ -105,7 +106,7 @@ def test_block_2_2_of_twisted_cubic_cell():
 def test_block_contributions_sum_to_one():
     # dim K_{1,1}(P^1, 0; 2) = 1, concentrated in the balanced weight
     contributions = {}
-    for block in AllWeightsStarCell(Parameters(1, 0, 2, 1, 1)).iter_blocks():
+    for block in iter_blocks(AllWeightsStarCell(Parameters(1, 0, 2, 1, 1))):
         r_in = fraction_rank(to_dense(block.d_in))
         r_out = fraction_rank(to_dense(block.d_out))
         contributions[block.weight] = block.mid_dim - r_in - r_out
@@ -114,8 +115,8 @@ def test_block_contributions_sum_to_one():
 
 def test_iter_blocks_follows_weight_order():
     cell = KoszulCell(Parameters(1, 1, 2, 1, 1))
-    seen = [b.weight for b in cell.iter_blocks()]
-    assert seen == cell.weights()
+    seen = [b.weight for b, *_ in betti.weight_blocks(1, 1, 2, 1, 1, betti.make_config(), cell)]
+    assert seen == cell.weights() == [b.weight for b in iter_blocks(cell)]
 
 
 def test_total_middle_dim_formula():
@@ -132,7 +133,7 @@ def test_total_middle_dim_formula():
         assert orbits(cell) == oracle.weights()
         assert sum(oracle.block(w).mid_dim for w in oracle.weights()) == expect
         assert sum(distinct_permutations_count(b.weight) * b.full_mid_dim
-                   for b in cell.iter_blocks()) == expect
+                   for b in iter_blocks(cell)) == expect
 
 
 def test_composition_is_zero_unblocked():
@@ -182,7 +183,7 @@ def test_unreduced_composition_is_checked_once_per_cell(monkeypatch):
     sizes = []
     monkeypatch.setattr(koszul, "_check_faces_of_faces", sizes.append)
     cell = KoszulCell(Parameters(2, 0, 3, 5, 1))
-    blocks = list(cell.iter_blocks())
+    blocks = list(iter_blocks(cell))
     assert len(blocks) > 1 and sum(b.full_src_dim for b in blocks) > 1
     assert sizes == [6]
     KoszulCell(Parameters(1, 0, 2, 5, 1))       # no source wedge: nothing to check
@@ -195,13 +196,13 @@ def test_block_ranks_match_unblocked_ranks():
         d_in, d_out, mid = full_complex(par)
         whole_in = fraction_rank(to_dense(d_in))
         whole_out = fraction_rank(to_dense(d_out))
-        blocks = list(AllWeightsCell(par).iter_blocks())
+        blocks = list(iter_blocks(AllWeightsCell(par)))
         assert sum(b.mid_dim for b in blocks) == mid
         assert sum(fraction_rank(to_dense(b.d_in)) for b in blocks) == whole_in
         assert sum(fraction_rank(to_dense(b.d_out)) for b in blocks) == whole_out
         # the engine's count: dominant blocks only, each times its orbit
         dominant = [(distinct_permutations_count(b.weight), b)
-                    for b in UnreducedCell(par).iter_blocks()]
+                    for b in iter_blocks(UnreducedCell(par))]
         assert sum(o * fraction_rank(to_dense(b.d_in)) for o, b in dominant) == whole_in
         assert sum(o * fraction_rank(to_dense(b.d_out)) for o, b in dominant) == whole_out
 
@@ -210,7 +211,7 @@ def test_weight_permutation_symmetry():
     # permuting the variables permutes weights without changing the shape of
     # the unreduced block or the block's contribution
     dims = {}
-    for block in AllWeightsStarCell(Parameters(2, 0, 2, 1, 1)).iter_blocks():
+    for block in iter_blocks(AllWeightsStarCell(Parameters(2, 0, 2, 1, 1))):
         r_in = fraction_rank(to_dense(block.d_in))
         r_out = fraction_rank(to_dense(block.d_out))
         dims[block.weight] = (block.full_mid_dim, block.full_src_dim,

@@ -19,7 +19,14 @@ from syzlab.linalg import (
     rank_mod_p,
 )
 
-from helpers import UnreducedCell, default_primes, fraction_rank, from_dense, to_dense
+from helpers import (
+    UnreducedCell,
+    default_primes,
+    fraction_rank,
+    from_dense,
+    iter_blocks,
+    to_dense,
+)
 
 FIELD = PrimeField(default_primes(1)[0])
 
@@ -183,7 +190,7 @@ def test_fused_kernel_matches_per_prime_ranks_on_table_blocks(nbd):
         for p, cell_class in product(range(binom_safe(d + n, n)),
                                      (KoszulCell, UnreducedCell)):
             # the quotient blocks the engine ranks, and the whole blocks
-            for block in cell_class(Parameters(n, b, d, p, q)).iter_blocks():
+            for block in iter_blocks(cell_class(Parameters(n, b, d, p, q))):
                 for m in (block.d_in, block.d_out):
                     if m.nnz:
                         assert [_rank_mod(m, p1 * p2)] * 2 == per_prime_ranks(m, (p1, p2))

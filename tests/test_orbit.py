@@ -31,7 +31,7 @@ def table_cells(n, b, d):
 
 
 def engine_cell(n, b, d, p, q, config) -> dict:
-    res = betti._compute_cell(n, b, d, p, q, config)
+    res = betti.cell_result(n, b, d, p, q, config)
     return {"dim": res.dim, "level": res.level, "agreement": res.agreement,
             "block_count": res.block_count, "max_block_dim": res.max_block_dim}
 

@@ -13,8 +13,8 @@ import pytest
 from syzlab import betti
 from syzlab.arith import binom_safe, random_prime
 from syzlab.betti import EngineConfig, default_q_lo, make_config
-from syzlab.koszul import KoszulCell, Parameters
-from syzlab.linalg import _rank_mod
+from syzlab.koszul import KoszulCell, Parameters, _pack
+from syzlab.linalg import InvariantError, _rank_mod
 
 from helpers import AllWeightsCell, AllWeightsStarCell, UnreducedCell
 
@@ -55,14 +55,14 @@ def test_quotient_contribution_matches_the_unreduced_block(nbd):
 # The edges of the packed star tests.  K_{0,0} of (1,2,5) has weight total
 # 2 < d: its one block has no apex, so nothing is in its star.  (4,0,2)
 # packs five fields; its cells with q <= 2 have fields as wide as the rest
-# (weight_total + d has 6 bits), whose unreduced blocks take the oracle some
-# 40 s.  (1,6,8) has the widest fields of the suite: weight_total + d up to
-# 94, 7 bits.  The field width is the larger of what the star tests need and
-# what the dominance gaps need (width_terms).  At K_{0,0} with b = 0 and
-# d = 8 the star term wins by three bits.  At large p with d = 1 or 2 the
-# dominance term wins, and at (2,0,1) K_{2,3} and (2,0,2) K_{3,3} the star
-# term alone would pack some tensor's gaps into the next field and lose
-# dominant elements.
+# (weight_total has up to 6 bits), whose unreduced blocks take the oracle some
+# 40 s.  (1,6,8) has the widest fields of the suite: weight_total up to 86,
+# 7 bits.  The field width is what the dominance gaps need (width_term),
+# which also holds every exponent a star test meets (see the koszul
+# notes).  At K_{0,0} with b = 0 and d = 8 the weight total is 0, and the
+# packed monomials overflow their fields: none is read.  At (2,0,1) and
+# (2,0,2) one bit less packs some tensor's gaps into the next field and
+# loses dominant elements.
 EDGES = {
     "125": [Parameters(1, 2, 5, p, q) for p, q in table_cells(1, 2, 5)],
     "402": [Parameters(4, 0, 2, p, q) for p, q in table_cells(4, 0, 2) if q <= 2],
@@ -73,21 +73,40 @@ EDGES = {
 }
 
 
-def width_terms(params) -> tuple:
-    """(bits the star tests need, bits the dominance gaps need) per field."""
-    total = params.weight_total
-    return (total + params.d).bit_length() + 1, total.bit_length() + 2
+def width_term(params) -> int:
+    """The bits per field the dominance gaps need."""
+    return params.weight_total.bit_length() + 2
+
+
+class Narrower(KoszulCell):
+    """A cell packed one bit narrower per field than the engine packs it."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        width = self._width = self._width - 1
+        self._guards = _pack([1 << (width - 1)] * (params.n + 1), width)
+        self._packed = [_pack(m, width) for m in self.basis_d.monomials]
+
+
+def loses_elements(params) -> bool:
+    try:
+        Narrower(params).weights()
+    except InvariantError as exc:
+        assert str(exc).startswith("orbit total"), exc
+        return True
+    return False
 
 
 def test_each_width_term_decides_at_an_edge():
-    terms = {name: [width_terms(params) for params in cells]
-             for name, cells in EDGES.items()}
+    # one term is left, and it is the width at every edge
     for cells in EDGES.values():
         for params in cells:
-            assert KoszulCell(params)._width == max(width_terms(params)), params
-    assert all(star > dominance for star, dominance in terms["K00-d8"])
-    assert any(dominance > star for star, dominance in terms["201"])
-    assert any(dominance > star for star, dominance in terms["202"])
+            assert KoszulCell(params)._width == width_term(params), params
+    # it is tight: one bit less loses dominant elements
+    assert any(map(loses_elements, EDGES["201"]))
+    assert any(map(loses_elements, EDGES["202"]))
+    # it is narrower than d where the packed monomials are never read
+    assert all(params.d >= 1 << (width_term(params) - 1) for params in EDGES["K00-d8"])
 
 
 @pytest.mark.parametrize("name", sorted(EDGES))
@@ -124,7 +143,7 @@ def cell_fields(n, b, d, p, q, config):
     """The result's fields, or the error it raised (the primes 2 and 3 are
     refused as certification primes, at the first nonzero map)."""
     try:
-        res = betti._compute_cell(n, b, d, p, q, config)
+        res = betti.cell_result(n, b, d, p, q, config)
     except ValueError as exc:
         return ("refused", str(exc))
     return {"dim": res.dim, "level": res.level, "agreement": res.agreement,
