@@ -31,12 +31,12 @@ they differ from the block's by the star's ranks, the same in every field,
 so the dimension is the same and the primes agree or disagree on a block as
 before.
 
-A weight whose quotient has no middle element is settled by the cell
-(koszul.SettledWeight): it contributes 0 with agreement, counts in
-block_count and max_block_dim as a block does, and no map of it is built or
-ranked.  Its maps are still routed by their unreduced shapes, and where a
-route is not zero the primes are checked, as certified_rank checks them on
-a map without entries.  Those routes can only change the level, and once
+A weight whose quotient has no middle element is settled by the cell, as
+a koszul.KoszulBlock whose maps are None: it contributes 0 with agreement,
+counts in block_count and max_block_dim as a block does, and no map of it
+is built or ranked.  Its maps are still routed by their unreduced shapes,
+and where a route is not zero the primes are checked, as certified_rank
+checks them on a map without entries.  Those routes can only change the level, and once
 one map of the cell has taken the modular route the level is two-prime
 whatever follows: so the pass routes a settled weight only while every
 map before it in the cell took an exact route.  schur reads 0 there.
@@ -49,10 +49,12 @@ complex of w (see koszul): the source of (p - 1, q + 1) is the middle of
 the KoszulCells of one pass share their groupings, and the pass walks the
 union of their dominant weights in descending lex order.  At each weight
 it ranks the cells with a middle there in ascending p, and the d_in a cell
-builds, with its rank certificates and its kept elements, is the next
-cell's d_out and kept middle at that weight (KoszulCell.ranked); then it
-is dropped, so no map outlives its weight.  Each role of a map is still
-routed by its own unreduced shape: where the two routes differ, the second
+builds, with its kept elements, is the next cell's d_out and kept middle at
+that weight (KoszulCell.ranked); then it is dropped, so no map outlives its
+weight.  The pass keeps the certificates _block_ranks made for the d_in it
+ranked last at the weight, one per route, and gives them to the next block
+there whose d_out is that same matrix.  Each role of a map is still routed
+by its own unreduced shape: where the two routes differ, the second
 certificate is computed as before, so every level and agreement flag is
 what the cell alone gives.  A cell the store holds, a vanishing theorem
 answers, or the memory cap refuses when it is made is not in the pass; one
@@ -98,7 +100,6 @@ from .koszul import (
     InfeasibleBlockError,
     KoszulCell,
     Parameters,
-    SettledWeight,
     check_nbd,
 )
 from .linalg import InvariantError, RankCertificate, certified_rank, check_primes
@@ -201,24 +202,25 @@ def _route(size: int) -> str:
     return "zero" if not size else "exact" if size <= EXACT_THRESHOLD else "modular"
 
 
-def _block_ranks(block, config: EngineConfig):
-    """(rank_in, rank_out, exact, agreement) for one block under the config.
+def _block_ranks(block, config: EngineConfig, in_ranks: dict, out_ranks: dict):
+    """(rank_in, rank_out, exact, agreement) for one built block under the
+    config.
 
     The route of each map is picked here.  Exact mode sends every map to
     the exact route and checks no primes.  Two-prime mode sizes the maps of
     the unreduced block (see the module notes): a zero map has rank 0 and
     checks no primes, one of rows*cols <= EXACT_THRESHOLD takes the exact
     route and any other the modular route.  The ranks are the quotient's,
-    the block's own matrices.  Each certificate is kept in the map's dict
-    under its route, and one already there is reused: a d_out handed over
-    by the cell (p - 1, q + 1) brings those of its d_in role."""
+    the block's own matrices.  Each certificate is kept under its route in
+    the map's dict, in_ranks for d_in and out_ranks for d_out, and one
+    already there is reused: the pass gives a d_out handed over by the cell
+    (p - 1, q + 1) the dict of its d_in role."""
     if config.mode == LEVEL_EXACT:
         routes, primes = ("exact", "exact"), ()
     else:
         routes, primes = map(_route, block.full_sizes(EXACT_THRESHOLD)), config.primes
     certs = []
-    for m, known, route in zip((block.d_in, block.d_out),
-                               (block.in_ranks, block.out_ranks), routes):
+    for m, known, route in zip((block.d_in, block.d_out), (in_ranks, out_ranks), routes):
         if route not in known:
             known[route] = (certified_rank(m, primes, route == "exact") if route != "zero"
                             else RankCertificate(0, primes, True, True))
@@ -228,9 +230,10 @@ def _block_ranks(block, config: EngineConfig):
             cert_in.agreement and cert_out.agreement)
 
 
-def _block_dim(block, config: EngineConfig):
-    """(mid_dim - rank_in - rank_out, exact, agreement) for one block."""
-    r_in, r_out, exact, agree = _block_ranks(block, config)
+def _block_dim(block, config: EngineConfig, in_ranks: dict, out_ranks: dict):
+    """(mid_dim - rank_in - rank_out, exact, agreement) for one built block,
+    its certificates kept in in_ranks and out_ranks (see _block_ranks)."""
+    r_in, r_out, exact, agree = _block_ranks(block, config, in_ranks, out_ranks)
     if r_in + r_out > block.mid_dim:
         raise InvariantError(
             f"ranks {r_in} + {r_out} exceed the middle dimension "
@@ -256,8 +259,8 @@ def weight_blocks(n: int, b: int, d: int, p: int, q: int, config: EngineConfig,
     """(block, contribution, exact, agreement) at each dominant weight of the
     cell, in descending lex order: the pass over `cell` alone if given, else
     over a new KoszulCell.  A cell or a block the memory cap refuses raises.
-    A weight the cell settles comes as its SettledWeight, with contribution 0
-    and agreement (see the module notes)."""
+    A weight the cell settles comes as its block without maps, with
+    contribution 0 and agreement (see the module notes)."""
     cell = cell or KoszulCell(Parameters(n, b, d, p, q), config.memory_cap)
     for _, ranked in _pass({None: cell}, config):
         if isinstance(ranked, InfeasibleBlockError):
@@ -272,8 +275,10 @@ def _pass(cells: dict, config: EngineConfig):
     descending lex order: ranked is (block, contribution, exact, agreement),
     or the InfeasibleBlockError that refuses the cell at the weight, after
     which the cell drops out of the pass.  The cells share one dict of
-    grouped spaces.  A settled weight is routed only while every map before
-    it in its cell took an exact route."""
+    grouped spaces.  The certificates of the d_in ranked last at a weight
+    are kept, and serve the next block there whose d_out is that map.  A
+    settled weight is routed only while every map before it in its cell
+    took an exact route."""
     # each dominant weight -> the keys of the cells with a middle there
     live, spaces = {}, {}
     for key, cell in cells.items():
@@ -283,23 +288,26 @@ def _pass(cells: dict, config: EngineConfig):
     # whether every map of the cell so far took an exact route; None once refused
     exact = dict.fromkeys(cells, True)
     for w in sorted(live, reverse=True):
-        gave = None     # what the cell ranked last at w gave there
+        gave = held = None  # what the cell ranked last at w gave, its d_in's certificates
         for key in live[w]:
             if exact[key] is None:
                 continue
+            offered = gave and gave[4]
             try:
-                item, gave = cells[key].ranked(w, gave)
+                block, gave = cells[key].ranked(w, gave)
             except InfeasibleBlockError as exc:
                 exact[key] = None
                 yield key, exc
                 continue
-            if isinstance(item, SettledWeight):
-                ranked = 0, exact[key] and _settled_exact(item, config), True
+            if block.d_in is None:
+                ranked = 0, exact[key] and _settled_exact(block, config), True
             else:
-                ranked = _block_dim(item, config)
+                in_ranks, out_ranks = {}, held if block.d_out is offered else {}
+                ranked = _block_dim(block, config, in_ranks, out_ranks)
+                held = in_ranks
             exact[key] = exact[key] and ranked[1]
-            yield key, (item, *ranked)
-            item = None     # only `gave` outlives the step
+            yield key, (block, *ranked)
+            block = None    # only `gave` and `held` outlive the step
 
 
 def _compute_cell(n: int, b: int, d: int, p: int, q: int, config: EngineConfig,

@@ -132,11 +132,13 @@ def build_kp0_cycle(n: int, b: int, d: int, p: int,
     """The explicit K_{p,0} witness for chosen f_0, ..., f_p and s.
 
     Defaults: the first p+1 degree-b monomials in canonical order and
-    s = x^(d-b).  Requires d >= b + 1 and p + 1 <= binom(n+b, n) (otherwise
-    no p+1 distinct degree-b monomials exist, matching the exact vanishing
-    of the strand beyond that point).
+    s = x^(d-b).  Requires d >= b + 1, p >= 0 and p + 1 <= binom(n+b, n)
+    (otherwise no p+1 distinct degree-b monomials exist, matching the exact
+    vanishing of the strand beyond that point).
     """
     check_nbd(n, b, d)
+    if p < 0:
+        raise ValueError(f"p must be >= 0, got {p}")
     if d < b + 1:
         raise ValueError(f"need d >= b + 1, got b={b}, d={d}")
     count = binom_safe(n + b, n)

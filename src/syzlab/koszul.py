@@ -105,11 +105,13 @@ A weight whose quotient has no middle element (every middle element lies
 in the star) contributes 0 in every field.  KoszulCell.ranked, the step
 betti's pass takes at each weight, settles it from its counts: after the
 cap estimate on the unreduced counts, its kept middle, scanned from its
-middle classes or given by the cell (p - 1, q + 1), is empty; a
-SettledWeight is returned, and no source list, matrix, composition check
-or rank follows.  A weight with a kept middle is built by block(w) from
-the same kept middle.  block(w) itself still builds a weight it would
-settle, as a quotient with no middle.
+middle classes or given by the cell (p - 1, q + 1), is empty; a KoszulBlock
+without maps is returned, and no source list, matrix, composition check or
+rank follows.  A weight with a kept middle is built by block(w) from the
+same kept middle.  block(w) itself still builds a weight it would settle,
+as a quotient with no middle.  Every block, settled or built, reports the
+unreduced block's counts, middle classes and full_sizes: betti alone reads
+them (see its module notes).
 
 The cells of one antidiagonal p + q = j are consecutive homology degrees of
 the same complexes: at a weight w, the source space of (p - 1, q + 1),
@@ -118,9 +120,9 @@ Wedge^p V (x) H(qd + b), is the middle space of (p, q), and the d_in of
 the apex and the packing depend on w and the antidiagonal alone.  The
 KoszulCells of one pass share their `spaces` dict, so each space is
 grouped once.  At each weight, ranked() of (p - 1, q + 1) gives the apex,
-top, its kept source and its d_in with that map's rank certificates, and
-ranked() of (p, q) takes them as its apex, top, kept middle and d_out:
-no apex search, scan or build is made twice.  The handed-over map's rows
+top, its kept source and its d_in, and ranked() of (p, q) takes them as
+its apex, top, kept middle and d_out, the same matrix object: no apex
+search, scan or build is made twice.  The handed-over map's rows
 are the whole kept middle of (p - 1, q + 1), not only the faces this block
 reaches: its target_dim counts those zero rows too, its rank is unchanged.
 The cap estimate still comes first in each block, and the d_out . d_in = 0
@@ -134,7 +136,7 @@ the d_in it was given has no columns, and is dropped.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations
 from operator import add, ge
 
@@ -250,13 +252,38 @@ def _pack(fields, width: int) -> int:
     return packed
 
 
-class _Unreduced:
-    """What betti reads off the unreduced block at a dominant weight: its
-    dimensions full_mid_dim and full_src_dim, its middle classes
-    full_middle, and full_sizes(), the shapes of its maps, which pick each
-    map's route."""
+class KoszulBlock:
+    """One dominant weight as betti's pass takes it: the unreduced block's
+    dimensions full_mid_dim and full_src_dim and middle classes
+    full_middle, and the maps of its quotient by a vertex star (see the
+    module notes).
 
-    __slots__ = ()
+    d_in has shape (mid_dim, src_dim), d_out (target_dim, mid_dim), and the
+    block's contribution to dim K_{p,q} is mid_dim - rank(d_in) - rank(d_out).
+    The three dimensions are read off the maps' shapes.  Both maps are None
+    where the quotient has no middle element: the weight is settled, and
+    contributes 0 in every field.  The target_dim of a d_out handed over by
+    the cell (p - 1, q + 1) also counts zero rows (see the module notes).
+    """
+
+    __slots__ = ("weight", "full_mid_dim", "full_src_dim", "full_middle", "d_in", "d_out")
+
+    def __init__(self, weight, full_mid_dim, full_src_dim, full_middle,
+                 d_in: SparseMatrix = None, d_out: SparseMatrix = None):
+        self.weight, self.full_mid_dim, self.full_src_dim = weight, full_mid_dim, full_src_dim
+        self.full_middle, self.d_in, self.d_out = full_middle, d_in, d_out
+
+    @property
+    def mid_dim(self) -> int:
+        return self.d_in.rows
+
+    @property
+    def src_dim(self) -> int:
+        return self.d_in.cols
+
+    @property
+    def target_dim(self) -> int:
+        return self.d_out.rows
 
     def full_sizes(self, limit: int) -> tuple:
         """(size of d_in, size of d_out) of the unreduced block, a size being
@@ -276,54 +303,6 @@ class _Unreduced:
             if len(rows) > enough:
                 break
         return size_in, len(rows) * self.full_mid_dim
-
-
-class SettledWeight(_Unreduced):
-    """A dominant weight whose star quotient has no middle element, so its
-    contribution mid_dim - rank(d_in) - rank(d_out) is 0 in every field; no
-    map of it is built (see the module notes)."""
-
-    __slots__ = ("weight", "full_mid_dim", "full_src_dim", "full_middle")
-
-    def __init__(self, weight, full_mid_dim, full_src_dim, full_middle):
-        self.weight, self.full_mid_dim = weight, full_mid_dim
-        self.full_src_dim, self.full_middle = full_src_dim, full_middle
-
-
-@dataclass(frozen=True)
-class KoszulBlock(_Unreduced):
-    """One torus-weight block as it is ranked: its quotient by a vertex star.
-
-    d_in has shape (mid_dim, src_dim), d_out (target_dim, mid_dim), and the
-    block's contribution to dim K_{p,q} is mid_dim - rank(d_in) - rank(d_out).
-    The three dimensions are read off the maps' shapes.  These are the
-    quotient's (see the module notes); the full_* fields are the unreduced
-    block's.  The target_dim of a d_out handed over by the cell
-    (p - 1, q + 1) also counts zero rows (see the module notes).
-    """
-
-    weight: tuple
-    d_in: SparseMatrix
-    d_out: SparseMatrix
-    full_mid_dim: int
-    full_src_dim: int
-    full_middle: list = field(repr=False, compare=False)  # unreduced classes
-    # each map's rank certificates, keyed by route: betti fills them, and a
-    # d_in handed to the cell (p + 1, q - 1) takes its dict along as d_out's
-    in_ranks: dict = field(default_factory=dict, repr=False, compare=False)
-    out_ranks: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def mid_dim(self) -> int:
-        return self.d_in.rows
-
-    @property
-    def src_dim(self) -> int:
-        return self.d_in.cols
-
-    @property
-    def target_dim(self) -> int:
-        return self.d_out.rows
 
 
 class KoszulCell:
@@ -469,8 +448,8 @@ class KoszulCell:
     def block(self, weight, kept=None, d_out=None) -> KoszulBlock:
         """The block at a dominant weight, as ranked: its star quotient.
         `kept` is the weight's (kept middle, kept source), where ranked()
-        has scanned them, and `d_out` the (d_in, rank certificates) of the
-        cell (p - 1, q + 1) there, where that cell built one.
+        has scanned them, and `d_out` the d_in of the cell (p - 1, q + 1)
+        there, where that cell built one.
 
         Any other weight raises ValueError; its block is isomorphic to its
         dominant rearrangement's (see the module notes)."""
@@ -481,14 +460,13 @@ class KoszulCell:
         return self._build(weight, self._scan(weight) if kept is None else kept, d_out)
 
     def ranked(self, weight, given=None) -> tuple:
-        """(what betti ranks at a dominant weight, what this cell gives there).
-        The first is a SettledWeight where the star quotient has no middle
-        element, else the block.  `given` is what the cell ranked before it
-        at the weight gave, or None, and is taken only from the cell
-        (p - 1, q + 1): its apex and top, its kept source, which is this
-        cell's kept middle, and its d_in with the certificates, this cell's
-        d_out (see the module notes).  The cap check on the unreduced counts
-        comes first."""
+        """(the block betti ranks at a dominant weight, what this cell gives
+        there).  The block has no maps where the star quotient has no middle
+        element.  `given` is what the cell ranked before it at the weight
+        gave, or None, and is taken only from the cell (p - 1, q + 1): its
+        apex and top, its kept source, which is this cell's kept middle, and
+        its d_in, this cell's d_out (see the module notes).  The cap check
+        on the unreduced counts comes first."""
         self._check_cap(weight)
         p = self.params.p
         apex, top, middle, d_out = (given[1:] if given and given[0] == p - 1
@@ -496,10 +474,10 @@ class KoszulCell:
         if middle is None:
             middle = self._kept_elements(self._middle.get(weight, []), apex, top)
         if not middle:
-            return SettledWeight(weight, *self._unreduced(weight)), (p, apex, top, None, None)
+            return KoszulBlock(weight, *self._unreduced(weight)), (p, apex, top, None, None)
         source = self._kept_elements(self._source.get(weight, []), apex, top)
         block = self.block(weight, (middle, source), d_out)
-        return block, (p, apex, top, source, (block.d_in, block.in_ranks))
+        return block, (p, apex, top, source, block.d_in)
 
     def _unreduced(self, weight) -> tuple:
         """(full_mid_dim, full_src_dim, full_middle) of the unreduced block."""
@@ -570,15 +548,14 @@ class KoszulCell:
             target_index = defaultdict()     # numbers the faces 0, 1, ... as met
             target_index.default_factory = target_index.__len__
             out_columns = columns(middle, target_index, self.params.p)
-            d_out = SparseMatrix(len(target_index), len(middle), out_columns), {}
-        d_out, out_ranks = d_out
+            d_out = SparseMatrix(len(target_index), len(middle), out_columns)
         # weight preservation: every kept face of a source element is a kept
         # middle element of this block
         mid_index = {wedge: i for i, (wedge, _) in enumerate(middle)}
         d_in = SparseMatrix(len(middle), len(source),
                             columns(source, mid_index, self.params.p + 1))
         self._check_composition_zero(d_out, d_in, weight)
-        return KoszulBlock(weight, d_in, d_out, *self._unreduced(weight), out_ranks=out_ranks)
+        return KoszulBlock(weight, *self._unreduced(weight), d_in, d_out)
 
     @staticmethod
     def _check_composition_zero(d_out: SparseMatrix, d_in: SparseMatrix, weight):

@@ -9,6 +9,9 @@ import re
 
 import pytest
 
+# helpers asserts the premises of its oracles; keep them under python -O
+pytest.register_assert_rewrite("helpers")
+
 CRITERIA = {
     1: "q = 1 strand of rational normal curves matches the closed form",
     2: "cubic Veronese surface: K_{7,2} = 1 under two-prime certification",

@@ -216,8 +216,8 @@ def iter_blocks(cell: KoszulCell):
 
 def iter_ranked(cell: KoszulCell):
     """What the pass ranks at each dominant weight of a cell alone, in the
-    order of weights(): a SettledWeight where the star quotient has no
-    middle element, else the block."""
+    order of weights(): the block, without maps where the star quotient
+    has no middle element."""
     for w in cell.weights():
         yield cell.ranked(w)[0]
 
@@ -355,7 +355,7 @@ def all_weights_cell(n, b, d, p, q, config, cell_class=AllWeightsCell) -> dict:
     all_exact = all_agree = True
     dominant = {}    # dominant weight -> (contribution, exact, agreement)
     for block in iter_blocks(cell):
-        r_in, r_out, exact, agree = betti._block_ranks(block, config)
+        r_in, r_out, exact, agree = betti._block_ranks(block, config, {}, {})
         assert r_in + r_out <= block.mid_dim
         ranked = (block.mid_dim - r_in - r_out, exact, agree)
         orbit = tuple(sorted(block.weight, reverse=True))

@@ -2,8 +2,9 @@
 
 betti computes the cells of one antidiagonal p + q = j in one pass: at each
 dominant weight it ranks the cells with a middle there in ascending p, and
-the d_in a cell builds, with its rank certificates and its kept elements,
-is the d_out and kept middle of the cell (p + 1, q - 1) at that weight.
+the d_in a cell builds, with its kept elements, is the d_out and kept middle
+of the cell (p + 1, q - 1) at that weight, and the pass gives that d_out the
+rank certificates of its d_in role.
 Every field of every cell must be what cell_result gives for that cell
 alone, and so must every weight's contribution, also where the store, a
 vanishing theorem or the memory cap takes a cell out of the pass, and
@@ -17,7 +18,7 @@ import pytest
 
 from syzlab import betti, linalg
 from syzlab.betti import ResultStore, betti_table, cell_result, make_config
-from syzlab.koszul import KoszulBlock, KoszulCell, Parameters, SettledWeight
+from syzlab.koszul import KoszulCell, Parameters
 from syzlab.linalg import rank_mod_p
 
 TWO_PRIME = make_config()
@@ -64,8 +65,7 @@ def ranked(monkeypatch):
 def steps(monkeypatch):
     """Every ranked() step of the pass, as (cell (p, q), weight, what it
     took from the cell (p - 1, q + 1) there, or None, what it ranked).  What
-    it took is (apex, top, kept middle or None, (d_out, certificates) or
-    None)."""
+    it took is (apex, top, kept middle or None, d_out or None)."""
     seen = []
     original = KoszulCell.ranked
 
@@ -110,23 +110,52 @@ def test_table_pass_matches_cell_by_cell(nbd, p_range, q_range, config, ranked, 
     assert not any(given for *_, given, _ in steps)     # a cell alone is given nothing
 
 
-def test_every_handed_map_is_used(steps):
-    # a d_in handed over is the d_out of the block built there, with its
-    # certificates, and has no columns where the cell settles
-    betti_table(2, 0, 3)
-    handed = settled = 0
-    for _, _, given, item in steps:
-        if given is None or given[3] is None:
-            continue
-        d_in, certificates = given[3]
-        if isinstance(item, SettledWeight):
-            assert d_in.cols == 0
-            settled += 1
-        else:
-            assert item.d_out is d_in and item.out_ranks is certificates
-            assert certificates         # ranked in its d_in role first
+def test_every_handed_map_is_used(monkeypatch, steps):
+    # a d_in handed over is the d_out of the block built there, the same
+    # matrix, and has no columns where the cell settles.  The pass gives
+    # that d_out the certificates of its d_in role, and a second certificate
+    # is made only where the d_out role routes exact and the d_in role
+    # modular
+    calls = {}      # id(block) -> (in_ranks, out_ranks, routes of out_ranks before)
+    block_ranks = betti._block_ranks
+
+    def recording(block, config, in_ranks, out_ranks):
+        before = set(out_ranks)
+        ranks = block_ranks(block, config, in_ranks, out_ranks)
+        calls[id(block)] = in_ranks, out_ranks, before
+        return ranks
+
+    monkeypatch.setattr(betti, "_block_ranks", recording)
+    # (n, b, d): handed maps with a second certificate, handed maps built on
+    for nbd, expected in [((2, 0, 3), (1, 69)), ((2, 1, 3), (0, 61)), ((1, 0, 8), (2, 59))]:
+        steps.clear()
+        calls.clear()
+        betti_table(*nbd)
+        # every block stays alive in `steps`, so no id is reused
+        in_ranks_of = {id(item.d_in): calls[id(item)][0]
+                       for *_, item in steps if item.d_in is not None}
+        second = handed = settled = 0
+        for _, _, given, item in steps:
+            if given is None or given[3] is None:
+                continue
+            d_in = given[3]
+            if item.d_in is None:
+                assert d_in.cols == 0
+                settled += 1
+                continue
+            assert item.d_out is d_in
+            _, out_ranks, before = calls[id(item)]
+            assert out_ranks is in_ranks_of[id(d_in)]
+            assert len(before) == 1         # ranked in its d_in role first
+            route = betti._route(item.full_sizes(betti.EXACT_THRESHOLD)[1])
+            if route in before:
+                assert set(out_ranks) == before
+            else:
+                assert (before, route, set(out_ranks)) == (
+                    {"modular"}, "exact", {"modular", "exact"}), (nbd, item.weight)
+                second += 1
             handed += 1
-    assert handed and settled
+        assert (second, handed) == expected and settled, nbd
 
 
 def test_handed_d_out_has_the_built_rank(steps):
@@ -135,7 +164,7 @@ def test_handed_d_out_has_the_built_rank(steps):
     betti_table(2, 0, 3, (2, 3), (1, 2))      # (2, 2) hands (3, 1) its maps
     field = linalg._field(TWO_PRIME.primes[0])
     handed = [(pq, w, item) for pq, w, given, item in steps
-              if pq == (3, 1) and given and given[3] and isinstance(item, KoszulBlock)]
+              if pq == (3, 1) and given and given[3] and item.d_in is not None]
     assert handed
     alone = KoszulCell(Parameters(2, 0, 3, 3, 1))
     for _, weight, block in handed:
@@ -194,7 +223,7 @@ def test_memory_cap_refusal_mid_antidiagonal_breaks_the_chain(monkeypatch, ranke
     above = set(KoszulCell(Parameters(2, 0, 3, 4, 1)).weights())
     weights = below.weights()
     handing = next(k for k, w in enumerate(weights)
-                   if w in above and isinstance(below.ranked(w)[0], KoszulBlock))
+                   if w in above and below.ranked(w)[0].d_in is not None)
     refused_at = weights[handing + 1]
 
     class RefuseLater(KoszulCell):

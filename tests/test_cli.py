@@ -268,6 +268,14 @@ def test_cycle_command(capsys):
     assert cyc["certifies_nonvanishing"] is True
 
 
+def test_negative_p_cycle_is_usage_error(capsys):
+    # p = -1 would build an empty chain and fail verification (exit 3)
+    code, out, err = run(capsys, "cycle", "--n", "1", "--b", "0", "--d", "3",
+                         "--p", "-1")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "p must be >= 0, got -1" in err
+
+
 def test_explore_csv(capsys):
     code, out, _ = run(capsys, "explore", "--n", "1", "--b", "0",
                        "--d-min", "2", "--d-max", "4", "--q-min", "1",

@@ -24,7 +24,7 @@ def flat_faces(wedge):
     return [(i, wedge[:j] + wedge[j + 1:], 1) for j, i in enumerate(wedge)]
 
 
-def too_large_ranks(block, config):
+def too_large_ranks(block, config, in_ranks, out_ranks):
     return block.mid_dim, 1, True, True
 
 

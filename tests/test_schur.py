@@ -115,7 +115,8 @@ def test_weight_space_dims_example():
 
 def test_weight_space_refuses_uncertified_ranks(monkeypatch):
     # a block whose primes disagree has no certified dimension
-    monkeypatch.setattr(betti, "_block_ranks", lambda block, config: (0, 0, False, False))
+    monkeypatch.setattr(betti, "_block_ranks",
+                        lambda block, config, in_ranks, out_ranks: (0, 0, False, False))
     with pytest.raises(CertificationError, match="rank disagreement"):
         weight_space_dims(2, 0, 2, 1, 1)
     with pytest.raises(CertificationError):

@@ -16,13 +16,7 @@ weight.
 import pytest
 
 from syzlab import betti
-from syzlab.koszul import (
-    InfeasibleBlockError,
-    KoszulBlock,
-    KoszulCell,
-    Parameters,
-    SettledWeight,
-)
+from syzlab.koszul import InfeasibleBlockError, KoszulCell, Parameters
 
 from helpers import UnreducedCell, iter_ranked
 from test_star import CONFIGS, PRIMES, contribution, table_cells
@@ -59,11 +53,12 @@ def test_settled_weights_contribute_nothing(nbd, name, monkeypatch):
         whole, whole_refused = ranked_pass(UnreducedCell(params), config)
         assert (len(items), refused) == (len(whole), whole_refused), (nbd, p, q, name)
         if refused:     # at the first map routed other than zero
-            kinds.add(("refused at", type(list(iter_ranked(cell))[len(items)])))
+            at = list(iter_ranked(cell))[len(items)]
+            kinds.add(("refused at", "settled" if at.d_in is None else "built"))
         exact = True        # the cell's level so far
         for (block, dim, block_exact, agree), (full, *ranked) in zip(items, whole):
-            kinds.add(type(block))
-            if isinstance(block, SettledWeight):
+            kinds.add("settled" if block.d_in is None else "built")
+            if block.d_in is None:
                 where = (nbd, p, q, block.weight, name)
                 assert (dim, agree) == (0, True) and ranked[0] == 0 and ranked[2], where
                 if exact:
@@ -75,9 +70,9 @@ def test_settled_weights_contribute_nothing(nbd, name, monkeypatch):
                     assert contribution(full, prime) == 0, where
             exact = exact and block_exact
     if name == "primes-2-3":
-        assert ("refused at", SettledWeight) in kinds
+        assert ("refused at", "settled") in kinds
     else:
-        assert {SettledWeight, KoszulBlock} <= kinds
+        assert {"settled", "built"} <= kinds
 
 
 def test_weight_settled_below_is_built_above_with_a_d_out_without_entries(monkeypatch):
@@ -99,7 +94,7 @@ def test_weight_settled_below_is_built_above_with_a_d_out_without_entries(monkey
     for given, item in steps:
         if given[2] is None:      # settled below
             assert given[3] is None
-            if isinstance(item, KoszulBlock):
+            if item.d_in is not None:
                 assert item.d_out.nnz == 0 and item.d_out.rows == 0, item.weight
                 checked += 1
     assert checked
@@ -108,7 +103,7 @@ def test_weight_settled_below_is_built_above_with_a_d_out_without_entries(monkey
 def test_cap_lowered_after_grouping_refuses_a_settled_weight():
     params = Parameters(2, 0, 3, 3, 0)
     first = next(iter_ranked(KoszulCell(params)))
-    assert isinstance(first, SettledWeight) and first.full_mid_dim
+    assert first.d_in is None and first.full_mid_dim
     cell = KoszulCell(params)
     cell.weights()                      # grouped under the default cap
     cell.memory_cap = 0
