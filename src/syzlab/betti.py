@@ -15,9 +15,10 @@ times: in dim, in block_count, and once in max_block_dim.  Its ranks, and
 with them the level and the agreement flag, are those of every block of its
 orbit.
 
-Each block is ranked on its quotient by a vertex star (see koszul), which
-has the same cohomology over every field: each rank of the block is the
-star's rank, the same in all fields, plus the quotient's.  What the result
+Each block is ranked on its quotient by the union of the stars of its
+apexes, vertices with pairwise disjoint supports (see koszul), which has the
+same cohomology over every field: each rank of the block is the star
+union's rank, the same in all fields, plus the quotient's.  What the result
 says about a block is still taken from the unreduced block.  Its middle
 dimension counts in block_count and max_block_dim, and in two-prime mode
 its shapes pick the route of each map: zero, exact (rows*cols <=
@@ -27,9 +28,9 @@ exact mode sizes no map.  Routed by its own, smaller shape, the quotient of
 a map would often go to the exact route, or be zero (an empty quotient of
 a map above the threshold still goes modular), and the cell would report
 level exact where it reported two-prime.  Only the ranks are the quotient's;
-they differ from the block's by the star's ranks, the same in every field,
-so the dimension is the same and the primes agree or disagree on a block as
-before.
+they differ from the block's by the star union's ranks, the same in every
+field, so the dimension is the same and the primes agree or disagree on a
+block as before.
 
 A weight whose quotient has no middle element is settled by the cell, as
 a koszul.KoszulBlock whose maps are None: it contributes 0 with agreement,
@@ -45,7 +46,7 @@ Cells are computed one antidiagonal j = p + q at a time, weight by weight
 (_pass).  At a dominant weight w the cells of an antidiagonal are
 consecutive homology degrees of one complex, the squarefree divisor
 complex of w (see koszul): the source of (p - 1, q + 1) is the middle of
-(p, q), and its d_in is the d_out of (p, q), on the same star quotient.  So
+(p, q), and its d_in is the d_out of (p, q), on the same quotient.  So
 the KoszulCells of one pass share their groupings, and the pass walks the
 union of their dominant weights in descending lex order.  At each weight
 it ranks the cells with a middle there in ascending p, and the d_in a cell

@@ -35,34 +35,46 @@ i.e. partitions padded to n+1 parts), one per orbit; each stands for
 distinct_permutations_count(w) blocks.  Only dominant blocks are built:
 KoszulCell.block refuses any other weight.
 
-A block is built and ranked as its quotient by a vertex star.  Its basis
-elements are the wedges F with sum F <= w (each with tensor factor
+A block is built and ranked as its quotient by a union of vertex stars.
+Its basis elements are the wedges F with sum F <= w (each with tensor factor
 w - sum F), so in three consecutive degrees the block is the augmented chain
 complex of the squarefree divisor complex Delta_w = {F : sum F <= w} on the
-degree-d monomials (Bruns-Herzog, JPAA 1997).  Take as apex v0 the first
-degree-d monomial, in basis order, that divides x^w.  Its closed star
-st(v0) = {F : F u {v0} in Delta_w} is a subcomplex and a cone on v0, so its
-augmented chain complex is exact over Z (adding v0 is a contracting
-homotopy), and stays exact over every field.  An element (F, t) lies in the
-star iff v0 is in F or v0 divides x^t.  The quotient complex keeps the other
-elements, and its maps are the block's matrices with the star's rows and
-columns deleted.  Over any field, every map of a bounded complex C with an
-exact subcomplex S has rank(C) = rank(S) + rank(C/S): induct from the bottom
-on dim C_k = r_k + r_(k+1) + h_k, which holds for C, S and C/S, with h
-zero on S and equal on C and C/S by the long exact sequence.  And rank(S) is
-fixed by the dimensions of S alone, so it is the same in every field.  So
+degree-d monomials (Bruns-Herzog, JPAA 1997).  The apex set A(w) is taken
+by walking the degree-d monomials in basis order: each one that divides
+x^w and shares no variable with those already taken is taken, until their
+supports cover every variable.  The first is the first monomial dividing
+x^w.  The closed star st(v) = {F : F u {v} in Delta_w} of an apex v is a
+subcomplex and a cone on v, so its augmented chain complex is exact over Z
+(adding v is a contracting homotopy).  So is that of the union S of the
+stars of A(w) = {v_1, ..., v_k}.  Two apexes v_j and v_k have disjoint
+supports, so where F u {v_j} and F u {v_k} both lie in Delta_w, each
+variable's exponent in sum F + v_j + v_k is its exponent in sum F + v_j or
+in sum F + v_k, and F u {v_j, v_k} lies in Delta_w too.  So st(v_k) meets
+st(v_1) u ... u st(v_(k-1)) in a union of subcomplexes each closed under
+adding v_k: a cone on v_k, exact.  Adding one star at a time, the
+Mayer-Vietoris sequence
+0 -> C(U n st) -> C(U) + C(st) -> C(U u st) -> 0 has two exact terms, so the
+third is exact: S is acyclic over Z.  Its chain groups are free, so it is
+split exact, and stays exact over every field.  An element (F, t) lies in S
+iff an apex is in F or divides x^t.  The quotient complex keeps the other
+elements, and its maps are the block's matrices with the rows and columns of
+S deleted.  Over any field, every map of a bounded complex C with an exact
+subcomplex S has rank(C) = rank(S) + rank(C/S): induct from the bottom on
+dim C_k = r_k + r_(k+1) + h_k, which holds for C, S and C/S, with h zero on
+S and equal on C and C/S by the long exact sequence.  And rank(S) is fixed
+by the dimensions of S alone, so it is the same in every field.  So
 mid - rank(d_in) - rank(d_out) is the same on the quotient as on the block,
 over Q and over every F_p, and two primes agree on the quotient exactly when
-they agree on the block.  If no degree-d monomial divides x^w the block is
-its own quotient.  The unreduced block is never built.  Its d_out . d_in = 0
-is checked once per cell, on the faces of the faces of the wedge (0, ..., p):
-their signs come from positions, never from values, and a source wedge has
-distinct entries, so relabelling carries its sum onto that one.  Every source
-wedge cancels as it does.  The quotient's matrices are checked per block.
-On the small curves only the per-cell check catches a sign error: with
-every sign +1, no quotient block of a cell with n = 1, d <= 3, b <= 2,
-p <= 5, q <= 2 fails its own check, as (1, 0, 4, 2, 1) at weight (6, 6) and
-surface blocks such as (2, 0, 2, 2, 1) at (2, 2, 2) do.
+they agree on the block.  If no degree-d monomial divides x^w, A(w) and S
+are empty, and the block is its own quotient.  The unreduced block is never
+built.  Its d_out . d_in = 0 is checked once per cell, on the faces of the
+faces of the wedge (0, ..., p): their signs come from positions, never from
+values, and a source wedge has distinct entries, so relabelling carries its
+sum onto that one.  Every source wedge cancels as it does.  The quotient's
+matrices are checked per block.  On the curves only the per-cell check
+catches a sign error: with every sign +1, no quotient block of a cell with
+n = 1, d <= 6, b <= 3, p <= 8 fails its own check, as surface blocks such
+as (2, 0, 3, 2, 1) at (3, 3, 3) do.
 
 The dominant elements are grouped by their wedge sums (KoszulCell._grouped).
 Every exponent vector is packed into one int, a bit field per variable, with
@@ -71,11 +83,11 @@ wedges with one sum s form one list, each wedge appended once, and it is
 filed as a class (packed t, wedges) under every dominant weight s + t, with
 the tensor t packed for the star tests.  Whether t makes s + t dominant is
 one subtraction and one mask on packed gaps, once per distinct sum.  The
-star tests set a guard bit in each field.  Per block only `top`, the apex's
-monomial, is new.  Then t >= top componentwise iff packed t less packed top
-keeps every guard bit, so one test drops a whole class from the quotient,
-and the same test on that difference plus a packed m_i places the face
-that drops m_i.
+star tests set a guard bit in each field.  Per block only the tops, the
+apexes' packed monomials, are new.  Then t >= top componentwise iff packed
+t less packed top keeps every guard bit, so one test per top drops a whole
+class from the quotient, and the same tests on packed t plus a packed m_i
+place the face that drops m_i, once per distinct face tensor.
 
 Only a prefix of the tensors can serve a sum s.  The first part of a
 dominant weight s + t is at least each part of s and at least the mean
@@ -90,21 +102,21 @@ The field width is weight_total.bit_length() + 2, so the guard bit is above
 2 * weight_total.  A packed dominance gap, offset by weight_total, less a
 need with the same offset, stays within its field.  A packed monomial is
 read only inside a wedge (in a wedge sum, or in the star test of a face),
-and a space with wedges of degree-d monomials has tensor degree
-weight_total - (wedge size) * d >= 0, so then d <= weight_total; where
+where the space's tensor degree weight_total - (wedge size) * d >= 0, or as
+a top, which divides x^w: so then d <= weight_total.  Where
 d > weight_total, as at K_{0,0} of (1, 0, 8), the packed monomials
-overflow their fields and none is read.  Every other exponent a star test
-meets is at most weight_total + 1: a tensor t is at most the weight, so is
-t + m_i for m_i in the element's wedge, and top is the apex, which divides
-x^w, or one above the weight in its first exponent.  So each field of
-packed t + guard - top, and of that plus a packed m_i, lies between
-guard - weight_total - 1 >= 0 and guard + weight_total < 2 * guard, and
-holds the guard bit exactly when the difference is >= 0.
+overflow their fields, no monomial divides x^w, and none is read.  Every
+exponent a star test meets is at most weight_total: a tensor t is at most
+the weight, so is t + m_i for m_i in the element's wedge, and so is every
+top, since every top divides x^w.  So each field of packed t + guard - top,
+and of packed t + m_i + guard - top, lies between
+guard - weight_total > 0 and guard + weight_total < 2 * guard, and holds
+the guard bit exactly when the difference is >= 0.
 
 A weight whose quotient has no middle element (every middle element lies
-in the star) contributes 0 in every field.  KoszulCell.ranked, the step
-betti's pass takes at each weight, settles it from its counts: after the
-cap estimate on the unreduced counts, its kept middle, scanned from its
+in the star union) contributes 0 in every field.  KoszulCell.ranked, the
+step betti's pass takes at each weight, settles it from its counts: after
+the cap estimate on the unreduced counts, its kept middle, scanned from its
 middle classes or given by the cell (p - 1, q + 1), is empty; a KoszulBlock
 without maps is returned, and no source list, matrix, composition check or
 rank follows.  A weight with a kept middle is built by block(w) from the
@@ -116,21 +128,22 @@ them (see its module notes).
 The cells of one antidiagonal p + q = j are consecutive homology degrees of
 the same complexes: at a weight w, the source space of (p - 1, q + 1),
 Wedge^p V (x) H(qd + b), is the middle space of (p, q), and the d_in of
-(p - 1, q + 1) is the d_out of (p, q), on the same star quotient, since
-the apex and the packing depend on w and the antidiagonal alone.  The
-KoszulCells of one pass share their `spaces` dict, so each space is
-grouped once.  At each weight, ranked() of (p - 1, q + 1) gives the apex,
-top, its kept source and its d_in, and ranked() of (p, q) takes them as
-its apex, top, kept middle and d_out, the same matrix object: no apex
-search, scan or build is made twice.  The handed-over map's rows
-are the whole kept middle of (p - 1, q + 1), not only the faces this block
-reaches: its target_dim counts those zero rows too, its rank is unchanged.
-The cap estimate still comes first in each block, and the d_out . d_in = 0
-check still runs, on the map handed over.  Where (p - 1, q + 1) settles,
-it gives its apex and top only: (p, q) scans its own kept middle there and
-builds its d_out, with no rows, since every kept face of its kept middle
-would be a kept middle element of (p - 1, q + 1).  Where (p, q) settles,
-the d_in it was given has no columns, and is dropped.
+(p - 1, q + 1) is the d_out of (p, q), on the same quotient, since the
+apex set A(w) depends on w and the basis alone, and the packing on the
+antidiagonal.  The KoszulCells of one pass share their `spaces` dict, so
+each space is grouped once.  At each weight, ranked() of (p - 1, q + 1)
+gives the apexes, their tops, its kept source and its d_in, and ranked()
+of (p, q) takes them as its apexes, tops, kept middle and d_out, the same
+matrix object: no apex search, scan or build is made twice.  The
+handed-over map's rows are the whole kept middle of (p - 1, q + 1), not
+only the faces this block reaches: its target_dim counts those zero rows
+too, its rank is unchanged.  The cap estimate still comes first in each
+block, and the d_out . d_in = 0 check still runs, on the map handed over.
+Where (p - 1, q + 1) settles, it gives its apexes and tops only: (p, q)
+scans its own kept middle there and builds its d_out, with no rows, since
+every kept face of its kept middle would be a kept middle element of
+(p - 1, q + 1).  Where (p, q) settles, the d_in it was given has no
+columns, and is dropped.
 """
 
 from __future__ import annotations
@@ -138,7 +151,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, combinations
-from operator import add, ge
+from operator import add
 
 from .arith import binom_safe
 from .linalg import InvariantError, SparseMatrix
@@ -252,11 +265,28 @@ def _pack(fields, width: int) -> int:
     return packed
 
 
+class _Outside(dict):
+    """{packed tensor: whether no top is at most it}, each tensor tested
+    once, when first asked.  A tensor is packed with every field's guard bit
+    set, and is at least a top iff their difference keeps every guard bit
+    (see the module notes)."""
+
+    __slots__ = ("tops", "guards")
+
+    def __init__(self, tops, guards: int):
+        self.tops, self.guards = tops, guards
+
+    def __missing__(self, packed: int) -> bool:
+        guards = self.guards
+        out = self[packed] = not any([(packed - top) & guards == guards for top in self.tops])
+        return out
+
+
 class KoszulBlock:
     """One dominant weight as betti's pass takes it: the unreduced block's
     dimensions full_mid_dim and full_src_dim and middle classes
-    full_middle, and the maps of its quotient by a vertex star (see the
-    module notes).
+    full_middle, and the maps of its quotient by the union of the stars of
+    its apexes (see the module notes).
 
     d_in has shape (mid_dim, src_dim), d_out (target_dim, mid_dim), and the
     block's contribution to dim K_{p,q} is mid_dim - rank(d_in) - rank(d_out).
@@ -312,11 +342,12 @@ class KoszulCell:
     times tensor monomials) and only the elements of dominant weight are
     kept, grouped by weight in classes of one wedge sum, and counted once
     per weight.  block(w) builds the block at a dominant weight lazily, as
-    its star quotient.  ranked(w), the step betti's pass takes, settles a
-    weight whose quotient has no middle element instead, and takes what the
-    cell (p - 1, q + 1) gave at the weight (see the module notes).  Target
-    rows are allocated on demand while applying the differential, so the
-    target space is never enumerated.
+    its quotient by the star union of its apexes.  ranked(w), the step
+    betti's pass takes, settles a weight whose quotient has no middle
+    element instead, and takes what the cell (p - 1, q + 1) gave at the
+    weight (see the module notes).  Target rows are allocated on demand
+    while applying the differential, so the target space is never
+    enumerated.
 
     `spaces` files each space the cell groups, once, under its wedge size
     and tensor degree.  betti's pass gives the cells of one antidiagonal of
@@ -344,7 +375,7 @@ class KoszulCell:
         # whose spaces all have wedge size times d plus tensor degree equal
         # to weight_total.  A packed dominance gap is at most twice
         # weight_total above the guard bit, and every exponent a star test
-        # meets is at most weight_total + 1 (see the module notes)
+        # meets is at most weight_total (see the module notes)
         self._width = width = params.weight_total.bit_length() + 2
         self._guards = _pack([1 << (width - 1)] * (params.n + 1), width)
         self._packed = [_pack(m, width) for m in self.basis_d.monomials]
@@ -446,10 +477,10 @@ class KoszulCell:
         return ws
 
     def block(self, weight, kept=None, d_out=None) -> KoszulBlock:
-        """The block at a dominant weight, as ranked: its star quotient.
-        `kept` is the weight's (kept middle, kept source), where ranked()
-        has scanned them, and `d_out` the d_in of the cell (p - 1, q + 1)
-        there, where that cell built one.
+        """The block at a dominant weight, as ranked: its quotient by the
+        star union.  `kept` is the weight's (tops, kept middle, kept
+        source), where ranked() has scanned them, and `d_out` the d_in of
+        the cell (p - 1, q + 1) there, where that cell built one.
 
         Any other weight raises ValueError; its block is isomorphic to its
         dominant rearrangement's (see the module notes)."""
@@ -461,23 +492,23 @@ class KoszulCell:
 
     def ranked(self, weight, given=None) -> tuple:
         """(the block betti ranks at a dominant weight, what this cell gives
-        there).  The block has no maps where the star quotient has no middle
-        element.  `given` is what the cell ranked before it at the weight
-        gave, or None, and is taken only from the cell (p - 1, q + 1): its
-        apex and top, its kept source, which is this cell's kept middle, and
-        its d_in, this cell's d_out (see the module notes).  The cap check
-        on the unreduced counts comes first."""
+        there).  The block has no maps where the quotient by the star union
+        has no middle element.  `given` is what the cell ranked before it
+        at the weight gave, or None, and is taken only from the cell
+        (p - 1, q + 1): its apexes and tops, its kept source, which is this
+        cell's kept middle, and its d_in, this cell's d_out (see the module
+        notes).  The cap check on the unreduced counts comes first."""
         self._check_cap(weight)
         p = self.params.p
-        apex, top, middle, d_out = (given[1:] if given and given[0] == p - 1
-                                    else (*self._apex(weight), None, None))
+        apexes, tops, middle, d_out = (given[1:] if given and given[0] == p - 1
+                                       else (*self._apex(weight), None, None))
         if middle is None:
-            middle = self._kept_elements(self._middle.get(weight, []), apex, top)
+            middle = self._kept_elements(self._middle.get(weight, []), apexes, tops)
         if not middle:
-            return KoszulBlock(weight, *self._unreduced(weight)), (p, apex, top, None, None)
-        source = self._kept_elements(self._source.get(weight, []), apex, top)
-        block = self.block(weight, (middle, source), d_out)
-        return block, (p, apex, top, source, block.d_in)
+            return KoszulBlock(weight, *self._unreduced(weight)), (p, apexes, tops, None, None)
+        source = self._kept_elements(self._source.get(weight, []), apexes, tops)
+        block = self.block(weight, (tops, middle, source), d_out)
+        return block, (p, apexes, tops, source, block.d_in)
 
     def _unreduced(self, weight) -> tuple:
         """(full_mid_dim, full_src_dim, full_middle) of the unreduced block."""
@@ -496,53 +527,67 @@ class KoszulCell:
             )
 
     def _apex(self, weight) -> tuple:
-        """(apex, top) at a weight: the first degree-d monomial dividing
-        x^weight, and its packed exponents.  With none the star is empty,
-        and `top`, one above the weight in its first exponent, is a monomial
-        that no tensor of the block (each at most the weight) reaches."""
-        apex = next((i for i, m in enumerate(self.basis_d.monomials)
-                     if all(map(ge, weight, m))), None)
-        return apex, (self._packed[apex] if apex is not None
-                      else _pack((weight[0] + 1,) + weight[1:], self._width))
+        """(apexes, tops) at a weight: the apex set A(w), as a frozenset of
+        basis indices, and its monomials' packed exponents.  Walking the
+        degree-d monomials in basis order, each one that divides x^weight
+        and shares no variable with those already taken is taken.  The
+        basis is in descending lex order, so the first is the weight's first
+        variables, in order, up to degree d: it ends at the variable k where
+        their exponents first reach d, and uses every variable up to k
+        that the weight does not leave at 0.  The next is read the same way
+        from variable k + 1 on, and so on: one sweep of the weight.  With
+        no apex both are empty, and so is the star union."""
+        d, index_of = self.params.d, self.basis_d.index_of
+        apexes, start, need = [], 0, d
+        for k, e in enumerate(weight):
+            need -= e
+            if need <= 0:   # variable k completes degree d with e + need
+                apexes.append(index_of((0,) * start + weight[start:k] + (e + need,)
+                                       + (0,) * (len(weight) - k - 1)))
+                start, need = k + 1, d
+        return frozenset(apexes), tuple([self._packed[i] for i in apexes])
 
     def _scan(self, weight) -> tuple:
-        """(kept middle, kept source) at a weight, after the cap check:
-        block(w) alone scans them."""
+        """(tops, kept middle, kept source) at a weight, after the cap
+        check: block(w) alone scans them."""
         self._check_cap(weight)
-        apex, top = self._apex(weight)
-        return (self._kept_elements(self._middle.get(weight, []), apex, top),
-                self._kept_elements(self._source.get(weight, []), apex, top))
+        apexes, tops = self._apex(weight)
+        return (tops, self._kept_elements(self._middle.get(weight, []), apexes, tops),
+                self._kept_elements(self._source.get(weight, []), apexes, tops))
 
-    def _kept_elements(self, group, apex, top) -> list:
-        """The elements of a group outside the star: the apex divides no kept
-        class's tensor, and is in no kept wedge.  Each wedge is kept with its
-        class's packed tensor less top."""
+    def _kept_elements(self, group, apexes, tops) -> list:
+        """The elements of a group outside the star union: no top is at most
+        a kept class's tensor, and no apex is in a kept wedge.  Each wedge
+        is kept with its class's packed tensor."""
         guards = self._guards
-        return [(wedge, s) for packed, wedges in group
-                if (s := packed - top) & guards != guards
-                for wedge in wedges if apex not in wedge]
+        for top in tops:
+            group = [(packed, wedges) for packed, wedges in group
+                     if (packed - top) & guards != guards]
+        return [(wedge, packed) for packed, wedges in group
+                for wedge in wedges if apexes.isdisjoint(wedge)]
 
     def _build(self, weight, kept, d_out=None) -> KoszulBlock:
-        """Matrices of the block at `weight` on its quotient by the star of
-        its apex, whose kept elements are `kept`, d_out taken from the cell
-        (p - 1, q + 1) where it built one.  The d_out . d_in = 0 check of
-        the quotient's matrices comes last (that of the unreduced block is
-        made once per cell: see the module notes)."""
-        middle, source = kept
-        guards, packed_monomials = self._guards, self._packed
+        """Matrices of the block at `weight` on its quotient by the star
+        union of its apexes, whose tops and kept elements are `kept`, d_out
+        taken from the cell (p - 1, q + 1) where it built one.  The
+        d_out . d_in = 0 check of the quotient's matrices comes last (that
+        of the unreduced block is made once per cell: see the module
+        notes)."""
+        tops, middle, source = kept
+        outside, packed_monomials = _Outside(tops, self._guards), self._packed
 
         def columns(elements, row_of, size):
             # one column per element, one entry per kept face: a face of a
-            # kept element has no apex either, so it is kept unless the apex
-            # divides its tensor x^t m_i.  combinations lists the faces from
-            # the last factor dropped to the first: reversed, they are in
-            # the order of _faces, and take its signs by position (a wedge of
-            # no factors has none)
+            # kept element has no apex either, so it is kept unless a top
+            # is at most its tensor x^t m_i.  combinations lists the faces
+            # from the last factor dropped to the first: reversed, they are
+            # in the order of _faces, and take its signs by position (a
+            # wedge of no factors has none)
             signs, face_size = self._signs, max(size - 1, 0)
             return tuple([tuple([(row_of[face], sign) for i, face, sign in zip(
                                      wedge, [*combinations(wedge, face_size)][::-1], signs)
-                                 if (s + packed_monomials[i]) & guards != guards])
-                          for wedge, s in elements])
+                                 if outside[t + packed_monomials[i]]])
+                          for wedge, t in elements])
 
         if d_out is None:
             target_index = defaultdict()     # numbers the faces 0, 1, ... as met

@@ -18,9 +18,9 @@ recorded and disagreement is logged, since cohomology dimensions built from
 undercounted ranks can only overcount.  One call, `certified_rank`, serves
 every engine mode, whatever its number of primes; betti picks its route.
 A map without entries has rank 0 over Q and over every field, and many
-quotient maps koszul builds are of this kind (the star of the apex is often
-most of the block): certified_rank checks the primes (check_primes) and
-returns its certificate without eliminating.
+quotient maps koszul builds are of this kind (the union of the stars of the
+apexes is often most of the block): certified_rank checks the primes
+(check_primes) and returns its certificate without eliminating.
 
 The elimination kernel runs over Z/N for any modulus N, and certification
 runs it once with N the product of the distinct primes.  By the Chinese

@@ -13,8 +13,8 @@ quotients; they share the
 package's grouping, memory check and rank code on purpose, so that
 comparing against them tests the reduction and nothing else.  Likewise the
 block build on full (wedge, tensor) keys is the build as it was before
-blocks were keyed by wedge alone, with the star taken from full keys, and
-full_complex and kpq_dim_unblocked at the end take the whole three-term
+blocks were keyed by wedge alone, with the star union taken from full keys,
+and full_complex and kpq_dim_unblocked at the end take the whole three-term
 complex, with no weight decomposition, through the package's term and
 exact-rank code.  grouped_all_pairs is the dominant grouping as it was
 before it was indexed by wedge sum: every wedge against every tensor, one
@@ -216,8 +216,8 @@ def iter_blocks(cell: KoszulCell):
 
 def iter_ranked(cell: KoszulCell):
     """What the pass ranks at each dominant weight of a cell alone, in the
-    order of weights(): the block, without maps where the star quotient
-    has no middle element."""
+    order of weights(): the block, without maps where the quotient has no
+    middle element."""
     for w in cell.weights():
         yield cell.ranked(w)[0]
 
@@ -339,7 +339,7 @@ class AllWeightsCell(_AllWeights, UnreducedCell):
 
 class AllWeightsStarCell(_AllWeights, KoszulCell):
     """Every weight block, each built as the engine builds a dominant one:
-    as its quotient by the star of its apex."""
+    as its quotient by the union of the stars of its apexes."""
 
 
 def all_weights_cell(n, b, d, p, q, config, cell_class=AllWeightsCell) -> dict:
@@ -371,23 +371,29 @@ def all_weights_cell(n, b, d, p, q, config, cell_class=AllWeightsCell) -> dict:
 
 
 def delta_terms_block(cell: KoszulCell, weight) -> tuple:
-    """(d_in, d_out) of the block at a weight on its quotient by the star of
-    its apex, with every basis element keyed by its full (wedge, tensor)
-    pair and every term taken from _delta_terms.  The apex is the first
-    degree-d monomial dividing x^weight; an element lies in its star when
-    its wedge holds the apex or the apex divides its tensor.  The bases are
-    the cell's own, in its order, less the star."""
+    """(d_in, d_out) of the block at a weight on its quotient by the union of
+    the stars of its apexes, with every basis element keyed by its full
+    (wedge, tensor) pair and every term taken from _delta_terms.  The apexes
+    are taken in basis order: each degree-d monomial that divides x^weight
+    and shares no variable with the apexes before it.  An element lies in
+    the star union when its wedge holds an apex or an apex divides its
+    tensor.  The bases are the cell's own, in its order, less the star
+    union."""
     cell._ensure_groups()
     middle = elements(cell, weight, cell._middle.get(tuple(weight), []))
     source = elements(cell, weight, cell._source.get(tuple(weight), []))
     exps = cell.basis_d.monomials
-    apex = next((i for i, m in enumerate(exps)
-                 if all(a >= c for a, c in zip(weight, m))), None)
+    apexes, used = [], set()
+    for i, m in enumerate(exps):
+        support = {k for k, e in enumerate(m) if e}
+        if not support & used and all(a >= c for a, c in zip(weight, m)):
+            apexes.append(i)
+            used |= support
 
     def kept(key):
         wedge, tensor = key
-        return apex is None or not (
-            apex in wedge or all(a >= c for a, c in zip(tensor, exps[apex])))
+        return not any(apex in wedge or all(a >= c for a, c in zip(tensor, exps[apex]))
+                       for apex in apexes)
 
     middle = [elem for elem in middle if kept(elem)]
     source = [elem for elem in source if kept(elem)]

@@ -65,7 +65,7 @@ def ranked(monkeypatch):
 def steps(monkeypatch):
     """Every ranked() step of the pass, as (cell (p, q), weight, what it
     took from the cell (p - 1, q + 1) there, or None, what it ranked).  What
-    it took is (apex, top, kept middle or None, d_out or None)."""
+    it took is (apexes, tops, kept middle or None, d_out or None)."""
     seen = []
     original = KoszulCell.ranked
 
@@ -127,7 +127,7 @@ def test_every_handed_map_is_used(monkeypatch, steps):
 
     monkeypatch.setattr(betti, "_block_ranks", recording)
     # (n, b, d): handed maps with a second certificate, handed maps built on
-    for nbd, expected in [((2, 0, 3), (1, 69)), ((2, 1, 3), (0, 61)), ((1, 0, 8), (2, 59))]:
+    for nbd, expected in [((2, 0, 3), (1, 43)), ((2, 1, 3), (0, 25)), ((1, 0, 8), (2, 31))]:
         steps.clear()
         calls.clear()
         betti_table(*nbd)
@@ -274,7 +274,7 @@ def test_table_pass_counts(monkeypatch):
     monkeypatch.setattr(KoszulCell, "block", counting_block)
     for nbd in [(2, 0, 3), (2, 1, 3), (1, 0, 8), (1, 6, 8)]:
         betti_table(*nbd)
-    assert (len(certified), len(built)) == (504, 445)
+    assert (len(certified), len(built)) == (399, 340)
 
 
 def test_single_cells_keep_nothing(monkeypatch, steps):

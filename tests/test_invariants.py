@@ -44,8 +44,8 @@ def drop_last_tensor(n, e):
     return EXPONENTS(n, e)[:-1]
 
 
-def block_222():
-    return KoszulCell(Parameters(2, 0, 2, 2, 1)).block((2, 2, 2))
+def block_333():
+    return KoszulCell(Parameters(2, 0, 3, 2, 1)).block((3, 3, 3))
 
 
 WEYL = schur.weyl_dim
@@ -53,13 +53,15 @@ EXPONENTS = koszul.exponent_vectors
 cases = {
     # the cell's check on one wedge per size trips first; with it off, the
     # quotient's matrices are checked on their own (no curve's quotient has
-    # a composite for flat signs to spoil, so this block is a surface's)
-    "faces_of_faces": ([(koszul, "_faces", flat_faces)], block_222),
+    # a composite for flat signs to spoil, so this block is a surface's; the
+    # quotient of (2, 0, 2, 2, 1) at (2, 2, 2) by the stars of x^2, y^2 and
+    # z^2 has no target left, so it is one of degree 3)
+    "faces_of_faces": ([(koszul, "_faces", flat_faces)], block_333),
     # on a curve the cell's check is the only one a sign error can trip
     "curve_faces_of_faces": ([(koszul, "_faces", flat_faces)],
                              lambda: KoszulCell(Parameters(1, 0, 3, 2, 1))),
     "composition": ([(koszul, "_faces", flat_faces),
-                     (koszul, "_check_faces_of_faces", no_check)], block_222),
+                     (koszul, "_check_faces_of_faces", no_check)], block_333),
     "rank_sum": ([(betti, "_block_ranks", too_large_ranks)],
                  lambda: betti.cell_result(1, 0, 2, 1, 1, betti.make_config())),
     # every quotient map of (1, 0, 2, 1, 1) has no entries and is never
@@ -98,7 +100,7 @@ def test_result_guards_hold_under_python_O():
     assert lines["curve_faces_of_faces"].startswith(
         "InvariantError d_out . d_in != 0 on the wedges of size 3")
     assert lines["composition"].startswith(
-        "InvariantError d_out . d_in != 0 at weight (2, 2, 2)")
+        "InvariantError d_out . d_in != 0 at weight (3, 3, 3)")
     assert lines["rank_sum"].startswith("InvariantError ranks")
     assert lines["modular_le_exact"].startswith("InvariantError rank mod ")
     assert lines["orbit_total"].startswith("InvariantError orbit total ")

@@ -96,8 +96,8 @@ def test_block_2_2_of_twisted_cubic_cell():
     assert sorted(v for column in block.d_in.columns for _, v in column) == [-1, 1]
     assert fraction_rank(to_dense(block.d_out)) == 1
     assert fraction_rank(to_dense(block.d_in)) == 1
-    # the engine ranks its quotient by the star of x^2, which leaves only
-    # xy (x) xy: a cycle and no boundary, the block's one class
+    # the engine ranks its quotient by the stars of x^2 and y^2, which
+    # leaves only xy (x) xy: a cycle and no boundary, the block's one class
     quotient = KoszulCell(par).block((2, 2))
     assert (quotient.mid_dim, quotient.src_dim, quotient.target_dim) == (1, 0, 0)
     assert (quotient.full_mid_dim, quotient.full_src_dim) == (3, 1)

@@ -1,9 +1,9 @@
 """Weights settled from their counts change no answer.
 
-KoszulCell.ranked settles each dominant weight whose star quotient has no
-middle element: its contribution is 0 in every field, and no map of it is
-built or ranked.  The oracle, helpers.UnreducedCell, builds the whole block
-there as the engine did before.  At every settled weight the whole block
+KoszulCell.ranked settles each dominant weight whose quotient by the star
+union has no middle element: its contribution is 0 in every field, and no
+map of it is built or ranked.  The oracle, helpers.UnreducedCell, builds
+the whole block there as the engine did before.  At every settled weight the whole block
 must contribute 0 and agree across the primes, and, while the cell's level
 is still exact, route its maps as the settled weight was routed.  block(w)
 still builds the quotient there, with no middle.  Every table settles some

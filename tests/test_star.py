@@ -1,22 +1,30 @@
-"""Ranking each block on its quotient by a vertex star changes no answer.
+"""Ranking each block on its quotient by the star union changes no answer.
 
-The engine builds every weight block as its quotient by the star of its
-apex, an acyclic cone, and ranks only that.  The oracle in helpers.py,
-UnreducedCell, builds the whole block as the engine did before.  Block by
-block, the two contributions mid - rank(d_in) - rank(d_out) must agree over
-every field; cell by cell, every field of the result must agree in every
-mode, since the route and the flags come from the unreduced shapes.
+The engine builds every weight block as its quotient by the union of the
+closed stars of its apexes, degree-d monomials with pairwise disjoint
+supports, and ranks only that.  The union is acyclic: here its augmented
+chain complex is built whole on small weights and found exact.  The oracle
+in helpers.py, UnreducedCell, builds the whole block as the engine did
+before it took any quotient, and SingleApexCell takes the quotient by the
+star of the first apex alone.  Block by block, the contributions
+mid - rank(d_in) - rank(d_out) must agree over every field; cell by cell,
+every field of the result must agree in every mode, since the route and
+the flags come from the unreduced shapes.
 """
+
+from itertools import combinations
+from operator import add, ge
 
 import pytest
 
 from syzlab import betti
 from syzlab.arith import binom_safe, random_prime
 from syzlab.betti import EngineConfig, default_q_lo, make_config
-from syzlab.koszul import KoszulCell, Parameters, _pack
-from syzlab.linalg import InvariantError, _rank_mod
+from syzlab.koszul import KoszulCell, Parameters, _faces, _pack
+from syzlab.linalg import InvariantError, _rank_mod, rank_exact
 
-from helpers import AllWeightsCell, AllWeightsStarCell, UnreducedCell
+from helpers import (AllWeightsCell, AllWeightsStarCell, UnreducedCell, fraction_rank,
+                     from_dense)
 
 TABLES = [(1, 1, 4), (2, 0, 3), (2, 1, 3), (3, 0, 2), (2, 1, 2), (1, 2, 2)]
 PRIMES = [2, random_prime(31, 0)]
@@ -169,3 +177,126 @@ def test_every_cell_matches_the_unreduced_engine(nbd, name, monkeypatch):
     old = [cell_fields(*nbd, p, q, config) for p, q in cells]
     for (p, q), got, want in zip(cells, new, old):
         assert got == want, (nbd, p, q, name)
+
+
+class SingleApexCell(KoszulCell):
+    """A cell that takes each block's quotient by the star of its first apex
+    alone, the first degree-d monomial dividing x^w."""
+
+    def _apex(self, weight):
+        apexes, _ = super()._apex(weight)
+        first = sorted(apexes)[:1]
+        return frozenset(first), tuple([self._packed[i] for i in first])
+
+
+def sizes(block) -> tuple:
+    return block.mid_dim, block.src_dim, block.target_dim
+
+
+# (n, b, d, p, q), weight, its apexes: two with a second that is not a pure
+# power, three pure powers, three with a third that is not, and four
+APEX_SETS = [
+    ((2, 1, 3, 1, 1), (3, 2, 2), [(3, 0, 0), (0, 2, 1)]),
+    ((2, 1, 3, 2, 0), (3, 2, 2), [(3, 0, 0), (0, 2, 1)]),
+    ((2, 0, 3, 2, 1), (3, 3, 3), [(3, 0, 0), (0, 3, 0), (0, 0, 3)]),
+    ((2, 0, 3, 3, 1), (4, 4, 4), [(3, 0, 0), (0, 3, 0), (0, 0, 3)]),
+    ((3, 0, 2, 2, 1), (2, 2, 1, 1), [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 1)]),
+    ((3, 0, 2, 3, 1), (2, 2, 2, 2),
+     [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)]),
+]
+
+
+@pytest.mark.parametrize("params,weight,apexes", APEX_SETS,
+                         ids=["".join(map(str, par)) + "-" + "".join(map(str, w))
+                              for par, w, _ in APEX_SETS])
+def test_apex_sets_shrink_the_quotient_and_keep_the_contribution(params, weight, apexes):
+    params = Parameters(*params)
+    cell = KoszulCell(params)
+    exps = cell.basis_d.monomials
+    taken, tops = cell._apex(weight)
+    assert sorted(exps[i] for i in taken) == sorted(apexes)
+    assert tops == tuple(cell._packed[i] for i in sorted(taken))
+    block = cell.block(weight)
+    single = SingleApexCell(params).block(weight)
+    full = UnreducedCell(params).block(weight)
+    assert all(map(ge, sizes(single), sizes(block))) and sizes(block) != sizes(single)
+    assert (block.full_mid_dim, block.full_src_dim) == (full.mid_dim, full.src_dim)
+    for reduced in (block, single):
+        assert (reduced.mid_dim - rank_exact(reduced.d_in) - rank_exact(reduced.d_out)
+                == full.mid_dim - rank_exact(full.d_in) - rank_exact(full.d_out))
+        for prime in PRIMES:
+            assert contribution(reduced, prime) == contribution(full, prime), prime
+
+
+@pytest.mark.parametrize("nbd", TABLES, ids=lambda nbd: "".join(map(str, nbd)))
+def test_apexes_are_disjoint_dividing_and_maximal(nbd):
+    # taken in basis order, the first is the first monomial dividing x^w,
+    # and every monomial dividing x^w shares a variable with an apex
+    n = nbd[0]
+    for p, q in table_cells(*nbd)[:6]:
+        cell = KoszulCell(Parameters(*nbd, p, q))
+        exps = cell.basis_d.monomials
+        for w in cell.weights():
+            apexes, _ = cell._apex(w)
+            dividing = [i for i, m in enumerate(exps) if all(map(ge, w, m))]
+            supports = [{k for k in range(n + 1) if exps[i][k]} for i in sorted(apexes)]
+            assert set(apexes) <= set(dividing)
+            assert not dividing or min(apexes) == dividing[0]
+            assert sum(map(len, supports)) == len(set().union(*supports))
+            assert all(any(exps[i][k] for k in set().union(*supports)) for i in dividing)
+
+
+def star_union(cell, weight) -> list:
+    """The faces of the union of the closed stars of the cell's apexes in the
+    squarefree divisor complex of x^weight, by size from the empty face:
+    the sets F of degree-d monomials with sum F <= weight that hold an
+    apex, or stay in the complex with one added."""
+    exps = cell.basis_d.monomials
+    apexes, _ = cell._apex(weight)
+
+    def fits(face):
+        total = (0,) * len(weight)
+        for i in face:
+            total = tuple(map(add, total, exps[i]))
+        return all(map(ge, weight, total))
+
+    dividing = [i for i in range(len(exps)) if fits((i,))]
+    by_size = []
+    for size in range(len(dividing) + 1):
+        faces = [face for face in combinations(dividing, size) if fits(face) and any(
+            apex in face or fits(face + (apex,)) for apex in apexes)]
+        if not faces:
+            break
+        by_size.append(faces)
+    return by_size
+
+
+def boundary(faces, below) -> list:
+    """The dense boundary map from `faces` to the faces `below`, one size
+    less, as a list of rows; every face of a face must be below."""
+    row_of = {face: r for r, face in enumerate(below)}
+    rows = [[0] * len(faces) for _ in below]
+    for c, face in enumerate(faces):
+        for _, smaller, sign in _faces(face):
+            rows[row_of[smaller]][c] += sign
+    return rows
+
+
+# (n, d, weight): one apex, two with a second that is not a pure power,
+# three, and four
+STAR_WEIGHTS = [(2, 2, (3, 1, 0)), (2, 3, (3, 2, 2)), (2, 2, (4, 1, 1)), (2, 2, (2, 2, 2)),
+                (2, 3, (3, 3, 3)), (3, 2, (2, 2, 1, 1)), (3, 2, (2, 2, 2, 2)), (1, 4, (6, 6))]
+
+
+@pytest.mark.parametrize("n,d,weight", STAR_WEIGHTS,
+                         ids=[f"{n}{d}-" + "".join(map(str, w)) for n, d, w in STAR_WEIGHTS])
+def test_star_union_is_acyclic(n, d, weight):
+    total = sum(weight)
+    cell = KoszulCell(Parameters(n, total % d, d, 0, total // d))
+    chains = star_union(cell, weight)
+    assert len(chains) > 2      # the empty face, vertices and edges at least
+    maps = [boundary(chains[k], chains[k - 1]) for k in range(1, len(chains))]
+    for rank in (fraction_rank, lambda a: _rank_mod(from_dense(a), 2)):
+        ranks = [0] + [rank(m) for m in maps] + [0]
+        for k, faces in enumerate(chains):
+            assert len(faces) == ranks[k] + ranks[k + 1], (weight, k)
