@@ -576,29 +576,27 @@ class KoszulCell:
         tops, middle, source = kept
         outside, packed_monomials = _Outside(tops, self._guards), self._packed
 
-        def columns(elements, row_of, size):
-            # one column per element, one entry per kept face: a face of a
-            # kept element has no apex either, so it is kept unless a top
-            # is at most its tensor x^t m_i.  combinations lists the faces
-            # from the last factor dropped to the first: reversed, they are
-            # in the order of _faces, and take its signs by position (a
-            # wedge of no factors has none)
-            signs, face_size = self._signs, max(size - 1, 0)
-            return tuple([tuple([(row_of[face], sign) for i, face, sign in zip(
-                                     wedge, [*combinations(wedge, face_size)][::-1], signs)
+        def columns(elements, row_of):
+            # one column per element, one entry per kept face, in the order
+            # of _faces and with its signs by position: a face of a kept
+            # element has no apex either, so it is kept unless a top is at
+            # most its tensor x^t m_i.  That test comes first, memoised per
+            # face tensor in `outside`, and only a kept face is sliced
+            signs = self._signs
+            return tuple([tuple([(row_of[wedge[:j] + wedge[j + 1:]], signs[j])
+                                 for j, i in enumerate(wedge)
                                  if outside[t + packed_monomials[i]]])
                           for wedge, t in elements])
 
         if d_out is None:
             target_index = defaultdict()     # numbers the faces 0, 1, ... as met
             target_index.default_factory = target_index.__len__
-            out_columns = columns(middle, target_index, self.params.p)
+            out_columns = columns(middle, target_index)
             d_out = SparseMatrix(len(target_index), len(middle), out_columns)
         # weight preservation: every kept face of a source element is a kept
         # middle element of this block
         mid_index = {wedge: i for i, (wedge, _) in enumerate(middle)}
-        d_in = SparseMatrix(len(middle), len(source),
-                            columns(source, mid_index, self.params.p + 1))
+        d_in = SparseMatrix(len(middle), len(source), columns(source, mid_index))
         self._check_composition_zero(d_out, d_in, weight)
         return KoszulBlock(weight, *self._unreduced(weight), d_in, d_out)
 

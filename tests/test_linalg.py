@@ -1,12 +1,13 @@
 import logging
 import random
 from itertools import product
+from math import prod
 
 import pytest
 
 from syzlab import linalg
 from syzlab.arith import PrimeField, binom_safe, random_prime
-from syzlab.betti import default_q_lo
+from syzlab.betti import cell_result, default_q_lo
 from syzlab.koszul import KoszulCell, Parameters
 from syzlab.linalg import (
     NonUnitPivot,
@@ -25,6 +26,7 @@ from helpers import (
     fraction_rank,
     from_dense,
     iter_blocks,
+    iter_ranked,
     to_dense,
 )
 
@@ -353,3 +355,165 @@ def test_large_random_cross_backend_agreement():
         r2 = rank_exact(m)
         r3 = fraction_rank(to_dense(m))
         assert r1 == r2 == r3
+
+
+def unchecked(rows, cols, columns) -> SparseMatrix:
+    """A SparseMatrix made without __post_init__, as `python -O` makes any."""
+    m = object.__new__(SparseMatrix)
+    for name, value in (("rows", rows), ("cols", cols), ("columns", columns)):
+        object.__setattr__(m, name, value)
+    return m
+
+
+@pytest.mark.parametrize("columns", [(((0, 1), (2, 1)),), (((0, 1), (-1, 1)),),
+                                     (((0, 1), (1, -1), (0, 1)),)],
+                         ids=["row-past-the-end", "negative-row", "repeated-row"])
+def test_kernel_refuses_a_malformed_map(columns):
+    # with SparseMatrix's assert stripped, the kernel's own set-up must
+    # catch what would corrupt its live counts, on every route
+    m = unchecked(2, 1, columns)
+    p1, p2 = default_primes(2)
+    for modulus in (2, p1, p1 * p2):
+        with pytest.raises(linalg.InvariantError):
+            _rank_mod(m, modulus)
+    for exact in (False, True):
+        with pytest.raises(linalg.InvariantError):
+            certified_rank(m, (p1, p2), exact)
+    # a row repeated in another column is no fault
+    assert _rank_mod(unchecked(2, 2, (((0, 1),), ((0, 1), (1, 1)))), p1) == 2
+
+
+@pytest.fixture
+def core_rows(monkeypatch):
+    """The row count of each matrix that reaches the core elimination."""
+    seen = []
+
+    def spy(rows, modulus):
+        seen.append(len(rows))
+        return markowitz(rows, modulus)
+
+    markowitz = linalg._markowitz
+    monkeypatch.setattr(linalg, "_markowitz", spy)
+    return seen
+
+
+def cycle_boundary(vertices, offset=0):
+    """The boundary of a hollow polygon: one column per edge (i, i + 1),
+    -1 at i and +1 at i + 1, both rows shifted by `offset`."""
+    return [((offset + i, -1), (offset + (i + 1) % vertices, 1)) for i in range(vertices)]
+
+
+def path_boundary(vertices, offset=0):
+    """The boundary of a path on `vertices` vertices, a tree: it peels whole."""
+    return [((offset + i, -1), (offset + i + 1, 1)) for i in range(vertices - 1)]
+
+
+def test_hollow_square_is_ranked_by_the_core_alone(core_rows):
+    # every row and column has two entries, so nothing peels
+    square = SparseMatrix(4, 4, tuple(cycle_boundary(4)))
+    p1, p2 = default_primes(2)
+    for modulus in (2, 3, p1, p1 * p2):
+        assert _rank_mod(square, modulus) == 3 == rank_mod_dense(to_dense(square), 3)
+    assert core_rows == [4] * 4
+
+
+def test_block_diagonal_mix_of_a_peelable_part_and_a_core(core_rows):
+    # a path on 5 vertices peels whole, a hollow hexagon is left as the core
+    m = SparseMatrix(11, 10, tuple(path_boundary(5) + cycle_boundary(6, offset=5)))
+    p1, p2 = default_primes(2)
+    dense = to_dense(m)
+    for modulus in (2, 5, p1 * p2):
+        assert _rank_mod(m, modulus) == 4 + 5 == fraction_rank(dense)
+    assert _rank_mod(SparseMatrix(5, 4, tuple(path_boundary(5))), p1) == 4
+    assert core_rows == [6] * 3
+
+
+@pytest.mark.parametrize("dense, ranks", [(lambda p1: [[p1]], [0, 1]),
+                                          (lambda p1: [[1, 1], [0, p1]], [1, 2])],
+                         ids=["alone", "after-a-unit"])
+def test_lone_non_unit_met_in_the_peel(dense, ranks, core_rows):
+    # p1 is nonzero mod p1 * p2 but no unit: the peel refuses it as a pivot
+    # (in the second map only after a unit pivot has emptied its row), and
+    # the per-prime runs find the ranks
+    p1, p2 = default_primes(2)
+    m = from_dense(dense(p1))
+    with pytest.raises(NonUnitPivot):
+        _rank_mod(m, p1 * p2)
+    assert core_rows == []
+    assert _modular_ranks(m, (p1, p2)) == ranks == [rank_mod_dense(to_dense(m), p)
+                                                    for p in (p1, p2)]
+
+
+def one_or_two_per_column(rng, rows, cols, values):
+    """Columns of two entries, one in ten of one, each value +-1 or, one
+    time in four, one of `values`."""
+    return SparseMatrix(rows, cols, tuple(
+        tuple(sorted((r, rng.choice(values) if rng.random() < 0.25 else rng.choice((1, -1)))
+                     for r in rng.sample(range(rows), k)))
+        for k in (1 if rows == 1 or rng.random() < 0.1 else 2 for _ in range(cols))))
+
+
+@pytest.mark.parametrize("moduli", [(3,), (5,), (7,), default_primes(2)],
+                         ids=lambda moduli: "x".join(map(str, moduli)))
+def test_kernel_matches_dense_on_maps_with_one_or_two_entries_per_column(moduli, core_rows):
+    # the Koszul maps' regime: mostly peeled, a cycle now and then left as a
+    # core; values include multiples of each prime and non-units of the
+    # product
+    modulus = prod(moduli)
+    values = [v for p in moduli for v in (p, 2 * p, p - 1, p + 1)] + [2, 3]
+    values += [-v for v in values]
+    rng = random.Random(modulus)
+    joint = non_unit = 0
+    for trial in range(150):
+        rows = rng.randrange(1, 9)
+        m = one_or_two_per_column(rng, rows, rng.randrange(1, 2 * rows + 2), values)
+        dense = to_dense(m)
+        want = [rank_mod_dense(dense, p) for p in moduli]
+        try:
+            rank = _rank_mod(m, modulus)
+        except NonUnitPivot:
+            non_unit += 1
+            assert len(moduli) == 2, (trial, dense)
+        else:
+            joint += 1
+            assert [rank] * len(moduli) == want, (trial, dense)
+        if len(moduli) == 2:
+            assert _modular_ranks(m, moduli) == want, (trial, dense)
+    assert joint > 50 and len(core_rows) > 10, (joint, len(core_rows))
+    assert len(moduli) == 1 or non_unit > 10, non_unit
+
+
+@pytest.mark.parametrize("p, q, core", [(6, 1, []), (11, 2, []), (9, 2, [24, 26, 40])])
+def test_core_elimination_on_the_quartic_cells(p, q, core, core_rows):
+    # every map of K_{6,1} and K_{11,2} of (2, 0, 4) peels whole; K_{9,2}
+    # leaves a core in 3 maps, so a real Koszul map keeps that path tested
+    cell_result(2, 0, 4, p, q)
+    assert core_rows == core
+
+
+def whole_matrix_core_rank(m, modulus):
+    """The core loop's rank on all of m, with no peel."""
+    return linalg._markowitz({r: {c: v % modulus for c, v in column}
+                              for r, column in enumerate(m.columns) if column}, modulus)
+
+
+@pytest.mark.parametrize("nbd, cells", [
+    ((2, 0, 3), None), ((2, 1, 3), None), ((1, 0, 8), None), ((1, 6, 8), None),
+    ((2, 0, 4), ((6, 1), (11, 2), (9, 2))),
+], ids=lambda x: ",".join(map(str, x)) if x and isinstance(x[0], int) else "")
+def test_peel_and_core_match_the_core_loop_alone(nbd, cells):
+    # the surface-tables tables, with (1, 0, 8)'s duality companion, and the
+    # quartic cells: every built map, mod p1 * p2 and mod 2
+    n, b, d = nbd
+    modulus = prod(default_primes(2))
+    cells = cells or [(p, q) for q in range(default_q_lo(b, d), n + 2)
+                      for p in range(binom_safe(d + n, n))]
+    ranked = 0
+    for p, q in cells:
+        for block in iter_ranked(KoszulCell(Parameters(n, b, d, p, q))):
+            for m in (block.d_in, block.d_out) if block.d_in is not None else ():
+                if m.nnz:
+                    for mod in (modulus, 2):
+                        assert _rank_mod(m, mod) == whole_matrix_core_rank(m, mod), (p, q)
+                    ranked += 1
+    assert ranked > 20, ranked
