@@ -135,6 +135,8 @@ class EngineConfig:
         # one prime given twice is one field, and certifies nothing
         if self.mode == LEVEL_TWO_PRIME and len(set(self.primes)) < 2:
             raise ValueError("two-prime mode needs at least two distinct primes")
+        if self.memory_cap < 0:
+            raise ValueError(f"negative memory cap {self.memory_cap}")
 
 
 def make_config(

@@ -359,7 +359,6 @@ class KoszulCell:
         self.params = params
         self.memory_cap = memory_cap
         self.basis_d = enumerate_basis(params.n, params.d)
-        assert len(self.basis_d) == params.v
         mid = self.expected_middle_dim()
         src = self.expected_source_dim()
         est = _estimate_bytes(mid, src, params.p)
@@ -592,11 +591,11 @@ class KoszulCell:
             target_index = defaultdict()     # numbers the faces 0, 1, ... as met
             target_index.default_factory = target_index.__len__
             out_columns = columns(middle, target_index)
-            d_out = SparseMatrix(len(target_index), len(middle), out_columns)
+            d_out = SparseMatrix(len(target_index), out_columns)
         # weight preservation: every kept face of a source element is a kept
         # middle element of this block
         mid_index = {wedge: i for i, (wedge, _) in enumerate(middle)}
-        d_in = SparseMatrix(len(middle), len(source), columns(source, mid_index))
+        d_in = SparseMatrix(len(middle), columns(source, mid_index))
         self._check_composition_zero(d_out, d_in, weight)
         return KoszulBlock(weight, *self._unreduced(weight), d_in, d_out)
 

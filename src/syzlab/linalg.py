@@ -2,7 +2,10 @@
 
 A matrix is its list of columns, each a tuple of (row, value) pairs, as
 koszul builds every map.  Both kernels eliminate the columns as rows: the
-transpose has the same rank over Q and over every field.
+transpose has the same rank over Q and over every field.  The kernels are
+the one check of a map's entries, with or without `python -O`: each reads
+a value of 0 as no entry and refuses, with InvariantError, a row out of
+range or repeated within a column, as it sets the map up.
 
 The Koszul differentials have +-1 entries and very low fill, so the default
 rank engine is sparse Gaussian elimination over a prime field.  It peels
@@ -86,21 +89,18 @@ class NonUnitPivot(ArithmeticError):
 class SparseMatrix:
     """Immutable matrix over the integers, stored as its list of columns.
 
-    columns[c] is a tuple of (row, value) pairs with value != 0, every row
-    in range and none repeated within the column; there are `cols` columns.
-    Zero rows and columns are representable simply by absence.
+    columns[c] is a tuple of (row, value) pairs, a value of 0 being no
+    entry; there are len(columns) columns, and nnz counts the pairs.
+    Nothing is checked here: the rank kernels check the entries (see the
+    module notes).
     """
 
     rows: int
-    cols: int
     columns: tuple
 
-    def __post_init__(self):
-        assert self.rows >= 0 and self.cols == len(self.columns), (self.rows, self.cols)
-        for c, column in enumerate(self.columns):
-            # an entry out of range or zero is dropped, a repeated row merged
-            assert len({r for r, v in column if v and 0 <= r < self.rows}) == len(column), \
-                f"column {c} of a {self.rows}-row matrix: {column}"
+    @property
+    def cols(self) -> int:
+        return len(self.columns)
 
     @property
     def nnz(self) -> int:
@@ -132,10 +132,10 @@ def _rank_mod(m: SparseMatrix, modulus: int) -> int:
     NonUnitPivot when a chosen pivot, in the peel or in the core, is not a
     unit (see the module notes).
 
-    The peel indexes lists by row number, so the set-up refuses, with
-    InvariantError, a row out of range or one repeated in a column after
-    an entry nonzero mod modulus: under `python -O` SparseMatrix's assert
-    is stripped, and such a row would corrupt the live counts.
+    The set-up is the one check of m's entries: an entry zero mod modulus
+    is no entry, and a row out of range, or repeated in a column after an
+    entry nonzero mod modulus, would corrupt the peel's live counts, so it
+    raises InvariantError.
     """
     neg, nrows = -modulus, m.rows
     # live entries per row of the transpose (a column of m) and per column
@@ -284,8 +284,9 @@ def rank_exact(m: SparseMatrix) -> int:
     transpose, one row per column of m.
 
     All intermediate entries are minors of the original integer matrix, so
-    divisions are exact and no rounding can occur.  A row out of range or
-    repeated in a column raises InvariantError, as in _rank_mod.
+    divisions are exact and no rounding can occur.  The set-up checks m's
+    entries as _rank_mod's does: 0 is no entry, and a row out of range, or
+    repeated after a nonzero entry, raises InvariantError.
     """
     a = [[0] * m.rows for _ in m.columns]
     for c, (row, column) in enumerate(zip(a, m.columns)):

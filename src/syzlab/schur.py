@@ -35,8 +35,9 @@ class SchurSolveError(Exception):
 
 
 def partitions_of(total: int, max_parts: int) -> list:
-    """Partitions of `total` into at most `max_parts` parts, descending lex."""
-    assert total >= 0 and max_parts >= 0
+    """Partitions of `total` into at most `max_parts` parts, descending lex;
+    none of a negative total."""
+    assert max_parts >= 0
     out = []
 
     def rec(prefix, remaining, cap, slots):

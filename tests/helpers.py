@@ -55,7 +55,7 @@ def from_dense(a) -> SparseMatrix:
     """The SparseMatrix of a dense list of rows."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    return SparseMatrix(rows, cols, tuple(
+    return SparseMatrix(rows, tuple(
         tuple((r, a[r][c]) for r in range(rows) if a[r][c]) for c in range(cols)))
 
 
@@ -242,8 +242,8 @@ class UnreducedCell(KoszulCell):
             tuple((target_index.setdefault(face, len(target_index)), sign)
                   for _, face, sign in _faces(wedge))
             for wedge in middle)
-        d_out = SparseMatrix(len(target_index), len(middle), out_columns)
-        d_in = SparseMatrix(len(middle), len(source), tuple(
+        d_out = SparseMatrix(len(target_index), out_columns)
+        d_in = SparseMatrix(len(middle), tuple(
             tuple((mid_index[face], sign) for _, face, sign in _faces(wedge))
             for wedge in source))
         self._check_composition_zero(d_out, d_in, weight)
@@ -407,8 +407,8 @@ def delta_terms_block(cell: KoszulCell, weight) -> tuple:
         tuple((mid_index[key], sign)
               for key, sign in _delta_terms(wedge, tensor, exps) if kept(key))
         for wedge, tensor in source)
-    return (SparseMatrix(len(middle), len(source), in_columns),
-            SparseMatrix(len(target_index), len(middle), out_columns))
+    return (SparseMatrix(len(middle), in_columns),
+            SparseMatrix(len(target_index), out_columns))
 
 
 def append_records(directory, q, count):
@@ -454,9 +454,9 @@ def full_complex(params: Parameters, memory_cap: int = DEFAULT_MEMORY_CAP):
         tuple((target_index.setdefault(key, len(target_index)), sign)
               for key, sign in _delta_terms(wedge, tensor, exps))
         for wedge, tensor in middle)
-    d_out = SparseMatrix(len(target_index), len(middle), out_columns)
+    d_out = SparseMatrix(len(target_index), out_columns)
 
-    d_in = SparseMatrix(len(middle), len(source), tuple(
+    d_in = SparseMatrix(len(middle), tuple(
         tuple((mid_index[key], sign) for key, sign in _delta_terms(wedge, tensor, exps))
         for wedge, tensor in source))
     return d_in, d_out, len(middle)

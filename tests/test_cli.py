@@ -115,11 +115,11 @@ def test_cache_dir_precedence_and_echo(capsys, tmp_path, monkeypatch, flags, env
         assert os.path.exists(os.path.join(where[resolved], ResultStore.FILENAME))
 
 
-def _run_module(*argv):
+def _run_module(*argv, flags=()):
     src = os.path.dirname(os.path.dirname(os.path.abspath(syzlab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, "-m", "syzlab.cli", *argv], env=env,
+    return subprocess.run([sys.executable, *flags, "-m", "syzlab.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -257,6 +257,22 @@ def test_schur_command(capsys):
     assert schur["components"] == [
         {"partition": [2, 2], "multiplicity": 1, "weyl_dim": 6}
     ]
+
+
+@pytest.mark.parametrize("b, d, q", [(0, 3, -2), (3, 2, -5)])
+def test_schur_on_a_negative_weight_total_is_empty(b, d, q):
+    # (p + q) d + b < 0: no partition, so no weight and no irreducible,
+    # with the asserts in src/ and without them
+    args = ("schur", "--n", "1", "--b", str(b), "--d", str(d), "--p", "1", "--q", str(q),
+            "--no-cache")
+    outs = []
+    for flags in ((), ("-O",)):
+        proc = _run_module(*args, flags=flags)
+        assert proc.returncode == EXIT_OK, (flags, proc.stderr)
+        schur = json.loads(proc.stdout)["schur"]
+        assert (schur["components"], schur["total_dim"]) == ([], 0), flags
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_cycle_command(capsys):
@@ -400,6 +416,16 @@ def test_memory_cap_zero_is_infeasible(capsys):
                        "--no-cache")
     assert code == EXIT_INFEASIBLE
     assert "infeasible" in err
+
+
+def test_negative_memory_cap_is_usage_error(capsys):
+    with pytest.raises(ValueError, match="negative memory cap -1"):
+        make_config(memory_cap=-1)
+    assert make_config(memory_cap=0).memory_cap == 0
+    code, out, err = run(capsys, "kpq", "--n", "1", "--b", "0", "--d", "3",
+                         "--p", "1", "--q", "1", "--memory-cap-mb", "-5", "--no-cache")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "usage error: negative memory cap" in err
 
 
 @pytest.mark.parametrize("n,b,d", [(0, 0, 1), (1, 0, 0), (1, -3, 2)])

@@ -207,6 +207,34 @@ def test_block_ranks_match_unblocked_ranks():
         assert sum(o * fraction_rank(to_dense(b.d_out)) for o, b in dominant) == whole_out
 
 
+def test_built_maps_are_well_formed(monkeypatch):
+    # SparseMatrix checks nothing, and the kernels refuse a malformed map
+    # only as they read it: every map koszul builds on the surface-tables
+    # tables and two quartic cells has entries +-1, every row in range and
+    # no row repeated within a column
+    built = []
+    block = KoszulCell.block
+
+    def spy(self, *args, **kwargs):
+        built.append(block(self, *args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(KoszulCell, "block", spy)
+    for nbd in [(2, 0, 3), (2, 1, 3), (1, 0, 8)]:
+        betti.betti_table(*nbd)
+    for pq in [(6, 1), (11, 2)]:
+        betti.cell_result(2, 0, 4, *pq)
+    entries = 0
+    for m in (m for b in built for m in (b.d_in, b.d_out)):
+        for column in m.columns:
+            rows = [r for r, _ in column]
+            assert all(v in (1, -1) for _, v in column), column
+            assert all(0 <= r < m.rows for r in rows), (m.rows, column)
+            assert len(set(rows)) == len(rows), column
+            entries += len(column)
+    assert len(built) > 200 and entries > 5000, (len(built), entries)
+
+
 def test_weight_permutation_symmetry():
     # permuting the variables permutes weights without changing the shape of
     # the unreduced block or the block's contribution
