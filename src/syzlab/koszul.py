@@ -81,8 +81,11 @@ Every exponent vector is packed into one int, a bit field per variable, with
 one field width per cell, so a wedge sum is a sum of packed monomials.  The
 wedges with one sum s form one list, each wedge appended once, and it is
 filed as a class (packed t, wedges) under every dominant weight s + t, with
-the tensor t packed for the star tests.  Whether t makes s + t dominant is
-one subtraction and one mask on packed gaps, once per distinct sum.  The
+the tensor t packed for the star tests.  The weight is packed too: a class
+is filed under the int packed s + packed t, one add, and each weight is
+unpacked to its tuple once, after the last wedge, in the order the weights
+were first met.  Whether t makes s + t dominant is one subtraction and one
+mask on packed gaps, the need read off packed s once per distinct sum.  The
 star tests set a guard bit in each field.  Per block only the tops, the
 apexes' packed monomials, are new.  Then t >= top componentwise iff packed
 t less packed top keeps every guard bit, so one test per top drops a whole
@@ -100,7 +103,13 @@ unreduced sizes are read from them, never recounted.
 
 The field width is weight_total.bit_length() + 2, so the guard bit is above
 2 * weight_total.  A packed dominance gap, offset by weight_total, less a
-need with the same offset, stays within its field.  A packed monomial is
+need with the same offset, stays within its field.  The need is packed s
+shifted down one field, plus weight_total in each of the first n fields,
+less packed s masked to those n fields: each field holds
+s_(i+1) - s_i + weight_total, between 0 and 2 * weight_total, so nothing
+borrows.  A packed weight, packed s plus packed t with its guard bits,
+holds guard + s_i + t_i < 2 * guard in each field, since s + t sums to
+weight_total, so nothing carries.  A packed monomial is
 read only inside a wedge (in a wedge sum, or in the star test of a face),
 where the space's tensor degree weight_total - (wedge size) * d >= 0, or as
 a top, which divides x^w: so then d <= weight_total.  Where
@@ -403,40 +412,39 @@ class KoszulCell:
 
         s + t is dominant iff each gap t_i - t_(i+1) covers the need
         s_(i+1) - s_i.  All wedge sums have the same total, so the need
-        fixes s, and is found once per distinct sum.  Each tensor's gaps are
-        packed once, offset by weight_total, with each field's guard bit set;
-        less a need packed with the same offset, a field keeps its guard bit
-        iff the gap covers the need.  Only a prefix of the tensors is tested
-        (see the module notes)."""
+        fixes s, and is read once per distinct sum off the packed sum.
+        Each tensor's gaps are packed once, offset by weight_total, with
+        each field's guard bit set; less a need packed with the same offset,
+        a field keeps its guard bit iff the gap covers the need.  Only a
+        prefix of the tensors is tested.  A class is filed under its packed
+        weight, and each weight is unpacked once (see the module notes)."""
         par, width, guards = self.params, self._width, self._guards
-        groups = {}
-        if wedge_size < 0 or wedge_size > par.v:
-            return groups
-        tensors = exponent_vectors(par.n, tensor_degree)
-        if not tensors:
-            return groups
-        bound, mask, guard = par.weight_total, (1 << width) - 1, 1 << (width - 1)
+        if wedge_size < 0 or wedge_size > par.v or not (
+                tensors := exponent_vectors(par.n, tensor_degree)):
+            return {}
+        bound, guard = par.weight_total, 1 << (width - 1)
+        field, low = guard - 1, (1 << width * par.n) - 1     # below a guard; n fields
         shifts = range(0, width * (par.n + 1), width)  # one field per variable
-        gap_guards = _pack([guard] * par.n, width)
-        gaps = [(t, _pack([t[i] - t[i + 1] + bound + guard for i in range(par.n)], width),
+        gap_guards, offsets = _pack([guard] * par.n, width), _pack([bound] * par.n, width)
+        gaps = [(_pack([t[i] - t[i + 1] + bound + guard for i in range(par.n)], width),
                  _pack(t, width) + guards) for t in tensors]
         # the first part of a dominant weight is at least its mean part
         least = -(-(wedge_size * par.d + tensor_degree) // (par.n + 1))
+        groups = defaultdict(list)      # packed weight -> its classes
         classes = {}    # packed wedge sum -> its wedges
         for wedge, key in zip(combinations(range(par.v), wedge_size),
                               map(sum, combinations(self._packed, wedge_size))):
             wedges = classes.get(key)
             if wedges is None:
                 wedges = classes[key] = []
-                s = tuple([(key >> k) & mask for k in shifts])
-                need = _pack([s[i + 1] - s[i] + bound for i in range(par.n)], width)
-                lo = max(least, *s) - s[0]      # the least t_0 that can serve
-                for t, gap, packed in gaps[:binom_safe(
-                        tensor_degree - max(lo, 0) + par.n, par.n)]:
+                need = (key >> width) + offsets - (key & low)   # s_(i+1) - s_i + bound
+                # the least t_0 that can serve
+                lo = max(least, *[key >> k & field for k in shifts]) - (key & field)
+                for gap, packed in gaps[:binom_safe(tensor_degree - max(lo, 0) + par.n, par.n)]:
                     if (gap - need) & gap_guards == gap_guards:
-                        groups.setdefault(tuple(map(add, s, t)), []).append((packed, wedges))
+                        groups[key + packed].append((packed, wedges))
             wedges.append(wedge)
-        return groups
+        return {tuple([w >> k & field for k in shifts]): group for w, group in groups.items()}
 
     def _counted(self, wedge_size: int, tensor_degree: int, expected: int) -> tuple:
         """(groups, {weight: number of elements}) of one space, each weight's

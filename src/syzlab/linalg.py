@@ -134,8 +134,10 @@ def _rank_mod(m: SparseMatrix, modulus: int) -> int:
 
     The set-up is the one check of m's entries: an entry zero mod modulus
     is no entry, and a row out of range, or repeated in a column after an
-    entry nonzero mod modulus, would corrupt the peel's live counts, so it
-    raises InvariantError.
+    entry nonzero over Z, raises InvariantError, whatever the modulus, as
+    in rank_exact.  An entry nonzero over Z but zero mod modulus is listed
+    nowhere, so a repeat after it is found by a scan of the rest of its
+    column; no Koszul map, whose entries are +-1, has such an entry.
     """
     neg, nrows = -modulus, m.rows
     # live entries per row of the transpose (a column of m) and per column
@@ -156,6 +158,9 @@ def _rank_mod(m: SparseMatrix, modulus: int) -> int:
                 rows_of.append(r)
                 col_count[c] += 1
                 k += 1
+            elif v and any(c2 == c for c2, _ in column[column.index((c, v)) + 1:]):
+                # nonzero over Z but no entry mod modulus: listed nowhere
+                raise InvariantError(f"row {c} is repeated in column {r}")
         row_count[r] = k
 
     # the peel: deleting a lone entry's column takes one entry from each

@@ -41,12 +41,17 @@ def grouping_cases():
     (4,0,2) packs five fields; its cells with q > 3 exceed the memory cap.
     (1,0,8) and its dual (1,6,8) have the widest wedge sums of the
     surface-tables benchmark.  (1,0,5) K_{1,1} and K_{2,1} reach the two
-    edges of the tensor prefix (see test_prefix_edges_are_reached)."""
+    edges of the tensor prefix (see test_prefix_edges_are_reached).  The
+    edges of the packing in test_star.EDGES come too: (2,0,1) and (2,0,2),
+    where one bit less per field loses dominant weights, (1,2,5), whose
+    K_{0,0} has weight total 2 < d, and K_{0,0} of (2,0,8), where the
+    packed monomials overflow their fields."""
     params = [par for nbd in [(1, 1, 4), (2, 0, 3), (2, 1, 3), (3, 0, 2), (4, 0, 2),
-                              (1, 0, 8), (1, 6, 8)]
+                              (1, 0, 8), (1, 6, 8), (2, 0, 1), (2, 0, 2), (1, 2, 5)]
               for par in table_params(*nbd) if par.n < 4 or par.q <= 3]
     params += [Parameters(2, 0, 4, 6, 1), Parameters(2, 0, 4, 11, 2),
-               Parameters(1, 0, 5, 1, 1), Parameters(1, 0, 5, 2, 1)]
+               Parameters(1, 0, 5, 1, 1), Parameters(1, 0, 5, 2, 1),
+               Parameters(2, 0, 8, 0, 0)]
     cases = {}
     for par in params:
         nbd = f"{par.n}{par.b}{par.d}"

@@ -363,6 +363,17 @@ def test_kernel_refuses_a_malformed_map(columns):
     assert _rank_mod(SparseMatrix(2, (((0, 1),), ((0, 1), (1, 1)))), p1) == 2
 
 
+def test_a_repeat_after_an_entry_zero_mod_the_modulus_is_refused():
+    # the 3 is no entry mod 3, but it is nonzero over Z: the map is refused
+    # under every modulus, as rank_exact refuses it
+    m = SparseMatrix(1, (((0, 3), (0, 1)),))
+    for modulus in (3, 5, 15):
+        with pytest.raises(linalg.InvariantError):
+            _rank_mod(m, modulus)
+    with pytest.raises(linalg.InvariantError):
+        rank_exact(m)
+
+
 @pytest.mark.parametrize("rows, zeros, plain", [
     # an explicit 0 alone in a column, and a 0 just before a repeat of its
     # row in the same column
