@@ -47,6 +47,9 @@ COMMANDS = [
     "betti --n 1 --b 1 --d 4 --format csv --mode exact --no-cache",
     "betti --n 2 --b 0 --d 4 --p-min 5 --p-max 7 --q-min 1 --q-max 1 --format m2 "
     "--memory-cap-mb 1 --no-cache",
+    # an infeasible cell in JSON: its entry prints the repr of the cell's Parameters
+    "betti --n 2 --b 0 --d 4 --p-min 6 --p-max 6 --q-min 1 --q-max 1 --memory-cap-mb 1 "
+    "--no-cache",
     # verify: a curve, a surface, b >= d, a twisted table, exact mode
     "verify --n 1 --b 0 --d 3 --no-cache",
     "verify --n 2 --b 0 --d 3 --cache-dir {cache}",
