@@ -10,8 +10,9 @@ across runs and machines.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import comb
+
+from .records import FrozenRecord
 
 # Witnesses making Miller-Rabin deterministic for all n < 2^64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -65,14 +66,14 @@ def random_prime(bits: int, seed: int) -> int:
             return candidate
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(FrozenRecord):
     """A prime modulus of 31 to 62 bits, checked on construction."""
 
-    modulus: int
+    _fields = ("modulus",)
 
-    def __post_init__(self):
-        if not 31 <= self.modulus.bit_length() <= 62:
-            raise ValueError(f"modulus must have 31-62 bits, got {self.modulus}")
-        if not is_prime(self.modulus):
-            raise ValueError(f"modulus {self.modulus} is not prime")
+    def __init__(self, modulus: int):
+        if not 31 <= modulus.bit_length() <= 62:
+            raise ValueError(f"modulus must have 31-62 bits, got {modulus}")
+        if not is_prime(modulus):
+            raise ValueError(f"modulus {modulus} is not prime")
+        self.__dict__.update(modulus=modulus)

@@ -87,12 +87,10 @@ from __future__ import annotations
 
 import fcntl
 import json
-import logging
 import os
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field, fields
 
 from . import ENGINE_VERSION
 from .arith import binom_safe, random_prime
@@ -105,8 +103,7 @@ from .koszul import (
 )
 from .linalg import InvariantError, RankCertificate, certified_rank, check_primes
 from .monomials import distinct_permutations_count
-
-logger = logging.getLogger(__name__)
+from .records import FrozenRecord, Record
 
 LEVEL_EXACT = "exact"
 LEVEL_TWO_PRIME = "two-prime"
@@ -121,22 +118,24 @@ DEFAULT_PRIME_BITS = 31
 EXACT_THRESHOLD = 256
 
 
-@dataclass(frozen=True)
-class EngineConfig:
+class EngineConfig(FrozenRecord):
     """How ranks are taken: mode, primes, memory cap."""
 
-    mode: str = LEVEL_TWO_PRIME
-    primes: tuple = ()
-    memory_cap: int = DEFAULT_MEMORY_CAP
+    _fields = ("mode", "primes", "memory_cap")
+    mode = LEVEL_TWO_PRIME
+    primes = ()
+    memory_cap = DEFAULT_MEMORY_CAP
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+    def __init__(self, mode: str = mode, primes: tuple = primes,
+                 memory_cap: int = memory_cap):
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
         # one prime given twice is one field, and certifies nothing
-        if self.mode == LEVEL_TWO_PRIME and len(set(self.primes)) < 2:
+        if mode == LEVEL_TWO_PRIME and len(set(primes)) < 2:
             raise ValueError("two-prime mode needs at least two distinct primes")
-        if self.memory_cap < 0:
-            raise ValueError(f"negative memory cap {self.memory_cap}")
+        if memory_cap < 0:
+            raise ValueError(f"negative memory cap {memory_cap}")
+        self.__dict__.update(mode=mode, primes=primes, memory_cap=memory_cap)
 
 
 def make_config(
@@ -151,23 +150,20 @@ def make_config(
     return EngineConfig(mode=mode, primes=primes, memory_cap=memory_cap)
 
 
-@dataclass(frozen=True)
-class CellResult:
+class CellResult(FrozenRecord):
     """One computed cell with its certification metadata."""
 
-    n: int
-    b: int
-    d: int
-    p: int
-    q: int
-    dim: int
-    level: str
-    agreement: bool
-    primes: tuple
-    block_count: int
-    max_block_dim: int
-    wall_time_ms: int
-    analytic: bool = False
+    _fields = ("n", "b", "d", "p", "q", "dim", "level", "agreement", "primes",
+               "block_count", "max_block_dim", "wall_time_ms", "analytic")
+    analytic = False
+
+    def __init__(self, n: int, b: int, d: int, p: int, q: int, dim: int, level: str,
+                 agreement: bool, primes: tuple, block_count: int, max_block_dim: int,
+                 wall_time_ms: int, analytic: bool = analytic):
+        self.__dict__.update(n=n, b=b, d=d, p=p, q=q, dim=dim, level=level,
+                             agreement=agreement, primes=primes, block_count=block_count,
+                             max_block_dim=max_block_dim, wall_time_ms=wall_time_ms,
+                             analytic=analytic)
 
     def to_record(self) -> dict:
         """Every field, tuples as the lists JSON reads back, and the engine
@@ -180,7 +176,7 @@ class CellResult:
     def from_record(cls, rec: dict) -> "CellResult":
         """The result a record holds; a field it lacks, as older stores lack
         `analytic`, takes its default."""
-        held = {f.name: rec[f.name] for f in fields(cls) if f.name in rec}
+        held = {k: rec[k] for k in cls._fields if k in rec}
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in held.items()})
 
 
@@ -397,8 +393,9 @@ class ResultStore:
                         unreadable = (number, start, exc)
                 start += len(raw)
         if unreadable is not None:
-            logger.warning("skipping torn last line %d of %s (%s)",
-                           unreadable[0], self.path, unreadable[2])
+            import logging      # loaded only to warn: importing it is costly
+            logging.getLogger(__name__).warning("skipping torn last line %d of %s (%s)",
+                                                unreadable[0], self.path, unreadable[2])
             self._torn_at = (unreadable[1], start)
 
     @staticmethod
@@ -504,17 +501,16 @@ def default_q_lo(b: int, d: int) -> int:
     return -(b // d)
 
 
-@dataclass
-class BettiTable:
+class BettiTable(Record):
     """A window of cells for fixed (n, b, d)."""
 
-    n: int
-    b: int
-    d: int
-    p_range: tuple
-    q_range: tuple
-    cells: dict = field(default_factory=dict)
-    failures: dict = field(default_factory=dict)
+    _fields = ("n", "b", "d", "p_range", "q_range", "cells", "failures")
+
+    def __init__(self, n: int, b: int, d: int, p_range: tuple, q_range: tuple,
+                 cells: dict = None, failures: dict = None):
+        self.n, self.b, self.d, self.p_range, self.q_range = n, b, d, p_range, q_range
+        self.cells = {} if cells is None else cells
+        self.failures = {} if failures is None else failures
 
     @property
     def v(self) -> int:
@@ -607,10 +603,11 @@ def hilbert_numerator_coeffs(n, b, d, jmax) -> list:
     return out
 
 
-@dataclass
-class EulerReport:
-    coefficients: dict
-    residuals: dict
+class EulerReport(Record):
+    _fields = ("coefficients", "residuals")
+
+    def __init__(self, coefficients: dict, residuals: dict):
+        self.coefficients, self.residuals = coefficients, residuals
 
     @property
     def ok(self) -> bool:
@@ -666,10 +663,11 @@ def dual_cell_coords(n, b, d, p, q) -> tuple:
     return (v - 1) - p - n, n - q
 
 
-@dataclass
-class DualityReport:
-    b_dual: int
-    mismatches: list
+class DualityReport(Record):
+    _fields = ("b_dual", "mismatches")
+
+    def __init__(self, b_dual: int, mismatches: list):
+        self.b_dual, self.mismatches = b_dual, mismatches
 
     @property
     def ok(self) -> bool:

@@ -24,27 +24,23 @@ counterexample candidates, not errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .arith import binom_safe
 from .betti import BettiTable
 from .koszul import check_nbd
+from .records import FrozenRecord, Record
 
 REGIME_PROVED = "proved"
 REGIME_CONJECTURED = "conjectured"
 REGIME_OUTSIDE = "outside"
 
 
-@dataclass(frozen=True)
-class PredictedRange:
+class PredictedRange(FrozenRecord):
     """Closed interval [lo, hi] of p where a strand is predicted nonzero."""
 
-    source: str
-    q: int
-    lo: int
-    hi: int
-    valid: bool
-    regime: str
+    _fields = ("source", "q", "lo", "hi", "valid", "regime")
+
+    def __init__(self, source: str, q: int, lo: int, hi: int, valid: bool, regime: str):
+        self.__dict__.update(source=source, q=q, lo=lo, hi=hi, valid=valid, regime=regime)
 
     @property
     def is_empty(self) -> bool:
@@ -131,7 +127,7 @@ def kpn_exact(n: int, b: int, d: int) -> PredictedRange:
 
     K_{p,n} != 0 iff binom(d+n, n) - binom(d-b-1, n) - n <= p <= binom(d+n, n) - n - 1.
     """
-    return replace(sharp_range(n, b, d, n), source="kpn")
+    return sharp_range(n, b, d, n).replace(source="kpn")
 
 
 def kpn1_exact(n: int, b: int, d: int) -> PredictedRange:
@@ -146,7 +142,7 @@ def kpn1_exact(n: int, b: int, d: int) -> PredictedRange:
 def surface_q2_anchor(d: int) -> PredictedRange:
     """The q = 2 strand on P^2 with b = 0: nonzero for 3d - 2 <= p <= r_d - 2
     (d >= 3): sharp_range(2, 0, d, 2)."""
-    return replace(sharp_range(2, 0, d, 2), source="surface_q2_anchor")
+    return sharp_range(2, 0, d, 2).replace(source="surface_q2_anchor")
 
 
 def linearity_zero_oracle(n: int, d: int, p: int, q: int) -> bool:
@@ -157,18 +153,23 @@ def linearity_zero_oracle(n: int, d: int, p: int, q: int) -> bool:
     return q >= 2 and 1 <= p <= d
 
 
-@dataclass
-class StrandVerdict:
+class StrandVerdict(Record):
     """Bound-vs-table comparison for one strand."""
 
-    q: int
-    required: PredictedRange        # range whose containment is proved here (or None)
-    sharp: PredictedRange           # the conjecturally exact range (or None)
-    computed_nonzero: list
-    required_ok: bool               # proved containment / exactness held
-    exact_expected: bool            # strand is proved exactly equal to `required`
-    candidates: list                # nonzero p outside the sharp range (conjecture data)
-    note: str = ""
+    _fields = ("q", "required", "sharp", "computed_nonzero", "required_ok",
+               "exact_expected", "candidates", "note")
+
+    def __init__(self, q: int, required: PredictedRange, sharp: PredictedRange,
+                 computed_nonzero: list, required_ok: bool, exact_expected: bool,
+                 candidates: list, note: str = ""):
+        self.q = q
+        self.required = required        # range whose containment is proved here (or None)
+        self.sharp = sharp              # the conjecturally exact range (or None)
+        self.computed_nonzero = computed_nonzero
+        self.required_ok = required_ok              # proved containment / exactness held
+        self.exact_expected = exact_expected        # strand is proved exactly equal to `required`
+        self.candidates = candidates    # nonzero p outside the sharp range (conjecture data)
+        self.note = note
 
     def to_dict(self) -> dict:
         return {
@@ -183,14 +184,13 @@ class StrandVerdict:
         }
 
 
-@dataclass
-class BoundsReport:
-    n: int
-    b: int
-    d: int
-    strands: list
-    linearity_violations: list
-    ok: bool
+class BoundsReport(Record):
+    _fields = ("n", "b", "d", "strands", "linearity_violations", "ok")
+
+    def __init__(self, n: int, b: int, d: int, strands: list,
+                 linearity_violations: list, ok: bool):
+        self.n, self.b, self.d, self.strands = n, b, d, strands
+        self.linearity_violations, self.ok = linearity_violations, ok
 
     def to_dict(self) -> dict:
         return {

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import hashlib
 import json
 import os
 import sys
@@ -369,6 +368,7 @@ def cmd_render(cfg) -> tuple:
                 fh.write(svg)
         except OSError as exc:
             raise UsageFailure(f"cannot write --out {cfg.out!r}: {exc.strerror}") from None
+        import hashlib      # render alone digests its output
         digest = hashlib.sha256(svg.encode()).hexdigest()
         payload = _header(cfg)
         payload["render"] = {"out": cfg.out, "bytes": len(svg.encode()),

@@ -14,11 +14,10 @@ cohomology class, so alpha certifies K_{p,0} != 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .arith import binom_safe
 from .koszul import _delta_terms, check_nbd
 from .monomials import enumerate_basis, monomial_text, multiply
+from .records import Record
 
 
 class DegenerateCycleError(ValueError):
@@ -178,13 +177,13 @@ def build_kp0_cycle(n: int, b: int, d: int, p: int,
     return chain
 
 
-@dataclass
-class CycleReport:
-    p: int
-    tensor_degree: int
-    nonzero: bool
-    is_cycle: bool
-    boundary_space_trivial: bool
+class CycleReport(Record):
+    _fields = ("p", "tensor_degree", "nonzero", "is_cycle", "boundary_space_trivial")
+
+    def __init__(self, p: int, tensor_degree: int, nonzero: bool, is_cycle: bool,
+                 boundary_space_trivial: bool):
+        self.p, self.tensor_degree, self.nonzero = p, tensor_degree, nonzero
+        self.is_cycle, self.boundary_space_trivial = is_cycle, boundary_space_trivial
 
     @property
     def certifies_nonvanishing(self) -> bool:

@@ -95,11 +95,12 @@ place the face that drops m_i, once per distinct face tensor.
 Only a prefix of the tensors can serve a sum s.  The first part of a
 dominant weight s + t is at least each part of s and at least the mean
 part, so t_0 >= lo = max(ceil(total / (n + 1)), max s) - s_0.  The tensors
-come in exponent_vectors order, t_0 non-increasing, and those of degree e
-with t_0 >= lo are the first binom(e - lo + n, n): all of them when
-lo <= 0, none when lo > e.  Each space's per-weight element counts are
-summed once, when it is grouped, in the same pass as its orbit total:
-unreduced sizes are read from them, never recounted.
+of degree e are the cached basis enumerate_basis(n, e), in descending lex
+order, so t_0 is non-increasing, and those with t_0 >= lo are the first
+binom(e - lo + n, n): all of them when lo <= 0, none when lo > e.  Each
+space's per-weight element counts are summed once, when it is grouped, in
+the same pass as its orbit total: unreduced sizes are read from them, never
+recounted.
 
 The field width is weight_total.bit_length() + 2, so the guard bit is above
 2 * weight_total.  A packed dominance gap, offset by weight_total, less a
@@ -158,13 +159,13 @@ columns, and is dropped.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, count
 from operator import add
 
 from .arith import binom_safe
 from .linalg import InvariantError, SparseMatrix
-from .monomials import distinct_permutations_count, enumerate_basis, exponent_vectors
+from .monomials import distinct_permutations_count, enumerate_basis
+from .records import FrozenRecord
 
 DEFAULT_MEMORY_CAP = 2 << 30
 
@@ -201,24 +202,20 @@ def check_nbd(n: int, b: int, d: int) -> None:
         raise ValueError(f"need n >= 1, d >= 1, b >= 0; got n={n}, b={b}, d={d}")
 
 
-@dataclass(frozen=True)
-class Parameters:
+class Parameters(FrozenRecord):
     """Cell coordinates (n, b, d, p, q) with the derived sizes v and r_d.
 
     v = dim S^d U = binom(d+n, n) and r_d = v - 1 is the dimension of the
     ambient projective space of the embedding.
     """
 
-    n: int
-    b: int
-    d: int
-    p: int
-    q: int
+    _fields = ("n", "b", "d", "p", "q")
 
-    def __post_init__(self):
-        check_nbd(self.n, self.b, self.d)
-        if self.p < 0:
-            raise ValueError(f"p must be >= 0, got {self.p}")
+    def __init__(self, n: int, b: int, d: int, p: int, q: int):
+        check_nbd(n, b, d)
+        if p < 0:
+            raise ValueError(f"p must be >= 0, got {p}")
+        self.__dict__.update(n=n, b=b, d=d, p=p, q=q)
 
     @property
     def v(self) -> int:
@@ -407,8 +404,8 @@ class KoszulCell:
         of `wedge_size` basis indices times the tensors of `tensor_degree`.
         Each `wedges` lists, in combinations order, every wedge with one sum
         s, and is filed, one list object, under s + t for each tensor t (in
-        exponent_vectors order) that makes s + t dominant.  So each wedge is
-        appended once.
+        basis order) that makes s + t dominant.  So each wedge is appended
+        once.
 
         s + t is dominant iff each gap t_i - t_(i+1) covers the need
         s_(i+1) - s_i.  All wedge sums have the same total, so the need
@@ -420,7 +417,7 @@ class KoszulCell:
         weight, and each weight is unpacked once (see the module notes)."""
         par, width, guards = self.params, self._width, self._guards
         if wedge_size < 0 or wedge_size > par.v or not (
-                tensors := exponent_vectors(par.n, tensor_degree)):
+                tensors := enumerate_basis(par.n, tensor_degree).monomials):
             return {}
         bound, guard = par.weight_total, 1 << (width - 1)
         field, low = guard - 1, (1 << width * par.n) - 1     # below a guard; n fields
@@ -596,8 +593,9 @@ class KoszulCell:
                           for wedge, t in elements])
 
         if d_out is None:
-            target_index = defaultdict()     # numbers the faces 0, 1, ... as met
-            target_index.default_factory = target_index.__len__
+            # numbers the faces 0, 1, ... as met; the counter holds no
+            # reference to the dict, so reference counting frees both
+            target_index = defaultdict(count().__next__)
             out_columns = columns(middle, target_index)
             d_out = SparseMatrix(len(target_index), out_columns)
         # weight preservation: every kept face of a source element is a kept

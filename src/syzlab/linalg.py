@@ -62,15 +62,12 @@ every update multiplies small ints where residues in [0, N) would multiply
 from __future__ import annotations
 
 import heapq
-import logging
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
 
 from .arith import PrimeField
-
-logger = logging.getLogger(__name__)
+from .records import FrozenRecord
 
 
 class InvariantError(Exception):
@@ -85,8 +82,7 @@ class NonUnitPivot(ArithmeticError):
     """A pivot chosen mod a composite modulus has no inverse."""
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
+class SparseMatrix(FrozenRecord):
     """Immutable matrix over the integers, stored as its list of columns.
 
     columns[c] is a tuple of (row, value) pairs, a value of 0 being no
@@ -95,8 +91,10 @@ class SparseMatrix:
     module notes).
     """
 
-    rows: int
-    columns: tuple
+    _fields = ("rows", "columns")
+
+    def __init__(self, rows: int, columns: tuple):
+        self.__dict__.update(rows=rows, columns=columns)
 
     @property
     def cols(self) -> int:
@@ -322,8 +320,7 @@ def rank_exact(m: SparseMatrix) -> int:
     return r
 
 
-@dataclass(frozen=True)
-class RankCertificate:
+class RankCertificate(FrozenRecord):
     """Outcome of a certified rank computation.
 
     `exact` means the rational rank was computed outright; otherwise `rank`
@@ -331,10 +328,10 @@ class RankCertificate:
     all matched (they can only undercount, so the max is the best estimate).
     """
 
-    rank: int
-    primes: tuple
-    agreement: bool
-    exact: bool
+    _fields = ("rank", "primes", "agreement", "exact")
+
+    def __init__(self, rank: int, primes: tuple, agreement: bool, exact: bool):
+        self.__dict__.update(rank=rank, primes=primes, agreement=agreement, exact=exact)
 
 
 @lru_cache
@@ -390,7 +387,8 @@ def certified_rank(m: SparseMatrix, primes, exact: bool) -> RankCertificate:
                     f"of a {m.rows}x{m.cols} block"
                 )
             if modular < rank:
-                logger.warning(
+                import logging      # loaded only to warn: importing it is costly
+                logging.getLogger(__name__).warning(
                     "prime %d undercounts rank (%d < %d) on a %dx%d block",
                     p, modular, rank, m.rows, m.cols,
                 )
@@ -398,7 +396,8 @@ def certified_rank(m: SparseMatrix, primes, exact: bool) -> RankCertificate:
     ranks = _modular_ranks(m, primes)
     agreement = len(set(ranks)) == 1
     if not agreement:
-        logger.warning(
+        import logging
+        logging.getLogger(__name__).warning(
             "rank disagreement across primes %s: %s on a %dx%d block",
             primes, ranks, m.rows, m.cols,
         )

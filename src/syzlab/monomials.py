@@ -22,17 +22,11 @@ def exponent_vectors(n: int, e: int) -> list:
     """All exponent tuples of length n+1 summing to e, descending lex."""
     if e < 0:
         return []
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for first in range(remaining, -1, -1):
-            rec(prefix + (first,), remaining - first, slots - 1)
-
-    rec((), e, n + 1)
-    return out
+    heads = [((), e)]   # (the first exponents, the degree left), in order
+    for _ in range(n):
+        heads = [(head + (first,), left - first)
+                 for head, left in heads for first in range(left, -1, -1)]
+    return [head + (left,) for head, left in heads]
 
 
 @lru_cache(maxsize=None)

@@ -19,11 +19,11 @@ whose primes disagree is refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .betti import EngineConfig, make_config, weight_blocks
 from .monomials import distinct_permutations_count
+from .records import Record
 
 
 class CertificationError(Exception):
@@ -156,15 +156,14 @@ def weight_space_dims(n, b, d, p, q, config: EngineConfig = None) -> dict:
     return out
 
 
-@dataclass
-class SchurMultiplicities:
-    n: int
-    b: int
-    d: int
-    p: int
-    q: int
-    entries: dict            # stripped partition -> positive multiplicity
-    total_dim: int
+class SchurMultiplicities(Record):
+    _fields = ("n", "b", "d", "p", "q", "entries", "total_dim")
+
+    def __init__(self, n: int, b: int, d: int, p: int, q: int, entries: dict,
+                 total_dim: int):
+        self.n, self.b, self.d, self.p, self.q = n, b, d, p, q
+        self.entries = entries      # stripped partition -> positive multiplicity
+        self.total_dim = total_dim
 
     def multiplicity(self, lam) -> int:
         return self.entries.get(_strip(tuple(lam)), 0)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import multiprocessing
 import random
@@ -208,7 +207,7 @@ def test_euler_detects_a_perturbed_cell():
     table = betti_table(1, 0, 3)
     cells = dict(table.cells)
     victim = cells[(1, 1)]
-    cells[(1, 1)] = dataclasses.replace(victim, dim=victim.dim + 1)
+    cells[(1, 1)] = victim.replace(dim=victim.dim + 1)
     tampered = BettiTable(table.n, table.b, table.d, table.p_range,
                           table.q_range, cells, {})
     report = euler_check(tampered)
@@ -227,7 +226,7 @@ def test_euler_misses_a_wrong_interior_rank_that_duality_sees(monkeypatch):
         cert = linalg.certified_rank(m, primes, exact)
         if cert.rank and not lowered:
             lowered.append(cert)
-            return dataclasses.replace(cert, rank=cert.rank - 1)
+            return cert.replace(rank=cert.rank - 1)
         return cert
 
     truth = betti_table(2, 0, 3)
@@ -304,7 +303,7 @@ def test_duality_mismatch_is_reported():
     right = betti_table(1, 1, 3)
     cells = dict(right.cells)
     victim = cells[(1, 0)]
-    cells[(1, 0)] = dataclasses.replace(victim, dim=victim.dim + 5)
+    cells[(1, 0)] = victim.replace(dim=victim.dim + 5)
     tampered = BettiTable(right.n, right.b, right.d, right.p_range,
                           right.q_range, cells, {})
     report = check_duality(left, tampered)

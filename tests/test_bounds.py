@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -213,7 +212,7 @@ def test_report_exactness_verdicts():
 def test_report_flags_zeroed_proved_cell():
     table = betti_table(1, 0, 3)
     cells = dict(table.cells)
-    cells[(1, 1)] = dataclasses.replace(cells[(1, 1)], dim=0)
+    cells[(1, 1)] = cells[(1, 1)].replace(dim=0)
     tampered = BettiTable(1, 0, 3, table.p_range, table.q_range, cells, {})
     report = compare_report(tampered)
     assert not report.ok
@@ -225,7 +224,7 @@ def test_report_flags_zeroed_proved_cell():
 def test_report_flags_extra_nonzero_in_exact_strand():
     table = betti_table(1, 0, 3)
     cells = dict(table.cells)
-    cells[(0, 1)] = dataclasses.replace(cells[(0, 1)], dim=4)
+    cells[(0, 1)] = cells[(0, 1)].replace(dim=4)
     tampered = BettiTable(1, 0, 3, table.p_range, table.q_range, cells, {})
     report = compare_report(tampered)
     assert not report.ok
@@ -236,7 +235,7 @@ def test_report_flags_extra_nonzero_in_exact_strand():
 def test_report_flags_linearity_violation():
     table = betti_table(1, 0, 3)
     cells = dict(table.cells)
-    cells[(1, 2)] = dataclasses.replace(cells[(1, 2)], dim=1)
+    cells[(1, 2)] = cells[(1, 2)].replace(dim=1)
     tampered = BettiTable(1, 0, 3, table.p_range, table.q_range, cells, {})
     report = compare_report(tampered)
     assert not report.ok

@@ -493,13 +493,20 @@ def _untimed(line):
     return row["key"], ResultStore._payload(row["record"])
 
 
-def test_torn_last_store_line_is_skipped(capsys, tmp_path, caplog):
-    cache = str(tmp_path / "cache")
-    path = _store_after_two_kpq(capsys, cache)
+def _tear_last_line(path):
+    """Cut the store's second and last line in half, as a crash mid-append
+    would; (first line, whole second line)."""
     with open(path, encoding="utf-8") as fh:
         good, second = fh.readlines()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(good + second[: len(second) // 2])    # crash mid-append
+        fh.write(good + second[: len(second) // 2])
+    return good, second
+
+
+def test_torn_last_store_line_is_skipped(capsys, tmp_path, caplog):
+    cache = str(tmp_path / "cache")
+    path = _store_after_two_kpq(capsys, cache)
+    good, second = _tear_last_line(path)
     args = ("kpq", "--n", "1", "--b", "0", "--d", "3", "--p", "2", "--q", "1",
             "--cache-dir", cache)
     code, out, _ = run(capsys, *args)
@@ -517,6 +524,20 @@ def test_torn_last_store_line_is_skipped(capsys, tmp_path, caplog):
     caplog.clear()
     assert run(capsys, *args)[0] == EXIT_OK
     assert "torn" not in caplog.text
+
+
+def test_torn_last_store_line_warns_on_stderr(capsys, tmp_path):
+    # a fresh process configures no logging: the warning, whose path loads
+    # logging itself, still reaches its stderr
+    cache = str(tmp_path / "cache")
+    path = _store_after_two_kpq(capsys, cache)
+    _tear_last_line(path)
+    proc = _run_module("kpq", "--n", "1", "--b", "0", "--d", "3", "--p", "2", "--q", "1",
+                       "--cache-dir", cache)
+    assert proc.returncode == EXIT_OK
+    assert json.loads(proc.stdout)["result"]["dim"] == 2
+    assert proc.stderr.startswith(
+        f"skipping torn last line 2 of {path} (no newline at the end)\n")
 
 
 def test_malformed_middle_store_line_is_corruption(capsys, tmp_path):

@@ -15,7 +15,7 @@ SCRIPT = r'''
 import sys
 if __debug__:
     sys.exit("asserts are on: run with -O")
-from syzlab import betti, koszul, linalg, schur
+from syzlab import betti, koszul, linalg, monomials, schur
 from syzlab.koszul import KoszulCell, Parameters
 
 
@@ -40,16 +40,12 @@ def no_check(size):
     pass
 
 
-def drop_last_tensor(n, e):
-    return EXPONENTS(n, e)[:-1]
-
-
 def block_333():
     return KoszulCell(Parameters(2, 0, 3, 2, 1)).block((3, 3, 3))
 
 
 WEYL = schur.weyl_dim
-EXPONENTS = koszul.exponent_vectors
+TENSORS = monomials.enumerate_basis(1, 0)     # the source tensors of (1, 0, 2, 1, 1)
 cases = {
     # the cell's check on one wedge per size trips first; with it off, the
     # quotient's matrices are checked on their own (no curve's quotient has
@@ -69,7 +65,7 @@ cases = {
     "modular_le_exact": ([(linalg, "_rank_mod", one_above)],
                          lambda: betti.cell_result(1, 0, 3, 1, 1, betti.make_config())),
     # the grouping loses elements: the orbits no longer fill the space
-    "orbit_total": ([(koszul, "exponent_vectors", drop_last_tensor)],
+    "orbit_total": ([(TENSORS, "monomials", TENSORS.monomials[:-1])],
                     lambda: KoszulCell(Parameters(1, 0, 2, 1, 1)).weights()),
     "schur_recomposition": ([(schur, "weyl_dim", weyl_plus_one)],
                             lambda: schur.schur_multiplicities(2, 0, 2, 1, 1)),

@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import permutations
 
@@ -233,6 +234,21 @@ def test_built_maps_are_well_formed(monkeypatch):
             assert len(set(rows)) == len(rows), column
             entries += len(column)
     assert len(built) > 200 and entries > 5000, (len(built), entries)
+
+
+def test_built_blocks_leave_no_reference_cycle():
+    # a cell, its bases and the maps of its blocks are freed by reference
+    # counting alone: with the cyclic GC off, nothing is left for it to find
+    gc.collect()
+    gc.disable()
+    try:
+        cell = KoszulCell(Parameters(2, 0, 3, 3, 1))
+        blocks = [cell.block(w) for w in cell.weights()]
+        assert len(blocks) == 16 and any(b.d_out.rows for b in blocks)
+        del cell, blocks
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_weight_permutation_symmetry():

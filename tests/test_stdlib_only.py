@@ -28,6 +28,8 @@ def test_cli_import_loads_only_the_stdlib():
     assert "syzlab" in loaded
     assert not loaded & {"numpy", "scipy"}
     assert loaded - set(sys.stdlib_module_names) == {"__main__", "syzlab"}
+    # nothing is generated at import, and logging waits for a warning
+    assert not loaded & {"dataclasses", "inspect", "logging"}
 
 
 def test_pyproject_declares_no_dependencies():
