@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from math import comb
 
-from .records import FrozenRecord
+from .records import FrozenRecord, set_field
 
 # Witnesses making Miller-Rabin deterministic for all n < 2^64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -76,4 +76,4 @@ class PrimeField(FrozenRecord):
             raise ValueError(f"modulus must have 31-62 bits, got {modulus}")
         if not is_prime(modulus):
             raise ValueError(f"modulus {modulus} is not prime")
-        self.__dict__.update(modulus=modulus)
+        set_field(self, "modulus", modulus)

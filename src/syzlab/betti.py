@@ -103,7 +103,7 @@ from .koszul import (
 )
 from .linalg import InvariantError, RankCertificate, certified_rank, check_primes
 from .monomials import distinct_permutations_count
-from .records import FrozenRecord, Record
+from .records import FrozenRecord, Record, set_field
 
 LEVEL_EXACT = "exact"
 LEVEL_TWO_PRIME = "two-prime"
@@ -135,7 +135,9 @@ class EngineConfig(FrozenRecord):
             raise ValueError("two-prime mode needs at least two distinct primes")
         if memory_cap < 0:
             raise ValueError(f"negative memory cap {memory_cap}")
-        self.__dict__.update(mode=mode, primes=primes, memory_cap=memory_cap)
+        set_field(self, "mode", mode)
+        set_field(self, "primes", primes)
+        set_field(self, "memory_cap", memory_cap)
 
 
 def make_config(
@@ -160,10 +162,19 @@ class CellResult(FrozenRecord):
     def __init__(self, n: int, b: int, d: int, p: int, q: int, dim: int, level: str,
                  agreement: bool, primes: tuple, block_count: int, max_block_dim: int,
                  wall_time_ms: int, analytic: bool = analytic):
-        self.__dict__.update(n=n, b=b, d=d, p=p, q=q, dim=dim, level=level,
-                             agreement=agreement, primes=primes, block_count=block_count,
-                             max_block_dim=max_block_dim, wall_time_ms=wall_time_ms,
-                             analytic=analytic)
+        set_field(self, "n", n)
+        set_field(self, "b", b)
+        set_field(self, "d", d)
+        set_field(self, "p", p)
+        set_field(self, "q", q)
+        set_field(self, "dim", dim)
+        set_field(self, "level", level)
+        set_field(self, "agreement", agreement)
+        set_field(self, "primes", primes)
+        set_field(self, "block_count", block_count)
+        set_field(self, "max_block_dim", max_block_dim)
+        set_field(self, "wall_time_ms", wall_time_ms)
+        set_field(self, "analytic", analytic)
 
     def to_record(self) -> dict:
         """Every field, tuples as the lists JSON reads back, and the engine

@@ -27,7 +27,7 @@ from __future__ import annotations
 from .arith import binom_safe
 from .betti import BettiTable
 from .koszul import check_nbd
-from .records import FrozenRecord, Record
+from .records import FrozenRecord, Record, set_field
 
 REGIME_PROVED = "proved"
 REGIME_CONJECTURED = "conjectured"
@@ -40,7 +40,12 @@ class PredictedRange(FrozenRecord):
     _fields = ("source", "q", "lo", "hi", "valid", "regime")
 
     def __init__(self, source: str, q: int, lo: int, hi: int, valid: bool, regime: str):
-        self.__dict__.update(source=source, q=q, lo=lo, hi=hi, valid=valid, regime=regime)
+        set_field(self, "source", source)
+        set_field(self, "q", q)
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+        set_field(self, "valid", valid)
+        set_field(self, "regime", regime)
 
     @property
     def is_empty(self) -> bool:

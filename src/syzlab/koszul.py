@@ -165,7 +165,7 @@ from operator import add
 from .arith import binom_safe
 from .linalg import InvariantError, SparseMatrix
 from .monomials import distinct_permutations_count, enumerate_basis
-from .records import FrozenRecord
+from .records import FrozenRecord, set_field
 
 DEFAULT_MEMORY_CAP = 2 << 30
 
@@ -215,7 +215,11 @@ class Parameters(FrozenRecord):
         check_nbd(n, b, d)
         if p < 0:
             raise ValueError(f"p must be >= 0, got {p}")
-        self.__dict__.update(n=n, b=b, d=d, p=p, q=q)
+        set_field(self, "n", n)
+        set_field(self, "b", b)
+        set_field(self, "d", d)
+        set_field(self, "p", p)
+        set_field(self, "q", q)
 
     @property
     def v(self) -> int:

@@ -67,7 +67,7 @@ from functools import lru_cache
 from math import gcd, prod
 
 from .arith import PrimeField
-from .records import FrozenRecord
+from .records import FrozenRecord, set_field
 
 
 class InvariantError(Exception):
@@ -94,7 +94,8 @@ class SparseMatrix(FrozenRecord):
     _fields = ("rows", "columns")
 
     def __init__(self, rows: int, columns: tuple):
-        self.__dict__.update(rows=rows, columns=columns)
+        set_field(self, "rows", rows)
+        set_field(self, "columns", columns)
 
     @property
     def cols(self) -> int:
@@ -331,7 +332,10 @@ class RankCertificate(FrozenRecord):
     _fields = ("rank", "primes", "agreement", "exact")
 
     def __init__(self, rank: int, primes: tuple, agreement: bool, exact: bool):
-        self.__dict__.update(rank=rank, primes=primes, agreement=agreement, exact=exact)
+        set_field(self, "rank", rank)
+        set_field(self, "primes", primes)
+        set_field(self, "agreement", agreement)
+        set_field(self, "exact", exact)
 
 
 @lru_cache

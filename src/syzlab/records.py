@@ -5,9 +5,15 @@ Each record class assigns its fields in its own `__init__`, in the order of
 repr, equality and copy-with-changes of a dataclass, and nothing is
 generated or compiled when the package is imported: a cell still prints as
 `Parameters(n=2, b=0, d=4, p=6, q=1)`.  A frozen record is hashable and
-refuses to set or delete an attribute; its `__init__` writes its fields
-into `self.__dict__` directly.
+refuses to set or delete an attribute; its `__init__` sets each field with
+set_field.
 """
+
+# How a frozen record's __init__ sets a field, past the record's own
+# __setattr__, as a frozen dataclass does.  Writing into self.__dict__
+# instead would cost every later read of the field the interpreter's fast
+# path for instance attributes.
+set_field = object.__setattr__
 
 
 class FrozenInstanceError(AttributeError):
