@@ -16,10 +16,6 @@ set_field.
 set_field = object.__setattr__
 
 
-class FrozenInstanceError(AttributeError):
-    """A field of a frozen record was set or deleted."""
-
-
 class Record:
     """The fields named in `_fields`, printed, compared and copied in order."""
 
@@ -49,10 +45,10 @@ class FrozenRecord(Record):
     """A record whose fields are set once, by `__init__`."""
 
     def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __hash__(self) -> int:
         return hash(self._values())

@@ -23,7 +23,6 @@ from syzlab.bounds import compare_report
 from syzlab.cycles import build_kp0_cycle, verify_nonzero_class
 from syzlab.koszul import DEFAULT_MEMORY_CAP, Parameters
 from syzlab.linalg import RankCertificate, SparseMatrix
-from syzlab.records import FrozenInstanceError
 from syzlab.schur import schur_multiplicities
 
 
@@ -78,9 +77,9 @@ def test_records_compare_and_copy_by_fields():
             record.replace(no_such_field=1)
         name = record._fields[-1]
         if frozen:
-            with pytest.raises(FrozenInstanceError):
+            with pytest.raises(AttributeError, match="cannot assign"):
                 setattr(record, name, None)
-            with pytest.raises(AttributeError):
+            with pytest.raises(AttributeError, match="cannot delete"):
                 delattr(record, name)
             assert getattr(record, name) == getattr(copy, name)
         else:
