@@ -62,13 +62,16 @@ answers, or the memory cap refuses when it is made is not in the pass; one
 the cap refuses at a weight leaves it there, and the next cell builds its
 own d_out from then on.  One function, _antidiagonal, fetches, computes
 and stores every cell: the cells of an antidiagonal for betti_table, or a
-single cell for cell_result, and so for kpq and explore.  weight_blocks is
-the pass over one cell alone; schur reads it and stores nothing.  A cell's
-wall_time_ms is the wall time of its antidiagonal's call, from its start
-(store reads, grouping and the whole pass included) to the cell's result:
-its own time when it is computed alone, about that of the whole pass for
-each cell of a table's antidiagonal, analytic zeros included.  It is in no
-stdout, and the store does not compare it.
+single cell for cell_result, and so for kpq and explore.  It builds each
+cell's store key once, and stores the antidiagonal's new records together,
+in cell order, after its last result: one ResultStore.put, one append under
+one lock.  weight_blocks is the pass over one cell alone; schur reads it and
+stores nothing.  A cell's wall_time_ms is the wall time of its
+antidiagonal's call, from its start (store reads, grouping and the whole
+pass included) to the cell's result: its own time when it is computed
+alone, about that of the whole pass for each cell of a table's
+antidiagonal, analytic zeros included.  No store write is in it.  It is in
+no stdout, and the store does not compare it.
 
 Two global consistency checks are provided.  The Euler check compares the
 alternating column sums of a complete table against the coefficients of
@@ -364,12 +367,14 @@ class ResultStore:
     conflicting result is an error (timing metadata is allowed to differ).
     Each line carries a CRC of its payload, checked on read.
 
-    Every append writes one whole line, newline last, so a crash mid-append
-    leaves a torn last line: unterminated or unreadable.  Loading skips it
-    with a warning on stderr, and the next append cuts it off first, unless
-    another process has appended since.  An unreadable line anywhere else is
-    damage, not a crash, and raises CorruptRecordError.  Processes may share
-    a store: each append holds an exclusive flock on the file.
+    put takes a batch, one antidiagonal's new records, and writes them as
+    one append of whole lines, newline last on each, so a crash mid-append
+    leaves whole lines and at most one torn last line: unterminated or
+    unreadable.  Loading skips it with a warning on stderr, and the next
+    append cuts it off first, unless another process has appended since.
+    An unreadable line anywhere else is damage, not a crash, and raises
+    CorruptRecordError.  Processes may share a store: each append holds an
+    exclusive flock on the file.
     """
 
     FILENAME = "results.jsonl"
@@ -421,9 +426,12 @@ class ResultStore:
         return json.dumps(key, sort_keys=True, separators=(",", ":"))
 
     @staticmethod
-    def _crc(record: dict) -> int:
-        blob = json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
-        return zlib.crc32(blob)
+    def _canonical(record: dict) -> str:
+        return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+    @classmethod
+    def _crc(cls, record: dict) -> int:
+        return zlib.crc32(cls._canonical(record).encode())
 
     @staticmethod
     def _payload(record: dict) -> dict:
@@ -439,27 +447,42 @@ class ResultStore:
             raise CorruptRecordError(f"checksum mismatch for key {key}")
         return record
 
-    def put(self, key: str, record: dict) -> None:
+    def put(self, items) -> None:
+        """Store each (key, record) of `items` in order, as one append under
+        one flock.  A key already held with the same payload is skipped; at
+        a conflicting one the records before it are appended, and then
+        StoreConflictError is raised.  Each record is serialised once: its
+        CRC and its line come from the same JSON text, and the line is
+        json.dumps({"key", "crc", "record"}) with sorted keys, byte for
+        byte."""
         with self._lock:
-            hit = self._index.get(key)
-            if hit is not None:
-                if self._payload(hit[1]) != self._payload(record):
-                    raise StoreConflictError(
-                        f"conflicting result for existing key {key}: "
-                        f"{hit[1]} vs {record}"
-                    )
-                return
-            crc = self._crc(record)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fcntl.flock(fh, fcntl.LOCK_EX)   # released when fh closes
-                if self._torn_at is not None:
-                    offset, size = self._torn_at
-                    if os.fstat(fh.fileno()).st_size == size:
-                        fh.truncate(offset)
-                    self._torn_at = None
-                fh.write(json.dumps({"key": key, "crc": crc, "record": record},
-                                    sort_keys=True, separators=(",", ":")) + "\n")
-            self._index[key] = (crc, record)
+            new, lines, conflict = {}, [], None
+            for key, record in items:
+                hit = new.get(key) or self._index.get(key)
+                if hit is not None:
+                    if self._payload(hit[1]) != self._payload(record):
+                        conflict = StoreConflictError(
+                            f"conflicting result for existing key {key}: "
+                            f"{hit[1]} vs {record}"
+                        )
+                        break
+                    continue
+                blob = self._canonical(record)
+                crc = zlib.crc32(blob.encode())
+                new[key] = crc, record
+                lines.append(f'{{"crc":{crc},"key":{json.dumps(key)},"record":{blob}}}\n')
+            if lines:
+                with open(self.path, "a", encoding="utf-8") as fh:
+                    fcntl.flock(fh, fcntl.LOCK_EX)   # released when fh closes
+                    if self._torn_at is not None:
+                        offset, size = self._torn_at
+                        if os.fstat(fh.fileno()).st_size == size:
+                            fh.truncate(offset)
+                        self._torn_at = None
+                    fh.write("".join(lines))
+                self._index.update(new)
+            if conflict is not None:
+                raise conflict
 
 
 def cell_result(n, b, d, p, q, config: EngineConfig = None,
@@ -477,11 +500,13 @@ def _antidiagonal(n, b, d, cells: list, config: EngineConfig, store) -> dict:
     for `cells`, on one antidiagonal in ascending p: each one the store
     holds is fetched, every other cell is computed, in one pass for all
     those that are not analytic zeros, and stored, in the order of
-    `cells`."""
+    `cells`, by one put.  Each cell's store key is built once."""
     t0 = time.monotonic()
-    out, made, ranked = {}, {}, {}
+    out, made, ranked, new = {}, {}, {}, []
+    keys = ({pq: ResultStore.key_of(n, b, d, *pq, config) for pq in cells}
+            if store is not None else {})
     for pq in cells:
-        rec = store and store.get(ResultStore.key_of(n, b, d, *pq, config))
+        rec = store and store.get(keys[pq])
         if rec is not None:
             out[pq] = CellResult.from_record(rec)
         elif _analytic_zero_reason(n, b, d, *pq) is None:
@@ -498,7 +523,9 @@ def _antidiagonal(n, b, d, cells: list, config: EngineConfig, store) -> dict:
         if pq not in out:
             out[pq] = res = _compute_cell(n, b, d, *pq, config, ranked.get(pq, ()), t0)
             if store is not None:
-                store.put(ResultStore.key_of(n, b, d, *pq, config), res.to_record())
+                new.append((keys[pq], res.to_record()))
+    if new:
+        store.put(new)
     return out
 
 

@@ -67,14 +67,17 @@ mid - rank(d_in) - rank(d_out) is the same on the quotient as on the block,
 over Q and over every F_p, and two primes agree on the quotient exactly when
 they agree on the block.  If no degree-d monomial divides x^w, A(w) and S
 are empty, and the block is its own quotient.  The unreduced block is never
-built.  Its d_out . d_in = 0 is checked once per cell, on the faces of the
-faces of the wedge (0, ..., p): their signs come from positions, never from
-values, and a source wedge has distinct entries, so relabelling carries its
-sum onto that one.  Every source wedge cancels as it does.  The quotient's
-matrices are checked per block.  On the curves only the per-cell check
-catches a sign error: with every sign +1, no quotient block of a cell with
-n = 1, d <= 6, b <= 3, p <= 8 fails its own check, as surface blocks such
-as (2, 0, 3, 2, 1) at (3, 3, 3) do.
+built.  Its d_out . d_in = 0 is checked on the faces of the faces of the
+wedge (0, ..., p): their signs come from positions, never from values, and
+a source wedge has distinct entries, so relabelling carries its sum onto
+that one.  Every source wedge cancels as it does.  Each cell asks for the
+check, and it runs once per wedge size and face rule _faces in a process:
+a cancelled pair is remembered, a replaced rule is walked again, and a
+failure is never remembered.  The quotient's matrices are checked per
+block.  On the curves only the unreduced check catches a sign error: with
+every sign +1, no quotient block of a cell with n = 1, d <= 6, b <= 3,
+p <= 8 fails its own check, as surface blocks such as (2, 0, 3, 2, 1) at
+(3, 3, 3) do.
 
 The dominant elements are grouped by their wedge sums (KoszulCell._grouped).
 Every exponent vector is packed into one int, a bit field per variable, with
@@ -249,15 +252,24 @@ def _faces(wedge):
             for j in range(len(wedge))]
 
 
+# (wedge size, face rule) pairs whose faces of faces have cancelled
+_cancelled = set()
+
+
 def _check_faces_of_faces(size: int) -> None:
     """d_out . d_in = 0 on every unreduced block with source wedges of `size`
-    factors: the faces of the faces of (0, ..., size - 1) cancel."""
+    factors: the faces of the faces of (0, ..., size - 1) cancel.  A size is
+    walked once per process and face rule: the rule is part of the memo's
+    key, so a replaced _faces is walked again, and a failure is never kept."""
+    if (size, _faces) in _cancelled:
+        return
     acc = {}
     for _, face, sign in _faces(tuple(range(size))):
         for _, face2, sign2 in _faces(face):
             acc[face2] = acc.get(face2, 0) + sign * sign2
     if any(acc.values()):
         raise InvariantError(f"d_out . d_in != 0 on the wedges of size {size}")
+    _cancelled.add((size, _faces))
 
 
 def _delta_terms(wedge, tensor, monomials):
@@ -506,14 +518,14 @@ class KoszulCell:
         (p - 1, q + 1): its apexes and tops, its kept source, which is this
         cell's kept middle, and its d_in, this cell's d_out (see the module
         notes).  The cap check on the unreduced counts comes first."""
-        self._check_cap(weight)
+        unreduced = self._check_cap(weight)    # (full_mid_dim, full_src_dim, full_middle)
         p = self.params.p
         apexes, tops, middle, d_out = (given[1:] if given and given[0] == p - 1
                                        else (*self._apex(weight), None, None))
         if middle is None:
-            middle = self._kept_elements(self._middle.get(weight, []), apexes, tops)
+            middle = self._kept_elements(unreduced[2], apexes, tops)
         if not middle:
-            return KoszulBlock(weight, *self._unreduced(weight)), (p, apexes, tops, None, None)
+            return KoszulBlock(weight, *unreduced), (p, apexes, tops, None, None)
         source = self._kept_elements(self._source.get(weight, []), apexes, tops)
         block = self.block(weight, (tops, middle, source), d_out)
         return block, (p, apexes, tops, source, block.d_in)
@@ -523,9 +535,10 @@ class KoszulCell:
         return (self._middle_counts.get(weight, 0), self._source_counts.get(weight, 0),
                 self._middle.get(weight, []))
 
-    def _check_cap(self, weight):
-        """Refuse a block whose unreduced bases and maps would exceed the cap."""
-        middle, source, _ = self._unreduced(weight)
+    def _check_cap(self, weight) -> tuple:
+        """Refuse a block whose unreduced bases and maps would exceed the cap;
+        else return its _unreduced counts and middle classes."""
+        unreduced = middle, source, _ = self._unreduced(weight)
         est = _estimate_bytes(middle, source, self.params.p)
         if est > self.memory_cap:
             raise InfeasibleBlockError(
@@ -533,6 +546,7 @@ class KoszulCell:
                 weight=weight, middle_dim=middle, source_dim=source,
                 estimated_bytes=est, cap=self.memory_cap,
             )
+        return unreduced
 
     def _apex(self, weight) -> tuple:
         """(apexes, tops) at a weight: the apex set A(w), as a frozenset of
@@ -579,7 +593,7 @@ class KoszulCell:
         union of its apexes, whose tops and kept elements are `kept`, d_out
         taken from the cell (p - 1, q + 1) where it built one.  The
         d_out . d_in = 0 check of the quotient's matrices comes last (that
-        of the unreduced block is made once per cell: see the module
+        of the unreduced block is asked for once per cell: see the module
         notes)."""
         tops, middle, source = kept
         outside, packed_monomials = _Outside(tops, self._guards), self._packed

@@ -417,12 +417,12 @@ def append_records(directory, q, count):
     store = betti.ResultStore(directory)
     config = betti.make_config(betti.LEVEL_EXACT)
     for p in range(count):
-        store.put(betti.ResultStore.key_of(1, 0, 2, p, q, config),
-                  {"n": 1, "b": 0, "d": 2, "p": p, "q": q, "dim": p, "level": "exact",
-                   "agreement": True, "primes": [],
-                   "exact_threshold": 256, "engine_version": ENGINE_VERSION,
-                   "wall_time_ms": 0, "block_count": 1, "max_block_dim": 1,
-                   "analytic": False})
+        store.put([(betti.ResultStore.key_of(1, 0, 2, p, q, config),
+                    {"n": 1, "b": 0, "d": 2, "p": p, "q": q, "dim": p, "level": "exact",
+                     "agreement": True, "primes": [],
+                     "exact_threshold": 256, "engine_version": ENGINE_VERSION,
+                     "wall_time_ms": 0, "block_count": 1, "max_block_dim": 1,
+                     "analytic": False})])
 
 
 def full_complex(params: Parameters, memory_cap: int = DEFAULT_MEMORY_CAP):

@@ -230,7 +230,7 @@ def test_memory_cap_refusal_mid_antidiagonal_breaks_the_chain(monkeypatch, ranke
         def _check_cap(self, weight):
             if (self.params.p, self.params.q) == (3, 2) and weight == refused_at:
                 raise betti.InfeasibleBlockError(f"refused at {weight}", weight=weight)
-            super()._check_cap(weight)
+            return super()._check_cap(weight)
 
     monkeypatch.setattr(betti, "KoszulCell", RefuseLater)
     steps.clear()

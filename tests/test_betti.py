@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import random
+import zlib
 
 import pytest
 
@@ -342,16 +343,16 @@ def test_store_write_once_semantics(tmp_path):
     store = ResultStore(str(tmp_path))
     key = ResultStore.key_of(1, 0, 2, 1, 1, TWO_PRIME)
     rec = cell_result(1, 0, 2, 1, 1, TWO_PRIME).to_record()
-    store.put(key, rec)
-    store.put(key, dict(rec, wall_time_ms=rec["wall_time_ms"] + 999))  # timing may differ
+    store.put([(key, rec)])
+    store.put([(key, dict(rec, wall_time_ms=rec["wall_time_ms"] + 999))])  # timing may differ
     with pytest.raises(StoreConflictError):
-        store.put(key, dict(rec, dim=rec["dim"] + 1))
+        store.put([(key, dict(rec, dim=rec["dim"] + 1))])
 
 
 def test_store_detects_corruption(tmp_path):
     store = ResultStore(str(tmp_path))
     key = ResultStore.key_of(1, 0, 2, 1, 1, TWO_PRIME)
-    store.put(key, cell_result(1, 0, 2, 1, 1, TWO_PRIME).to_record())
+    store.put([(key, cell_result(1, 0, 2, 1, 1, TWO_PRIME).to_record())])
     lines = []
     with open(store.path, encoding="utf-8") as fh:
         for line in fh:
@@ -437,22 +438,104 @@ def test_processes_appending_to_one_store_leave_every_line_whole(tmp_path):
 
 
 def test_torn_line_is_cut_only_if_no_other_process_appended(tmp_path):
-    first, second, third = (cell_result(1, 0, 3, p, 1, TWO_PRIME).to_record()
-                            for p in (0, 1, 2))
+    first, second, third, fourth = (cell_result(1, 0, 3, p, 1, TWO_PRIME).to_record()
+                                    for p in (0, 1, 2, 3))
     def key(rec):
         return ResultStore.key_of(1, 0, 3, rec["p"], 1, TWO_PRIME)
 
-    ResultStore(str(tmp_path)).put(key(first), first)
+    ResultStore(str(tmp_path)).put([(key(first), first)])
     path = tmp_path / ResultStore.FILENAME
     with open(path, "a", encoding="utf-8") as fh:
         fh.write('{"key": "torn')                      # crash mid-append
     late, early = ResultStore(str(tmp_path)), ResultStore(str(tmp_path))
-    early.put(key(second), second)   # cuts the torn line off, then appends
-    late.put(key(third), third)      # must not cut again: that would drop `second`
+    # cuts the torn line off once, then appends both
+    early.put([(key(second), second), (key(third), third)])
+    late.put([(key(fourth), fourth)])   # must not cut again: that would drop the batch
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 4
     reloaded = ResultStore(str(tmp_path))
     assert reloaded._torn_at is None
-    for rec in (first, second, third):
+    for rec in (first, second, third, fourth):
         assert reloaded.get(key(rec)) == rec
+
+
+def _computed_in_order(monkeypatch):
+    """The results _compute_cell returns from now on, in order."""
+    made, compute = [], betti._compute_cell
+
+    def keeping(*args):
+        made.append(compute(*args))
+        return made[-1]
+
+    monkeypatch.setattr(betti, "_compute_cell", keeping)
+    return made
+
+
+def test_table_pass_locks_the_store_once_per_antidiagonal(tmp_path, monkeypatch):
+    locks, flock = [], betti.fcntl.flock
+
+    def counting(fh, op):
+        locks.append(op)
+        return flock(fh, op)
+
+    monkeypatch.setattr(betti.fcntl, "flock", counting)
+    store = ResultStore(str(tmp_path))
+    made = _computed_in_order(monkeypatch)
+    table = betti_table(2, 0, 3, config=TWO_PRIME, store=store)
+    assert len(made) == len(table.cells) > 20
+    assert len(locks) == len({c.p + c.q for c in made})
+    betti_table(2, 0, 3, config=TWO_PRIME, store=store)    # every cell a store hit
+    assert len(locks) == len({c.p + c.q for c in made})
+
+
+def test_batched_records_read_back_as_one_record_puts(tmp_path, monkeypatch):
+    made = _computed_in_order(monkeypatch)
+    batched = ResultStore(str(tmp_path / "batched"))
+    betti_table(2, 0, 3, config=TWO_PRIME, store=batched)
+    single = ResultStore(str(tmp_path / "single"))
+    for res in made:
+        single.put([(ResultStore.key_of(2, 0, 3, res.p, res.q, TWO_PRIME), res.to_record())])
+    with open(batched.path, "rb") as fh:
+        lines = fh.read()
+    with open(single.path, "rb") as fh:
+        assert fh.read() == lines
+    # in order, and as the cells computed alone give them, wall_time_ms aside
+    rows = [json.loads(line) for line in lines.splitlines()]
+    assert [(r["record"]["p"], r["record"]["q"]) for r in rows] == [(c.p, c.q) for c in made]
+    for row in rows:
+        alone = cell_result(2, 0, 3, row["record"]["p"], row["record"]["q"], TWO_PRIME)
+        assert ResultStore._payload(row["record"]) == ResultStore._payload(alone.to_record())
+
+
+def test_store_lines_keep_their_bytes(tmp_path):
+    store = ResultStore(str(tmp_path))
+    betti_table(1, 0, 3, config=TWO_PRIME, store=store)
+    # a string that JSON escapes: non-ASCII, a quote, a backslash, a newline
+    odd = dict(cell_result(1, 0, 2, 1, 1, TWO_PRIME).to_record(), note='é "\\ \n')
+    store.put([(ResultStore.key_of(1, 0, 2, 1, 1, TWO_PRIME), odd)])
+    with open(store.path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    assert len(lines) > 5
+    for line in lines:
+        row = json.loads(line)
+        k, r = row["key"], row["record"]
+        c = zlib.crc32(json.dumps(r, sort_keys=True, separators=(",", ":")).encode())
+        assert line == json.dumps({"key": k, "crc": c, "record": r},
+                                  sort_keys=True, separators=(",", ":")) + "\n"
+    assert json.loads(lines[-1])["record"] == odd
+
+
+def test_conflict_in_a_batch_appends_the_records_before_it(tmp_path):
+    recs = [cell_result(1, 0, 3, p, 1, TWO_PRIME).to_record() for p in (0, 1, 2)]
+    keys = [ResultStore.key_of(1, 0, 3, p, 1, TWO_PRIME) for p in (0, 1, 2)]
+    store = ResultStore(str(tmp_path))
+    store.put([(keys[1], recs[1])])
+    clash = dict(recs[1], dim=recs[1]["dim"] + 1)
+    with pytest.raises(StoreConflictError):
+        store.put([(keys[0], recs[0]), (keys[1], clash), (keys[2], recs[2])])
+    for seen in (store, ResultStore(str(tmp_path))):
+        assert [seen.get(k) for k in keys] == [recs[0], recs[1], None]
+    with open(store.path, encoding="utf-8") as fh:
+        assert [json.loads(line)["key"] for line in fh] == [keys[1], keys[0]]
 
 
 # ------------------------------------------------------------------- plumbing

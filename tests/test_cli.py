@@ -222,7 +222,7 @@ def test_verify_fails_on_poisoned_cache(capsys, tmp_path):
     rec = cell_result(1, 0, 3, 1, 1, config).to_record()
     rec["dim"] = 7
     rec["wall_time_ms"] = 0
-    ResultStore(cache).put(ResultStore.key_of(1, 0, 3, 1, 1, config), rec)
+    ResultStore(cache).put([(ResultStore.key_of(1, 0, 3, 1, 1, config), rec)])
     code, out, err = run(capsys, "verify", "--n", "1", "--b", "0", "--d", "3",
                          "--cache-dir", cache)
     assert code == EXIT_VERIFY

@@ -191,6 +191,34 @@ def test_unreduced_composition_is_checked_once_per_cell(monkeypatch):
     assert sizes == [6]
 
 
+def test_faces_of_faces_are_walked_once_per_size_and_face_rule(monkeypatch):
+    walked = []
+
+    def counting_faces(wedge):
+        if len(wedge) == 2:     # only the check takes faces of a 2-wedge here
+            walked.append(wedge)
+        return _faces(wedge)
+
+    monkeypatch.setattr(koszul, "_faces", counting_faces)
+    KoszulCell(Parameters(1, 0, 3, 2, 1))
+    KoszulCell(Parameters(2, 0, 3, 2, 1))
+    assert len(walked) == 3     # the faces of (0, 1, 2), walked by the first cell only
+
+
+def test_faces_of_faces_memo_rechecks_a_replaced_face_rule(monkeypatch):
+    def flat_faces(wedge):
+        # the Koszul differential with every sign +1: d_out . d_in no longer vanishes
+        return [(i, wedge[:j] + wedge[j + 1:], 1) for j, i in enumerate(wedge)]
+
+    KoszulCell(Parameters(1, 0, 3, 2, 1))       # a good check of size 3
+    monkeypatch.setattr(koszul, "_faces", flat_faces)
+    for _ in range(2):                          # a failure is never remembered
+        with pytest.raises(koszul.InvariantError, match="on the wedges of size 3"):
+            KoszulCell(Parameters(1, 0, 3, 2, 1))
+    monkeypatch.undo()
+    KoszulCell(Parameters(1, 0, 3, 2, 1))
+
+
 def test_block_ranks_match_unblocked_ranks():
     for par in [Parameters(1, 0, 2, 1, 1), Parameters(1, 1, 2, 2, 1),
                 Parameters(2, 0, 2, 1, 1)]:
