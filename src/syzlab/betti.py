@@ -23,24 +23,31 @@ says about a block is still taken from the unreduced block.  Its middle
 dimension counts in block_count and max_block_dim, and in two-prime mode
 its shapes pick the route of each map: zero, exact (rows*cols <=
 EXACT_THRESHOLD, with the modular ranks checked against the exact one) or
-modular, and so the level.  The route is picked here alone (_block_ranks);
+modular, and so the level.  The route is picked here alone (_routes);
 exact mode sizes no map.  Routed by its own, smaller shape, the quotient of
 a map would often go to the exact route, or be zero (an empty quotient of
 a map above the threshold still goes modular), and the cell would report
 level exact where it reported two-prime.  Only the ranks are the quotient's;
 they differ from the block's by the star union's ranks, the same in every
 field, so the dimension is the same and the primes agree or disagree on a
-block as before.
+block as before.  The unreduced d_out's columns are its middle elements,
+and its rows their distinct faces, whose number the counts bound: so the
+counts fix most routes, and the faces are enumerated only where they do not
+(see _routes).
 
-A weight whose quotient has no middle element is settled by the cell, as
-a koszul.KoszulBlock whose maps are None: it contributes 0 with agreement,
-counts in block_count and max_block_dim as a block does, and no map of it
-is built or ranked.  Its maps are still routed by their unreduced shapes,
-and where a route is not zero the primes are checked, as certified_rank
-checks them on a map without entries.  Those routes can only change the level, and once
-one map of the cell has taken the modular route the level is two-prime
-whatever follows: so the pass routes a settled weight only while every
-map before it in the cell took an exact route.  schur reads 0 there.
+A weight whose quotient has no middle element is settled by the cell:
+ranked() builds nothing there, and gives the unreduced counts alone.  It
+contributes 0 with agreement, and costs the pass one step: its orbit is
+added to the cell's block_count, its unreduced middle dimension to
+max_block_dim, and its routes to the level.  No map of it is built or
+ranked, and no block is made.  Its maps are still routed by their
+unreduced counts, and where a route is not zero the primes are checked, as
+certified_rank checks them on a map without entries.  Those routes can
+only change the level, and once one map of the cell has taken the modular
+route the level is two-prime whatever follows: so the pass routes a settled
+weight only while every map before it in the cell took an exact route.
+weight_blocks gives it as a koszul.KoszulBlock whose maps are None, and
+schur reads 0 there.
 
 Cells are computed one antidiagonal j = p + q at a time, weight by weight
 (_pass).  At a dominant weight w the cells of an antidiagonal are
@@ -60,9 +67,12 @@ certificate is computed as before, so every level and agreement flag is
 what the cell alone gives.  A cell the store holds, a vanishing theorem
 answers, or the memory cap refuses when it is made is not in the pass; one
 the cap refuses at a weight leaves it there, and the next cell builds its
-own d_out from then on.  One function, _antidiagonal, fetches, computes
-and stores every cell: the cells of an antidiagonal for betti_table, or a
-single cell for cell_result, and so for kpq and explore.  It builds each
+own d_out from then on.  The pass sums each cell's weights as it goes,
+into the cell's tally (dim, block_count, max_block_dim, exact, agreement),
+from which _compute_cell makes the result: no record of a weight outlives
+its step.  One function, _antidiagonal, fetches, computes and stores every
+cell: the cells of an antidiagonal for betti_table, or a single cell for
+cell_result, and so for kpq and explore.  It builds each
 cell's store key once, and stores the antidiagonal's new records together,
 in cell order, after its last result: one ResultStore.put, one append under
 one lock.  weight_blocks is the pass over one cell alone; schur reads it and
@@ -94,12 +104,14 @@ import os
 import threading
 import time
 import zlib
+from itertools import combinations
 
 from . import ENGINE_VERSION
 from .arith import binom_safe, random_prime
 from .koszul import (
     DEFAULT_MEMORY_CAP,
     InfeasibleBlockError,
+    KoszulBlock,
     KoszulCell,
     Parameters,
     check_nbd,
@@ -215,13 +227,42 @@ def _route(size: int) -> str:
     return "zero" if not size else "exact" if size <= EXACT_THRESHOLD else "modular"
 
 
+def _routes(mid: int, src: int, middle) -> tuple:
+    """The two-prime routes of the unreduced d_in and d_out of a block with
+    `mid` middle and `src` source elements and middle classes `middle`.
+
+    d_in has size mid * src.  d_out has mid columns, and a row for each
+    distinct face of the middle wedges.  A wedge of p factors has p distinct
+    faces, so the rows number between p and p * mid, and d_out takes the
+    exact route where p * mid * mid <= EXACT_THRESHOLD and the modular route
+    where p * mid > EXACT_THRESHOLD, whatever their number.  Only in between
+    are the faces enumerated, until they number more than
+    EXACT_THRESHOLD // mid, past which the size is above the threshold."""
+    rows = mid and mid * len(middle[0][1][0])
+    if rows <= EXACT_THRESHOLD < rows * mid:
+        rows = _distinct_faces(middle, EXACT_THRESHOLD // mid)
+    return _route(mid * src), _route(rows * mid)
+
+
+def _distinct_faces(middle, enough: int) -> int:
+    """How many distinct faces the wedges of the classes `middle` have,
+    counted until there are more than `enough`."""
+    faces = set()
+    for _, wedges in middle:
+        for wedge in wedges:
+            faces.update(combinations(wedge, len(wedge) - 1))
+            if len(faces) > enough:
+                return len(faces)
+    return len(faces)
+
+
 def _block_ranks(block, config: EngineConfig, in_ranks: dict, out_ranks: dict):
     """(rank_in, rank_out, exact, agreement) for one built block under the
     config.
 
     The route of each map is picked here.  Exact mode sends every map to
-    the exact route and checks no primes.  Two-prime mode sizes the maps of
-    the unreduced block (see the module notes): a zero map has rank 0 and
+    the exact route and checks no primes.  Two-prime mode routes the maps
+    by the unreduced block's counts (_routes): a zero map has rank 0 and
     checks no primes, one of rows*cols <= EXACT_THRESHOLD takes the exact
     route and any other the modular route.  The ranks are the quotient's,
     the block's own matrices.  Each certificate is kept under its route in
@@ -231,7 +272,8 @@ def _block_ranks(block, config: EngineConfig, in_ranks: dict, out_ranks: dict):
     if config.mode == LEVEL_EXACT:
         routes, primes = ("exact", "exact"), ()
     else:
-        routes, primes = map(_route, block.full_sizes(EXACT_THRESHOLD)), config.primes
+        routes = _routes(block.full_mid_dim, block.full_src_dim, block.full_middle)
+        primes = config.primes
     certs = []
     for m, known, route in zip((block.d_in, block.d_out), (in_ranks, out_ranks), routes):
         if route not in known:
@@ -255,14 +297,16 @@ def _block_dim(block, config: EngineConfig, in_ranks: dict, out_ranks: dict):
     return block.mid_dim - r_in - r_out, exact, agree
 
 
-def _settled_exact(shape, config: EngineConfig) -> bool:
-    """Whether both maps of a settled weight take exact routes, as
-    _block_ranks would route them.  Where a route is not zero the primes are
-    checked, as certified_rank checks them on a map without entries."""
+def _settled_exact(unreduced, config: EngineConfig) -> bool:
+    """Whether both maps of a settled weight, whose unreduced block has the
+    (full_mid_dim, full_src_dim, full_middle) `unreduced`, take exact
+    routes, as _block_ranks would route them.  Where a route is not zero
+    the primes are checked, as certified_rank checks them on a map without
+    entries."""
     if config.mode == LEVEL_EXACT:
         return True
-    routes = set(map(_route, shape.full_sizes(EXACT_THRESHOLD)))
-    if routes != {"zero"}:
+    routes = _routes(*unreduced)
+    if routes != ("zero", "zero"):
         check_primes(config.primes)
     return "modular" not in routes
 
@@ -272,80 +316,79 @@ def weight_blocks(n: int, b: int, d: int, p: int, q: int, config: EngineConfig,
     """(block, contribution, exact, agreement) at each dominant weight of the
     cell, in descending lex order: the pass over `cell` alone if given, else
     over a new KoszulCell.  A cell or a block the memory cap refuses raises.
-    A weight the cell settles comes as its block without maps, with
+    A weight the cell settles comes as a KoszulBlock without maps, with
     contribution 0 and agreement (see the module notes)."""
     cell = cell or KoszulCell(Parameters(n, b, d, p, q), config.memory_cap)
-    for _, ranked in _pass({None: cell}, config):
+    for _, ranked in _pass({None: cell}, config, {}, blocks=True):
         if isinstance(ranked, InfeasibleBlockError):
             raise ranked
         yield ranked
 
 
-def _pass(cells: dict, config: EngineConfig):
+def _pass(cells: dict, config: EngineConfig, tallies: dict, blocks: bool = False):
     """Rank the KoszulCells of one antidiagonal, given in ascending p, weight
-    by weight (see the module notes).  Yields (key, ranked) for the cell
-    cells[key] at each of its dominant weights, over the union of them in
-    descending lex order: ranked is (block, contribution, exact, agreement),
-    or the InfeasibleBlockError that refuses the cell at the weight, after
-    which the cell drops out of the pass.  The cells share one dict of
-    grouped spaces.  The certificates of the d_in ranked last at a weight
-    are kept, and serve the next block there whose d_out is that map.  A
-    settled weight is routed only while every map before it in its cell
-    took an exact route."""
+    by weight (see the module notes), over the union of their dominant
+    weights in descending lex order, and sum each cell's weights into
+    tallies[key] = [dim, block_count, max_block_dim, exact, agreement] for
+    the cell cells[key].  Yields (key, the InfeasibleBlockError) where the
+    memory cap refuses the cell at a weight: its tally is then None, and it
+    drops out of the pass.  With `blocks`, it also yields (key, (block,
+    contribution, exact, agreement)) at each of the cell's weights, a
+    settled one as a KoszulBlock without maps.  The cells share one dict
+    of grouped spaces.  The certificates of the d_in ranked last at a
+    weight are kept, and serve the next block there whose d_out is that
+    map.  A settled weight is routed only while every map before it in its
+    cell took an exact route."""
     # each dominant weight -> the keys of the cells with a middle there
     live, spaces = {}, {}
     for key, cell in cells.items():
         cell.spaces = spaces
+        tallies[key] = [0, 0, 0, True, True]
         for w in cell.weights():
             live.setdefault(w, []).append(key)
-    # whether every map of the cell so far took an exact route; None once refused
-    exact = dict.fromkeys(cells, True)
     for w in sorted(live, reverse=True):
+        orbit = distinct_permutations_count(w)
         gave = held = None  # what the cell ranked last at w gave, its d_in's certificates
         for key in live[w]:
-            if exact[key] is None:
+            tally = tallies[key]
+            if tally is None:
                 continue
             offered = gave and gave[4]
             try:
-                block, gave = cells[key].ranked(w, gave)
+                unreduced, block, gave = cells[key].ranked(w, gave)
             except InfeasibleBlockError as exc:
-                exact[key] = None
+                tallies[key] = None
                 yield key, exc
                 continue
-            if block.d_in is None:
-                ranked = 0, exact[key] and _settled_exact(block, config), True
+            if block is None:       # settled: 0, with agreement
+                tally[3] = tally[3] and _settled_exact(unreduced, config)
+                if blocks:
+                    yield key, (KoszulBlock(w, *unreduced), 0, tally[3], True)
             else:
                 in_ranks, out_ranks = {}, held if block.d_out is offered else {}
-                ranked = _block_dim(block, config, in_ranks, out_ranks)
+                dim, exact, agree = _block_dim(block, config, in_ranks, out_ranks)
                 held = in_ranks
-            exact[key] = exact[key] and ranked[1]
-            yield key, (block, *ranked)
+                tally[0] += orbit * dim
+                tally[3] = tally[3] and exact
+                tally[4] = tally[4] and agree
+                if blocks:
+                    yield key, (block, dim, exact, agree)
+            tally[1] += orbit
+            tally[2] = max(tally[2], unreduced[0])
             block = None    # only `gave` and `held` outlive the step
 
 
 def _compute_cell(n: int, b: int, d: int, p: int, q: int, config: EngineConfig,
-                  ranked, started: float) -> CellResult:
-    """The result of one cell: the sum of `ranked`, the (weight,
-    full_mid_dim, contribution, exact, agreement) its pass gave at each of
-    its dominant weights, none for an analytic zero; timed from `started`
-    (see the module notes)."""
-    dim = 0
-    block_count = 0
-    max_block = 0
-    all_exact = True
-    all_agree = True
-    for weight, full_mid_dim, block_dim, exact, agree in ranked:
-        orbit = distinct_permutations_count(weight)
-        dim += orbit * block_dim
-        block_count += orbit
-        max_block = max(max_block, full_mid_dim)
-        all_exact = all_exact and exact
-        all_agree = all_agree and agree
+                  tally, started: float) -> CellResult:
+    """The result of one cell from the (dim, block_count, max_block_dim,
+    exact, agreement) its pass summed over its dominant weights, all 0 and
+    True for an analytic zero; timed from `started` (see the module
+    notes)."""
+    dim, block_count, max_block, exact, agree = tally
     # modes are named for their levels, and exact mode is always all-exact
-    level = LEVEL_EXACT if all_exact else config.mode
     return CellResult(
-        n=n, b=b, d=d, p=p, q=q, dim=dim, level=level,
-        agreement=all_agree, primes=config.primes, block_count=block_count,
+        n=n, b=b, d=d, p=p, q=q, dim=dim, level=LEVEL_EXACT if exact else config.mode,
+        agreement=agree, primes=config.primes, block_count=block_count,
         max_block_dim=max_block, wall_time_ms=int((time.monotonic() - started) * 1000),
         analytic=_analytic_zero_reason(n, b, d, p, q) is not None,
     )
@@ -502,7 +545,7 @@ def _antidiagonal(n, b, d, cells: list, config: EngineConfig, store) -> dict:
     those that are not analytic zeros, and stored, in the order of
     `cells`, by one put.  Each cell's store key is built once."""
     t0 = time.monotonic()
-    out, made, ranked, new = {}, {}, {}, []
+    out, made, tallies, new = {}, {}, {}, []
     keys = ({pq: ResultStore.key_of(n, b, d, *pq, config) for pq in cells}
             if store is not None else {})
     for pq in cells:
@@ -514,14 +557,12 @@ def _antidiagonal(n, b, d, cells: list, config: EngineConfig, store) -> dict:
                 made[pq] = KoszulCell(Parameters(n, b, d, *pq), config.memory_cap)
             except InfeasibleBlockError as exc:
                 out[pq] = exc
-    for pq, item in _pass(made, config):
-        if isinstance(item, InfeasibleBlockError):
-            out[pq] = item
-        else:
-            ranked.setdefault(pq, []).append((item[0].weight, item[0].full_mid_dim, *item[1:]))
+    for pq, refused in _pass(made, config, tallies):
+        out[pq] = refused
     for pq in cells:
         if pq not in out:
-            out[pq] = res = _compute_cell(n, b, d, *pq, config, ranked.get(pq, ()), t0)
+            out[pq] = res = _compute_cell(n, b, d, *pq, config,
+                                          tallies.get(pq, (0, 0, 0, True, True)), t0)
             if store is not None:
                 new.append((keys[pq], res.to_record()))
     if new:

@@ -130,13 +130,14 @@ A weight whose quotient has no middle element (every middle element lies
 in the star union) contributes 0 in every field.  KoszulCell.ranked, the
 step betti's pass takes at each weight, settles it from its counts: after
 the cap estimate on the unreduced counts, its kept middle, scanned from its
-middle classes or given by the cell (p - 1, q + 1), is empty; a KoszulBlock
-without maps is returned, and no source list, matrix, composition check or
-rank follows.  A weight with a kept middle is built by block(w) from the
-same kept middle.  block(w) itself still builds a weight it would settle,
-as a quotient with no middle.  Every block, settled or built, reports the
-unreduced block's counts, middle classes and full_sizes: betti alone reads
-them (see its module notes).
+middle classes or given by the cell (p - 1, q + 1), is empty; no block is
+made, and no source list, matrix, composition check or rank follows.  A
+weight with a kept middle is built by block(w) from the same kept middle.
+block(w) itself still builds a weight it would settle, as a quotient with
+no middle.  ranked() returns the unreduced block's counts and middle
+classes at every weight, settled or built, and every built block reports
+them too: betti alone reads them, to route each map (see its module
+notes).
 
 The cells of one antidiagonal p + q = j are consecutive homology degrees of
 the same complexes: at a weight w, the source space of (p - 1, q + 1),
@@ -162,7 +163,7 @@ columns, and is dropped.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import chain, combinations, count
+from itertools import combinations, count
 from operator import add
 
 from .arith import binom_safe
@@ -314,8 +315,11 @@ class KoszulBlock:
     block's contribution to dim K_{p,q} is mid_dim - rank(d_in) - rank(d_out).
     The three dimensions are read off the maps' shapes.  Both maps are None
     where the quotient has no middle element: the weight is settled, and
-    contributes 0 in every field.  The target_dim of a d_out handed over by
-    the cell (p - 1, q + 1) also counts zero rows (see the module notes).
+    contributes 0 in every field.  ranked() makes no block there, and betti
+    makes this one only for weight_blocks.  The target_dim of a d_out handed
+    over by the cell (p - 1, q + 1) also counts zero rows (see the module
+    notes).  betti routes each map by the unreduced counts (see its module
+    notes).
     """
 
     __slots__ = ("weight", "full_mid_dim", "full_src_dim", "full_middle", "d_in", "d_out")
@@ -336,25 +340,6 @@ class KoszulBlock:
     @property
     def target_dim(self) -> int:
         return self.d_out.rows
-
-    def full_sizes(self, limit: int) -> tuple:
-        """(size of d_in, size of d_out) of the unreduced block, a size being
-        rows * cols, or 0 for a zero map, as far as a comparison with `limit`
-        needs.  The size of d_in is exact.  The rows of the unreduced d_out,
-        its distinct faces, are counted only until they number more than
-        limit // full_mid_dim: the size is exact whenever it is at most
-        `limit`, and otherwise a lower bound already above it."""
-        size_in = self.full_mid_dim * self.full_src_dim
-        if not self.full_middle or not self.full_middle[0][1][0]:
-            return size_in, 0                  # no middle space, or p = 0
-        enough = limit // self.full_mid_dim
-        faces = len(self.full_middle[0][1][0]) - 1
-        rows = set()
-        for wedge in chain.from_iterable(wedges for _, wedges in self.full_middle):
-            rows.update(combinations(wedge, faces))
-            if len(rows) > enough:
-                break
-        return size_in, len(rows) * self.full_mid_dim
 
 
 class KoszulCell:
@@ -491,10 +476,7 @@ class KoszulCell:
         the order in which a loop over every weight would meet the orbits.
         """
         self._ensure_groups()
-        ws = sorted(self._middle, reverse=True)
-        total = self.params.weight_total
-        assert all(sum(w) == total for w in ws)
-        return ws
+        return sorted(self._middle, reverse=True)
 
     def block(self, weight, kept=None, d_out=None) -> KoszulBlock:
         """The block at a dominant weight, as ranked: its quotient by the
@@ -511,24 +493,26 @@ class KoszulCell:
         return self._build(weight, self._scan(weight) if kept is None else kept, d_out)
 
     def ranked(self, weight, given=None) -> tuple:
-        """(the block betti ranks at a dominant weight, what this cell gives
-        there).  The block has no maps where the quotient by the star union
-        has no middle element.  `given` is what the cell ranked before it
-        at the weight gave, or None, and is taken only from the cell
-        (p - 1, q + 1): its apexes and tops, its kept source, which is this
-        cell's kept middle, and its d_in, this cell's d_out (see the module
-        notes).  The cap check on the unreduced counts comes first."""
-        unreduced = self._check_cap(weight)    # (full_mid_dim, full_src_dim, full_middle)
+        """(the unreduced block's (full_mid_dim, full_src_dim, full_middle),
+        the block betti ranks at a dominant weight, what this cell gives
+        there).  The block is None where the quotient by the star union has
+        no middle element: the weight is settled, and nothing is built.
+        `given` is what the cell ranked before it at the weight gave, or
+        None, and is taken only from the cell (p - 1, q + 1): its apexes and
+        tops, its kept source, which is this cell's kept middle, and its
+        d_in, this cell's d_out (see the module notes).  The cap check on
+        the unreduced counts comes first, and reads them once."""
+        unreduced = self._check_cap(weight)
         p = self.params.p
         apexes, tops, middle, d_out = (given[1:] if given and given[0] == p - 1
                                        else (*self._apex(weight), None, None))
         if middle is None:
             middle = self._kept_elements(unreduced[2], apexes, tops)
         if not middle:
-            return KoszulBlock(weight, *unreduced), (p, apexes, tops, None, None)
+            return unreduced, None, (p, apexes, tops, None, None)
         source = self._kept_elements(self._source.get(weight, []), apexes, tops)
         block = self.block(weight, (tops, middle, source), d_out)
-        return block, (p, apexes, tops, source, block.d_in)
+        return unreduced, block, (p, apexes, tops, source, block.d_in)
 
     def _unreduced(self, weight) -> tuple:
         """(full_mid_dim, full_src_dim, full_middle) of the unreduced block."""

@@ -216,10 +216,12 @@ def iter_blocks(cell: KoszulCell):
 
 def iter_ranked(cell: KoszulCell):
     """What the pass ranks at each dominant weight of a cell alone, in the
-    order of weights(): the block, without maps where the quotient has no
-    middle element."""
+    order of weights(): the block, or where the quotient has no middle
+    element, and ranked() makes none, a block without maps on the unreduced
+    counts."""
     for w in cell.weights():
-        yield cell.ranked(w)[0]
+        unreduced, block, _ = cell.ranked(w)
+        yield block or KoszulBlock(w, *unreduced)
 
 
 class UnreducedCell(KoszulCell):
@@ -230,7 +232,8 @@ class UnreducedCell(KoszulCell):
     its blocks whole."""
 
     def ranked(self, weight, given=None):
-        return self.block(weight), None
+        block = self.block(weight)
+        return (block.full_mid_dim, block.full_src_dim, block.full_middle), block, None
 
     def _build(self, weight, kept, d_out=None):
         # the scan made the cap check; the whole block ignores its star

@@ -18,7 +18,7 @@ import pytest
 
 from syzlab import betti, linalg
 from syzlab.betti import ResultStore, betti_table, cell_result, make_config
-from syzlab.koszul import KoszulCell, Parameters
+from syzlab.koszul import KoszulBlock, KoszulCell, Parameters
 from syzlab.linalg import rank_mod_p
 
 TWO_PRIME = make_config()
@@ -46,15 +46,18 @@ def fields(res):
 @pytest.fixture
 def ranked(monkeypatch):
     """{(p, q): [(weight, contribution, exact, agreement), ...]} as the pass
-    gives them, for every pass run while the fixture is live."""
+    gives them with `blocks`, for every pass run while the fixture is live.
+    A pass run without `blocks` still yields only its refusals."""
     seen = {}
     original = betti._pass
 
-    def recording(cells, config):
-        for i, item in original(cells, config):
+    def recording(cells, config, tallies, blocks=False):
+        for i, item in original(cells, config, tallies, blocks=True):
             if not isinstance(item, Exception):
                 par = cells[i].params
                 seen.setdefault((par.p, par.q), []).append((item[0].weight, *item[1:]))
+                if not blocks:
+                    continue
             yield i, item
 
     monkeypatch.setattr(betti, "_pass", recording)
@@ -65,15 +68,18 @@ def ranked(monkeypatch):
 def steps(monkeypatch):
     """Every ranked() step of the pass, as (cell (p, q), weight, what it
     took from the cell (p - 1, q + 1) there, or None, what it ranked).  What
-    it took is (apexes, tops, kept middle or None, d_out or None)."""
+    it took is (apexes, tops, kept middle or None, d_out or None).  What it
+    ranked is a block without maps on the unreduced counts where it
+    settled."""
     seen = []
     original = KoszulCell.ranked
 
     def ranked(self, weight, given=None):
-        item, gave = original(self, weight, given)
+        unreduced, block, gave = original(self, weight, given)
         took = given[1:] if given and given[0] == self.params.p - 1 else None
+        item = block or KoszulBlock(weight, *unreduced)
         seen.append(((self.params.p, self.params.q), weight, took, item))
-        return item, gave
+        return unreduced, block, gave
 
     monkeypatch.setattr(KoszulCell, "ranked", ranked)
     return seen
@@ -147,7 +153,7 @@ def test_every_handed_map_is_used(monkeypatch, steps):
             _, out_ranks, before = calls[id(item)]
             assert out_ranks is in_ranks_of[id(d_in)]
             assert len(before) == 1         # ranked in its d_in role first
-            route = betti._route(item.full_sizes(betti.EXACT_THRESHOLD)[1])
+            route = betti._routes(item.full_mid_dim, item.full_src_dim, item.full_middle)[1]
             if route in before:
                 assert set(out_ranks) == before
             else:
@@ -223,7 +229,7 @@ def test_memory_cap_refusal_mid_antidiagonal_breaks_the_chain(monkeypatch, ranke
     above = set(KoszulCell(Parameters(2, 0, 3, 4, 1)).weights())
     weights = below.weights()
     handing = next(k for k, w in enumerate(weights)
-                   if w in above and below.ranked(w)[0].d_in is not None)
+                   if w in above and below.ranked(w)[1] is not None)
     refused_at = weights[handing + 1]
 
     class RefuseLater(KoszulCell):
@@ -277,12 +283,26 @@ def test_table_pass_counts(monkeypatch):
     assert (len(certified), len(built)) == (399, 340)
 
 
+def test_table_pass_routes_most_maps_from_their_counts(monkeypatch):
+    # the tables of perfbench's surface-tables workload: of the 1,259
+    # routings a pass makes, the counts alone fix 943, and the faces of the
+    # middle wedges are enumerated for the other 316
+    routed, enumerated = [], []
+    routes, count = betti._routes, betti._distinct_faces
+    monkeypatch.setattr(betti, "_routes", lambda *args: routed.append(args) or routes(*args))
+    monkeypatch.setattr(betti, "_distinct_faces",
+                        lambda *args: enumerated.append(args) or count(*args))
+    for nbd in [(2, 0, 3), (2, 1, 3), (1, 0, 8), (1, 6, 8)]:
+        betti_table(*nbd)
+    assert (len(routed), len(enumerated)) == (1259, 316)
+
+
 def test_single_cells_keep_nothing(monkeypatch, steps):
     # a lone cell is the pass over that cell alone: nothing is handed to it
     passes = []
     original = betti._pass
-    monkeypatch.setattr(betti, "_pass",
-                        lambda cells, config: passes.append(len(cells)) or original(cells, config))
+    monkeypatch.setattr(betti, "_pass", lambda cells, *args, **kwargs:
+                        passes.append(len(cells)) or original(cells, *args, **kwargs))
     cell_result(2, 0, 3, 3, 1)
     list(betti.weight_blocks(2, 0, 3, 4, 1, TWO_PRIME))
     assert passes == [1, 1]

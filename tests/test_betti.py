@@ -163,6 +163,24 @@ def test_rational_curve_closed_form():
             assert table.dim(p, 1) == p * math.comb(d, p + 1), (d, p)
 
 
+def test_quadratic_veronese_satisfies_n5_and_fails_n6():
+    # v_2(P^n) with n >= 3 satisfies N_5 and fails N_6: K_{p,q} = 0 for
+    # every q >= 2 and p <= 5, and K_{6,2} != 0.  The ideal of v_2(P^n) is
+    # that of the 2 x 2 minors of a generic symmetric matrix, resolved by
+    # Jozefiak, Pragacz and Weyman (Asterisque 87-88, 1981); Ottaviani and
+    # Paoletti, "Syzygies of Veronese embeddings" (Compositio Math. 125,
+    # 2001), state the range for d = 2 beside their bound for d >= 3.
+    # Only vanishing and nonvanishing are asserted.  At the default cap the
+    # cell-level estimate refuses (5, 5) and (6, 5) of (4, 0, 2), so the cap
+    # is 1 TiB
+    config = make_config(memory_cap=1 << 40)
+    for n, strands in [(4, range(2, 6)), (5, [2])]:
+        for q in strands:
+            for p in range(6):
+                assert kpq_dim(n, 0, 2, p, q, config) == 0, (n, p, q)
+        assert kpq_dim(n, 0, 2, 6, 2, config) > 0, n
+
+
 def test_window_subset():
     table = betti_table(1, 0, 4, p_range=(1, 2), q_range=(1, 1))
     assert sorted(table.cells) == [(1, 1), (2, 1)]

@@ -6,10 +6,12 @@ under each weight they reach; helpers.grouped_all_pairs tests every wedge
 against every tensor, as the engine did before.  Both must give the same
 weights in the same order, and the same (wedge, tensor) elements at each.
 Inside a weight the engine lists its elements class by class, so there
-they are compared as multisets.  KoszulBlock.full_sizes stops counting the
-rows of the unreduced d_out once its size is past the limit; every
-comparison the route makes must come out as with the full count, and the
-size must be exact whenever it is at most the limit.
+they are compared as multisets.  betti._routes routes the maps of an
+unreduced block from its counts, and enumerates the faces of its middle
+wedges only where the counts leave the d_out's route open, and then only
+until their number passes the threshold.  At every threshold, each route
+must be the one of the full sizes, every face counted, at every dominant
+weight of the surface-tables benchmark's cells and a few more.
 """
 
 from collections import Counter
@@ -19,10 +21,11 @@ from operator import add
 import pytest
 
 from syzlab.arith import binom_safe
+from syzlab import betti
 from syzlab.betti import default_q_lo
 from syzlab.koszul import KoszulCell, Parameters, _faces, _pack
 
-from helpers import elements, grouped_all_pairs, iter_blocks, wedges_of
+from helpers import elements, grouped_all_pairs, wedges_of
 
 LIMITS = (0, 1, 16, 256, 10 ** 6)
 
@@ -111,28 +114,45 @@ def test_prefix_edges_are_reached():
     assert "none" in prefix_edges(Parameters(1, 0, 5, 2, 1), 2, 5)
 
 
-def full_out_size(block) -> int:
-    """rows * cols of the unreduced d_out from every one of its faces, 0 for
-    a zero map."""
-    rows = {face for wedge in wedges_of(block.full_middle) for _, face, _ in _faces(wedge)}
-    return len(rows) * block.full_mid_dim
+def distinct_faces(middle) -> int:
+    """The number of distinct faces of the wedges of `middle`'s classes,
+    every one counted: the rows of the unreduced d_out."""
+    return len({face for wedge in wedges_of(middle) for _, face, _ in _faces(wedge)})
 
 
-@pytest.mark.parametrize("nbd", [(2, 0, 3), (2, 1, 3), (3, 0, 2)],
-                         ids=lambda nbd: "".join(map(str, nbd)))
-def test_route_sizes_decide_as_the_full_count(nbd):
-    exits = 0
-    for par in table_params(*nbd):
-        for block in iter_blocks(KoszulCell(par)):
-            size_out = full_out_size(block)
-            for limit in LIMITS:
-                got_in, got_out = block.full_sizes(limit)
-                where = (par, block.weight, limit)
-                assert got_in == block.full_mid_dim * block.full_src_dim, where
-                assert (got_out == 0) == (size_out == 0), where
-                assert (got_out <= limit) == (size_out <= limit), where
-                assert got_out <= size_out, where
-                if size_out <= limit:
-                    assert got_out == size_out, where
-                exits += got_out < size_out
-    assert exits       # the early exit is taken somewhere
+# every cell of the surface-tables benchmark's tables and of (3, 0, 2), and
+# two cells of the quartic Veronese surface with large unreduced blocks
+ROUTED = {"".join(map(str, nbd)): table_params(*nbd)
+          for nbd in [(2, 0, 3), (2, 1, 3), (3, 0, 2), (1, 0, 8), (1, 6, 8)]}
+ROUTED.update({"204-K61": [Parameters(2, 0, 4, 6, 1)], "204-K112": [Parameters(2, 0, 4, 11, 2)]})
+
+
+@pytest.mark.parametrize("name", list(ROUTED))
+def test_route_sizes_decide_as_the_full_count(name, monkeypatch):
+    # at every dominant weight of every cell and at every threshold, the
+    # routes picked from the counts, with the faces enumerated only where
+    # the counts leave a route open and only until they pass the
+    # threshold, are the routes of the full sizes, every face counted
+    blocks = []     # (unreduced counts, size of d_in, size of d_out)
+    for par in ROUTED[name]:
+        cell = KoszulCell(par)
+        for w in cell.weights():
+            mid, src, middle = unreduced = cell._unreduced(w)
+            blocks.append((unreduced, mid * src, mid * distinct_faces(middle)))
+    enumerated = []     # (faces counted, every distinct face)
+    count = betti._distinct_faces
+
+    def counting(middle, enough):
+        enumerated.append((count(middle, enough), distinct_faces(middle)))
+        return enumerated[-1][0]
+
+    monkeypatch.setattr(betti, "_distinct_faces", counting)
+    for limit in LIMITS:
+        monkeypatch.setattr(betti, "EXACT_THRESHOLD", limit)
+        before = len(enumerated)
+        for unreduced, size_in, size_out in blocks:
+            assert betti._routes(*unreduced) == (betti._route(size_in), betti._route(size_out)), \
+                (name, limit, unreduced[:2])
+        # the counts alone route most maps at every threshold
+        assert len(enumerated) - before < len(blocks) / 2, (name, limit)
+    assert any(got < every for got, every in enumerated)     # the early exit is taken

@@ -16,7 +16,7 @@ weight.
 import pytest
 
 from syzlab import betti
-from syzlab.koszul import InfeasibleBlockError, KoszulCell, Parameters
+from syzlab.koszul import InfeasibleBlockError, KoszulBlock, KoszulCell, Parameters
 
 from helpers import UnreducedCell, iter_ranked
 from test_star import CONFIGS, PRIMES, contribution, table_cells
@@ -82,10 +82,10 @@ def test_weight_settled_below_is_built_above_with_a_d_out_without_entries(monkey
     original = KoszulCell.ranked
 
     def ranked(self, weight, given=None):
-        item, gave = original(self, weight, given)
+        unreduced, block, gave = original(self, weight, given)
         if given and given[0] == self.params.p - 1:     # taken from (p - 1, q + 1)
-            steps.append((given[1:], item))
-        return item, gave
+            steps.append((given[1:], block or KoszulBlock(weight, *unreduced)))
+        return unreduced, block, gave
 
     monkeypatch.setattr(KoszulCell, "ranked", ranked)
     for nbd in TABLES:
